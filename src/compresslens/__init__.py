@@ -23,12 +23,12 @@ from .data_model import (
     write_prediction_log,
 )
 from .pie_audit import (
-    ModalLabelRecord,
     PIESet,
     attribute_relative_representation,
     identify_pies,
     modal_label,
     subset_accuracy,
+    vote_counts,
 )
 from .pipeline import ExperimentConfig, load_experiment_config, run_pipeline
 from .robustness import (
@@ -73,7 +73,6 @@ __all__ = [
     "ExperimentConfig",
     "LabeledDataset",
     "MLPModel",
-    "ModalLabelRecord",
     "PIESet",
     "PredictionLog",
     "PruneSchedule",
@@ -106,6 +105,7 @@ __all__ = [
     "subset_accuracy",
     "synthesize",
     "train_population",
+    "vote_counts",
     "welch_t_test",
     "write_dataset",
     "write_prediction_log",

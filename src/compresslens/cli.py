@@ -82,19 +82,20 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("train", help="train one model population and log predictions")
     p.add_argument("--data", required=True, help="dataset directory (train.csv/test.csv)")
     p.add_argument("--out", required=True, help="prediction-log CSV path")
-    p.add_argument("--models", type=int, default=10, help="population size K")
-    p.add_argument("--steps", type=int, default=2000)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--weight-decay", type=float, default=0.0)
-    p.add_argument("--hidden", type=int, nargs="+", default=[128])
+    # the tuning flags' dests are TrainConfig fields; one left out keeps its default
+    p.add_argument("--models", dest="population_size", type=int, help="population size K")
+    p.add_argument("--steps", type=int)
+    p.add_argument("--batch-size", type=int)
+    p.add_argument("--lr", dest="learning_rate", type=float, metavar="LR")
+    p.add_argument("--weight-decay", type=float)
+    p.add_argument("--hidden", dest="hidden_dims", type=int, nargs="+", metavar="WIDTH")
     p.add_argument("--sparsity", type=float, default=None, help="magnitude pruning target")
     p.add_argument("--quant", choices=sorted(_QUANT_FLAGS), default=None)
     p.add_argument("--prune-start", type=int, default=None)
     p.add_argument("--prune-end", type=int, default=None)
     p.add_argument("--prune-every", type=int, default=None)
     p.add_argument("--topk", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     p.add_argument("--save-models", default=None, help="directory for model snapshots")
 
     p = sub.add_parser("audit-classes", help="per-class Welch significance audit")
@@ -137,11 +138,13 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_models(path: str) -> list:
+def _load_models(path: str) -> tuple[list, CompressionSpec]:
+    """The snapshots of a directory in file order, and the last one's compression."""
     files = sorted(Path(path).glob("model_*.json"))
     if not files:
         raise DataError(f"no model_*.json snapshots in {path}")
-    return [load_model(f)[0] for f in files]
+    loaded = [load_model(f) for f in files]
+    return [model for model, _ in loaded], loaded[-1][1]
 
 
 def _cmd_generate(args) -> int:
@@ -163,13 +166,15 @@ def _cmd_generate(args) -> int:
 def _cmd_train(args) -> int:
     if args.sparsity is not None and args.quant is not None:
         raise ConfigError("choose either --sparsity or --quant, not both")
+    flags = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(TrainConfig)}
+    config = TrainConfig(**{k: v for k, v in flags.items() if v is not None})
     train_ds = read_dataset(Path(args.data) / "train.csv")
     test_ds = read_dataset(Path(args.data) / "test.csv")
 
     if args.sparsity is not None:
         compression = CompressionSpec("magnitude_prune", args.sparsity)
-        start = args.prune_start if args.prune_start is not None else args.steps // 10
-        end = args.prune_end if args.prune_end is not None else (args.steps * 7) // 10
+        start = args.prune_start if args.prune_start is not None else config.steps // 10
+        end = args.prune_end if args.prune_end is not None else (config.steps * 7) // 10
         every = args.prune_every if args.prune_every is not None else max(
             1, (end - start) // 12
         )
@@ -181,15 +186,6 @@ def _cmd_train(args) -> int:
         compression = CompressionSpec("none")
         schedule = None
 
-    config = TrainConfig(
-        steps=args.steps,
-        batch_size=args.batch_size,
-        learning_rate=args.lr,
-        weight_decay=args.weight_decay,
-        seed=args.seed,
-        population_size=args.models,
-        hidden_dims=tuple(args.hidden),
-    )
     models, log = train_population(
         train_ds, test_ds, config, compression, schedule, topk=args.topk
     )
@@ -220,10 +216,9 @@ def _cmd_audit_pie(args) -> int:
     pies = identify_pies(base, comp)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    truth = {int(e): int(t) for e, t in zip(base.example_ids, base.truth)}
-    write_pie_report(pies, truth, out_dir / "pie.csv")
+    write_pie_report(pies, base.truth, out_dir / "pie.csv")
 
-    doc: dict = {"pie_count": len(pies), "examples": len(pies.records)}
+    doc: dict = {"pie_count": len(pies), "examples": len(pies.example_ids)}
     if pies.pie_ids:
         k = min(args.topk, base.topk)
         acc_pie, acc_non, acc_all = subset_accuracy(base, pies, k)
@@ -239,22 +234,14 @@ def _cmd_audit_pie(args) -> int:
     atomic_write_text(
         out_dir / "pie_summary.json", json.dumps(doc, indent=2, sort_keys=True) + "\n"
     )
-    print(f"wrote {out_dir}: {len(pies)} PIEs / {len(pies.records)} examples")
+    print(f"wrote {out_dir}: {len(pies)} PIEs / {len(pies.example_ids)} examples")
     return EXIT_OK
 
 
 def _cmd_audit_robustness(args) -> int:
     test_ds = read_dataset(Path(args.data) / "test.csv")
-    base_models = _load_models(args.base_models)
-    comp_files = sorted(Path(args.comp_models).glob("model_*.json"))
-    if not comp_files:
-        raise DataError(f"no model_*.json snapshots in {args.comp_models}")
-    comp_models = []
-    comp_spec = CompressionSpec("none")
-    for f in comp_files:
-        model, spec = load_model(f)
-        comp_models.append(model)
-        comp_spec = spec
+    base_models, _ = _load_models(args.base_models)
+    comp_models, comp_spec = _load_models(args.comp_models)
     rows = robustness_report(
         test_ds,
         list(args.kinds),
@@ -296,8 +283,11 @@ def _cmd_run(args) -> int:
     if args.sparsity is not None or args.quant:
         sweep: list[CompressionSpec] = [CompressionSpec("none")]
         if args.sparsity is not None:
-            for tok in args.sparsity.split(","):
-                sweep.append(CompressionSpec("magnitude_prune", float(tok)))
+            try:
+                levels = [float(tok) for tok in args.sparsity.split(",")]
+            except ValueError as exc:
+                raise ConfigError(f"--sparsity {args.sparsity!r}: {exc}") from None
+            sweep += [CompressionSpec("magnitude_prune", s) for s in levels]
         for q in args.quant or []:
             sweep.append(CompressionSpec(_QUANT_FLAGS[q]))
         overrides["sweep"] = tuple(sweep)

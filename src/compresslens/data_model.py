@@ -12,9 +12,12 @@ import csv
 import json
 import os
 import tempfile
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -109,74 +112,139 @@ class ExampleRecord:
                 )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class LabeledDataset:
-    """An ordered collection of examples with a fixed class count."""
+    """N examples with a fixed class count, stored as aligned read-only columns.
 
-    examples: tuple[ExampleRecord, ...]
+    `example_ids` and `labels` are (N,) int64, `feature_matrix` is (N, d)
+    float64 and `attributes` is an (N, A) bool matrix, one column per name in
+    `attribute_names`. `layout` is the (height, width) every image-like
+    feature vector shares, or None. `LabeledDataset(examples, num_classes)`
+    builds the columns from `ExampleRecord`s, `from_arrays` from arrays.
+    """
+
+    example_ids: np.ndarray
+    labels: np.ndarray
+    feature_matrix: np.ndarray
     num_classes: int
-    class_names: tuple[str, ...] | None = None
+    attribute_names: tuple[str, ...]
+    attributes: np.ndarray
+    layout: tuple[int, int] | None
+    class_names: tuple[str, ...] | None
 
-    def __post_init__(self):
-        object.__setattr__(self, "examples", tuple(self.examples))
-        if self.num_classes < 1:
-            raise ConfigError("num_classes must be positive")
-        ids = [ex.example_id for ex in self.examples]
-        if len(set(ids)) != len(ids):
-            raise ConfigError("duplicate example_ids in dataset")
-        dims = {ex.features.size for ex in self.examples}
+    def __init__(
+        self, examples: Iterable[ExampleRecord], num_classes: int, class_names=None
+    ):
+        examples = tuple(examples)
+        dims = sorted({ex.features.size for ex in examples})
+        layouts = {ex.layout for ex in examples}
         if len(dims) > 1:
-            raise ConfigError(f"inconsistent feature lengths: {sorted(dims)}")
-        for ex in self.examples:
-            if not 0 <= ex.true_label < self.num_classes:
-                raise ConfigError(
-                    f"example {ex.example_id}: label {ex.true_label} "
-                    f"outside [0, {self.num_classes})"
-                )
-        if self.class_names is not None and len(self.class_names) != self.num_classes:
+            raise ConfigError(f"inconsistent feature lengths: {dims}")
+        if len(layouts) > 1:
+            raise ConfigError(f"examples disagree on the layout: {layouts}")
+        names = sorted(set().union(*(ex.attributes for ex in examples)))
+        shape = (len(examples), dims[0] if dims else 0)
+        columns = LabeledDataset.from_arrays(
+            [ex.example_id for ex in examples],
+            [ex.true_label for ex in examples],
+            np.reshape([ex.features for ex in examples], shape),
+            num_classes,
+            names,
+            [[name in ex.attributes for name in names] for ex in examples],
+            layouts.pop() if layouts else None,
+            class_names,
+        )
+        self.__dict__.update(vars(columns))
+
+    @classmethod
+    def from_arrays(
+        cls, example_ids, labels, feature_matrix, num_classes: int,
+        attribute_names=(), attributes=(), layout=None, class_names=None,
+    ) -> "LabeledDataset":
+        """Dataset from (N,) ids and labels, an (N, d) and an (N, A) bool matrix.
+
+        The arrays are copied. As for records, attribute columns that no
+        example carries are dropped and the rest ordered by name.
+        """
+        ids = np.array(example_ids, dtype=np.int64)
+        labels = np.array(labels, dtype=np.int64)
+        feats = np.array(feature_matrix, dtype=np.float64)
+        names = tuple(attribute_names)
+        attrs = np.array(attributes, dtype=bool)
+        if attrs.size == 0:  # no rows or no attributes: nothing is carried
+            attrs = np.zeros((ids.size, len(names)), dtype=bool)
+        if num_classes < 1:
+            raise ConfigError("num_classes must be positive")
+        n = ids.shape[:1]
+        if (ids.ndim, labels.shape, feats.ndim, feats.shape[:1], attrs.shape) != (
+            1, n, 2, n, n + (len(names),)
+        ):
+            raise ConfigError(
+                "want (N,) ids and labels, (N, d) features and (N, A) attributes, got "
+                f"{ids.shape}, {labels.shape}, {feats.shape}, {attrs.shape}"
+            )
+        if ids.size and ids.min() < 0:
+            raise ConfigError(f"example_ids must be non-negative, got {ids.min()}")
+        if np.unique(ids).size != ids.size:
+            raise ConfigError("duplicate example_ids in dataset")
+        bad = np.flatnonzero((labels < 0) | (labels >= num_classes))
+        if bad.size:
+            i = bad[0]
+            raise ConfigError(
+                f"example {ids[i]}: label {labels[i]} outside [0, {num_classes})"
+            )
+        if len(set(names)) != len(names):
+            raise ConfigError(f"duplicate attribute names {list(names)}")
+        if layout is not None and layout[0] * layout[1] != feats.shape[1]:
+            raise ConfigError(f"layout {layout} does not match {feats.shape[1]} features")
+        if class_names is not None and len(class_names) != num_classes:
             raise ConfigError("class_names length must equal num_classes")
+        carried = sorted((name, j) for j, name in enumerate(names) if attrs[:, j].any())
+        attrs = attrs[:, [j for _, j in carried]]
+        for arr in (ids, labels, feats, attrs):
+            arr.flags.writeable = False
+        ds = object.__new__(cls)
+        ds.__dict__.update(  # frozen: the fields are set once, here
+            example_ids=ids,
+            labels=labels,
+            feature_matrix=feats,
+            num_classes=num_classes,
+            attribute_names=tuple(name for name, _ in carried),
+            attributes=attrs,
+            layout=None if layout is None else tuple(layout),
+            class_names=None if class_names is None else tuple(class_names),
+        )
+        return ds
 
     def __len__(self) -> int:
-        return len(self.examples)
+        return self.example_ids.size
 
-    @cached_property
+    @property
     def dim(self) -> int:
-        return self.examples[0].features.size if self.examples else 0
+        return self.feature_matrix.shape[1]
 
     @cached_property
-    def feature_matrix(self) -> np.ndarray:
-        mat = np.stack([ex.features for ex in self.examples]) if self.examples else (
-            np.zeros((0, 0))
+    def examples(self) -> tuple[ExampleRecord, ...]:
+        """The rows as `ExampleRecord`s; their features are views of the matrix."""
+        names = self.attribute_names
+        return tuple(
+            ExampleRecord(eid, feats, label, frozenset(compress(names, flags)), self.layout)
+            for eid, label, feats, flags in zip(
+                self.example_ids.tolist(), self.labels.tolist(),
+                self.feature_matrix, self.attributes.tolist(),
+            )
         )
-        mat.flags.writeable = False
-        return mat
-
-    @cached_property
-    def labels(self) -> np.ndarray:
-        arr = np.array([ex.true_label for ex in self.examples], dtype=np.int64)
-        arr.flags.writeable = False
-        return arr
-
-    @cached_property
-    def example_ids(self) -> np.ndarray:
-        arr = np.array([ex.example_id for ex in self.examples], dtype=np.int64)
-        arr.flags.writeable = False
-        return arr
-
-    @cached_property
-    def attribute_names(self) -> tuple[str, ...]:
-        names: set[str] = set()
-        for ex in self.examples:
-            names.update(ex.attributes)
-        return tuple(sorted(names))
 
     def attribute_mask(self, name: str) -> np.ndarray:
-        return np.array([name in ex.attributes for ex in self.examples], dtype=bool)
+        """(N,) bool column of one attribute; all False for one no example carries."""
+        if name not in self.attribute_names:
+            return np.zeros(len(self), dtype=bool)
+        return self.attributes[:, self.attribute_names.index(name)]
 
     def missing_classes(self) -> list[int]:
         """Classes in {0..C-1} with no examples; reportable validation rule."""
-        present = set(int(x) for x in self.labels)
-        return [c for c in range(self.num_classes) if c not in present]
+        support = np.bincount(self.labels, minlength=self.num_classes)
+        return np.flatnonzero(support == 0).tolist()
 
 
 @dataclass(frozen=True)
@@ -343,19 +411,15 @@ def atomic_write_text(path: str | Path, text: str) -> None:
 
 def write_prediction_log(log: PredictionLog, path: str | Path) -> None:
     """Serialize a log as long-format CSV, rows ordered by (model, example, rank)."""
+    spec = log.compression
+    prefix = f"{log.population_id},{spec.method},{spec.sparsity!r}"
+    ids, truth = log.example_ids.tolist(), log.truth.tolist()
     lines = [",".join(LOG_HEADER)]
-    method = log.compression.method
-    sparsity = repr(log.compression.sparsity)
-    pid = log.population_id
     for k in range(log.num_models):
-        for i in range(log.num_examples):
-            eid = log.example_ids[i]
-            truth = log.truth[i]
-            for r in range(log.topk):
-                lines.append(
-                    f"{pid},{method},{sparsity},{k},{eid},{r + 1},"
-                    f"{log.predictions[k, i, r]},{truth}"
-                )
+        for eid, label, ranked in zip(ids, truth, log.predictions[k].tolist()):
+            lines.extend(
+                f"{prefix},{k},{eid},{r},{p},{label}" for r, p in enumerate(ranked, 1)
+            )
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -382,66 +446,60 @@ def read_prediction_log(path: str | Path) -> PredictionLog:
                 detail.append(f"unexpected columns {extra}")
             raise SchemaError(f"{path}: {'; '.join(detail) or 'columns out of order'}")
 
-        pid: str | None = None
-        method: str | None = None
-        sparsity: float | None = None
-        cells: dict[tuple[int, int, int], int] = {}
-        truth: dict[int, int] = {}
+        population: tuple[str, str, float] | None = None
+        cells = array("q")  # per row: model, example, rank, pred, truth, line number
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != len(LOG_HEADER):
                 raise ParseError(f"expected {len(LOG_HEADER)} fields, got {len(row)}", lineno)
             try:
-                model_id = int(row[3])
-                example_id = int(row[4])
-                rank = int(row[5])
-                pred = int(row[6])
-                true_label = int(row[7])
-                row_sparsity = float(row[2])
+                cell = (int(row[3]), int(row[4]), int(row[5]), int(row[6]), int(row[7]))
+                row_population = (row[0], row[1], float(row[2]))
             except ValueError as exc:
                 raise ParseError(str(exc), lineno) from None
-            if pid is None:
-                pid, method, sparsity = row[0], row[1], row_sparsity
-            elif (row[0], row[1], row_sparsity) != (pid, method, sparsity):
+            if population is None:
+                population = row_population
+            elif row_population != population:
                 raise ParseError("mixed populations in one log file", lineno)
-            if rank < 1:
-                raise ParseError(f"ranks are 1-based, got {rank}", lineno)
-            key = (model_id, example_id, rank)
-            if key in cells:
-                raise ParseError(f"duplicate (model_id, example_id, rank) {key}", lineno)
-            cells[key] = pred
-            prev = truth.setdefault(example_id, true_label)
-            if prev != true_label:
-                raise ParseError(
-                    f"conflicting true_label for example {example_id}", lineno
-                )
+            if cell[2] < 1:
+                raise ParseError(f"ranks are 1-based, got {cell[2]}", lineno)
+            cells.extend(cell)
+            cells.append(lineno)
 
-    if not cells:
+    if population is None:
         raise ParseError("log contains no data rows", None)
-    model_ids = sorted({k[0] for k in cells})
-    example_ids = sorted({k[1] for k in cells})
-    ranks = sorted({k[2] for k in cells})
+    table = np.frombuffer(cells, np.int64).reshape(-1, 6)
+    model, example, rank, pred, truth, line = table.T
+    example_ids, first, col = np.unique(example, return_index=True, return_inverse=True)
+    # the first row that repeats a cell or gives its example a second true label
+    repeated = np.ones(len(line), dtype=bool)
+    repeated[np.unique(table[:, :3], axis=0, return_index=True)[1]] = False
+    bad = np.flatnonzero(repeated | (truth != truth[first][col]))
+    if bad.size:
+        i = bad[0]
+        if repeated[i]:
+            key = tuple(table[i, :3].tolist())
+            raise ParseError(f"duplicate (model_id, example_id, rank) {key}", int(line[i]))
+        raise ParseError(f"conflicting true_label for example {example[i]}", int(line[i]))
+    model_ids, ranks = np.unique(model).tolist(), np.unique(rank).tolist()
     K, N, topk = len(model_ids), len(example_ids), len(ranks)
     if model_ids != list(range(K)):
         raise ParseError(f"model ids must be 0..K-1, got {model_ids}", None)
     if ranks != list(range(1, topk + 1)):
         raise ParseError(f"ranks must be contiguous from 1, got {ranks}", None)
-    if len(cells) != K * N * topk:
+    if len(line) != K * N * topk:
         raise ParseError(
-            f"incomplete log: expected {K * N * topk} rows, got {len(cells)}", None
+            f"incomplete log: expected {K * N * topk} rows, got {len(line)}", None
         )
     preds = np.empty((K, N, topk), dtype=np.int64)
-    eid_index = {eid: i for i, eid in enumerate(example_ids)}
-    for (model_id, example_id, rank), pred in cells.items():
-        preds[model_id, eid_index[example_id], rank - 1] = pred
-    truth_arr = np.array([truth[eid] for eid in example_ids], dtype=np.int64)
-    assert method is not None and sparsity is not None and pid is not None
+    preds[model, col, rank - 1] = pred
+    pid, method, sparsity = population
     return PredictionLog(
         population_id=pid,
         compression=CompressionSpec(method=method, sparsity=sparsity),
-        example_ids=np.array(example_ids, dtype=np.int64),
-        truth=truth_arr,
+        example_ids=example_ids,
+        truth=truth[first],
         predictions=preds,
     )
 
@@ -449,23 +507,25 @@ def read_prediction_log(path: str | Path) -> PredictionLog:
 def write_dataset(dataset: LabeledDataset, csv_path: str | Path) -> None:
     """Write a dataset CSV plus its `<stem>.meta.json` sidecar."""
     csv_path = Path(csv_path)
-    attrs = dataset.attribute_names
-    dim = dataset.dim
     header = ["example_id", "true_label"]
-    header += [f"attr_{a}" for a in attrs]
-    header += [f"f{j}" for j in range(dim)]
+    header += [f"attr_{a}" for a in dataset.attribute_names]
+    header += [f"f{j}" for j in range(dataset.dim)]
     lines = [",".join(header)]
-    for ex in dataset.examples:
-        row = [str(ex.example_id), str(ex.true_label)]
-        row += ["1" if a in ex.attributes else "0" for a in attrs]
-        row += [repr(float(v)) for v in ex.features]
+    for eid, label, flags, feats in zip(
+        dataset.example_ids.tolist(),
+        dataset.labels.tolist(),
+        dataset.attributes.tolist(),
+        dataset.feature_matrix.tolist(),
+    ):
+        row = [str(eid), str(label)]
+        row += ["1" if on else "0" for on in flags]
+        row += [repr(v) for v in feats]
         lines.append(",".join(row))
     atomic_write_text(csv_path, "\n".join(lines) + "\n")
 
     meta: dict[str, object] = {"num_classes": dataset.num_classes}
-    layout = dataset.examples[0].layout if dataset.examples else None
-    if layout is not None:
-        meta["height"], meta["width"] = layout
+    if dataset.layout is not None:
+        meta["height"], meta["width"] = dataset.layout
     if dataset.class_names is not None:
         meta["class_names"] = list(dataset.class_names)
     atomic_write_text(_meta_path(csv_path), json.dumps(meta, sort_keys=True) + "\n")
@@ -505,7 +565,7 @@ def read_dataset(csv_path: str | Path) -> LabeledDataset:
         if feat_cols != expected:
             raise SchemaError(f"{csv_path}: feature columns must be f0..f{{d-1}}")
 
-        examples = []
+        ids, labels, flags, feats = [], [], [], []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -514,27 +574,21 @@ def read_dataset(csv_path: str | Path) -> LabeledDataset:
                     f"expected {len(header)} fields, got {len(row)}", lineno
                 )
             try:
-                eid = int(row[0])
-                label = int(row[1])
-                flags = frozenset(
-                    name
-                    for name, cell in zip(attr_names, row[2:col])
-                    if cell == "1"
-                )
-                feats = np.array([float(v) for v in row[col:]], dtype=np.float64)
+                ids.append(int(row[0]))
+                labels.append(int(row[1]))
+                feats.append([float(v) for v in row[col:]])
             except ValueError as exc:
                 raise ParseError(str(exc), lineno) from None
-            examples.append(
-                ExampleRecord(
-                    example_id=eid,
-                    features=feats,
-                    true_label=label,
-                    attributes=flags,
-                    layout=layout,
-                )
-            )
-    return LabeledDataset(
-        examples=tuple(examples), num_classes=num_classes, class_names=class_names
+            flags.append([cell == "1" for cell in row[2:col]])
+    return LabeledDataset.from_arrays(
+        ids,
+        labels,
+        np.array(feats, dtype=np.float64).reshape(len(ids), len(feat_cols)),
+        num_classes,
+        attribute_names=attr_names,
+        attributes=flags,
+        layout=layout,
+        class_names=class_names,
     )
 
 

@@ -9,6 +9,7 @@ unlabeled traffic at test time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -16,20 +17,22 @@ from .data_model import CompressionSpec, LabeledDataset, PredictionLog, atomic_w
 from .errors import EmptyPIESet, EmptyVotes, ExampleSetMismatch, RankDepthExceeded
 
 
-@dataclass(frozen=True)
-class ModalLabelRecord:
-    example_id: int
-    modal_base: int
-    modal_comp: int
-    counts_base: dict[int, int]
-    counts_comp: dict[int, int]
-
-
 @dataclass(frozen=True, eq=False)
 class PIESet:
-    records: tuple[ModalLabelRecord, ...]
-    pie_ids: tuple[int, ...]
+    """Modal rank-1 labels of both populations on every example of a split.
+
+    The (N,) arrays are aligned and ordered by example id; an example is a
+    PIE when its two modal labels differ.
+    """
+
+    example_ids: np.ndarray
+    modal_base: np.ndarray
+    modal_comp: np.ndarray
     compression: CompressionSpec
+
+    @cached_property
+    def pie_ids(self) -> tuple[int, ...]:
+        return tuple(self.example_ids[self.modal_base != self.modal_comp].tolist())
 
     def __len__(self) -> int:
         return len(self.pie_ids)
@@ -44,45 +47,27 @@ def modal_label(votes) -> int:
     return int(counts.argmax())  # argmax returns the first (lowest) max
 
 
-def _vote_counts(log: PredictionLog) -> np.ndarray:
-    """(N, C) rank-1 vote histogram per example."""
+def vote_counts(log: PredictionLog) -> np.ndarray:
+    """(N, C) histogram of the population's rank-1 votes on each example."""
     rank1 = log.predictions[:, :, 0]
     n = log.num_examples
     c = max(log.num_classes, int(rank1.max()) + 1 if rank1.size else 1)
-    counts = np.zeros((n, c), dtype=np.int64)
-    cols = np.arange(n)
-    for k in range(log.num_models):
-        np.add.at(counts, (cols, rank1[k]), 1)
-    return counts
+    cells = np.arange(n) * c + rank1  # (K, N) flat (example, label) index
+    return np.bincount(cells.ravel(), minlength=n * c).reshape(n, c)
 
 
 def identify_pies(base_log: PredictionLog, comp_log: PredictionLog) -> PIESet:
     """Find the examples whose modal labels disagree between the two populations.
 
-    Voting uses rank-1 predictions only. Output is ordered by example_id and
-    independent of the input row/model order.
+    Voting uses rank-1 predictions only; ties go to the lowest label. Output
+    is ordered by example_id and independent of the input row/model order.
     """
     if not base_log.same_example_set(comp_log):
         raise ExampleSetMismatch("logs cover different example sets")
-
-    counts_base = _vote_counts(base_log)
-    counts_comp = _vote_counts(comp_log)
-    modal_base = counts_base.argmax(axis=1)
-    modal_comp = counts_comp.argmax(axis=1)
-
-    records = []
-    pie_ids = []
-    for i, eid in enumerate(base_log.example_ids):
-        eid = int(eid)
-        cb = {int(l): int(v) for l, v in enumerate(counts_base[i]) if v > 0}
-        cc = {int(l): int(v) for l, v in enumerate(counts_comp[i]) if v > 0}
-        mb, mc = int(modal_base[i]), int(modal_comp[i])
-        records.append(ModalLabelRecord(eid, mb, mc, cb, cc))
-        if mb != mc:
-            pie_ids.append(eid)
     return PIESet(
-        records=tuple(records),
-        pie_ids=tuple(pie_ids),
+        example_ids=base_log.example_ids,
+        modal_base=vote_counts(base_log).argmax(axis=1),
+        modal_comp=vote_counts(comp_log).argmax(axis=1),
         compression=comp_log.compression,
     )
 
@@ -96,11 +81,9 @@ def subset_accuracy(
     """
     if k < 1 or k > eval_log.topk:
         raise RankDepthExceeded(f"rank depth {k} outside [1, {eval_log.topk}]")
-    log_ids = set(int(e) for e in eval_log.example_ids)
-    if not set(pies.pie_ids) <= log_ids:
+    pie_mask = np.isin(eval_log.example_ids, pies.pie_ids)
+    if pie_mask.sum() != len(pies):
         raise ExampleSetMismatch("PIE ids not contained in the evaluation log")
-
-    pie_mask = np.isin(eval_log.example_ids, np.array(sorted(pies.pie_ids), dtype=np.int64))
     hits = (
         (eval_log.predictions[:, :, :k] == eval_log.truth[np.newaxis, :, np.newaxis])
         .any(axis=2)
@@ -114,54 +97,48 @@ def subset_accuracy(
     return _mean(pie_mask), _mean(~pie_mask), _mean(np.ones_like(pie_mask))
 
 
+def _attribute_shares(
+    pies: PIESet, dataset: LabeledDataset
+) -> tuple[np.ndarray, np.ndarray]:
+    """Dataset-wide and PIE shares of each of `dataset.attribute_names`."""
+    if not pies.pie_ids:
+        raise EmptyPIESet("attribute analysis needs at least one PIE")
+    on_pies = dataset.attributes[np.isin(dataset.example_ids, pies.pie_ids)]
+    return dataset.attributes.mean(axis=0), on_pies.sum(axis=0) / max(len(on_pies), 1)
+
+
 def attribute_relative_representation(
     pies: PIESet, dataset: LabeledDataset
 ) -> dict[str, float]:
     """Share of PIEs carrying each attribute, normalized by the dataset-wide share.
 
-    Attributes absent from the whole dataset have an undefined ratio and are
-    omitted from the result.
+    Only attributes that some example carries are reported, so the ratio is
+    always defined.
     """
-    if not pies.pie_ids:
-        raise EmptyPIESet("attribute analysis needs at least one PIE")
-    pie_mask = np.isin(dataset.example_ids, np.array(pies.pie_ids, dtype=np.int64))
-    n_total = len(dataset)
-    n_pie = int(pie_mask.sum())
-    out: dict[str, float] = {}
-    for name in dataset.attribute_names:
-        attr = dataset.attribute_mask(name)
-        share_all = attr.sum() / n_total
-        if share_all == 0.0:
-            continue
-        share_pie = attr[pie_mask].sum() / n_pie if n_pie else 0.0
-        out[name] = float(share_pie / share_all)
-    return out
+    share_all, share_pie = _attribute_shares(pies, dataset)
+    return dict(zip(dataset.attribute_names, (share_pie / share_all).tolist()))
 
 
 PIE_HEADER = ["example_id", "true_label", "modal_base", "modal_comp", "is_pie"]
 ATTR_HEADER = ["attribute", "share_dataset", "share_pie", "relative_representation"]
 
 
-def write_pie_report(pies: PIESet, truth: dict[int, int], path) -> None:
-    pie_set = set(pies.pie_ids)
+def write_pie_report(pies: PIESet, truth: np.ndarray, path) -> None:
+    """One row per example; `truth` holds the true labels aligned with `pies`."""
     lines = [",".join(PIE_HEADER)]
-    for rec in pies.records:
-        lines.append(
-            f"{rec.example_id},{truth[rec.example_id]},{rec.modal_base},"
-            f"{rec.modal_comp},{1 if rec.example_id in pie_set else 0}"
-        )
+    for eid, label, mb, mc in zip(
+        pies.example_ids.tolist(),
+        np.asarray(truth).tolist(),
+        pies.modal_base.tolist(),
+        pies.modal_comp.tolist(),
+    ):
+        lines.append(f"{eid},{label},{mb},{mc},{1 if mb != mc else 0}")
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def write_attribute_report(pies: PIESet, dataset: LabeledDataset, path) -> None:
-    ratios = attribute_relative_representation(pies, dataset)
-    pie_mask = np.isin(dataset.example_ids, np.array(pies.pie_ids, dtype=np.int64))
-    n_total = len(dataset)
-    n_pie = int(pie_mask.sum())
+    share_all, share_pie = _attribute_shares(pies, dataset)
     lines = [",".join(ATTR_HEADER)]
-    for name in sorted(ratios):
-        attr = dataset.attribute_mask(name)
-        share_all = attr.sum() / n_total
-        share_pie = attr[pie_mask].sum() / n_pie
-        lines.append(f"{name},{share_all:.6f},{share_pie:.6f},{ratios[name]:.6f}")
+    for name, a, p in zip(dataset.attribute_names, share_all, share_pie):
+        lines.append(f"{name},{a:.6f},{p:.6f},{p / a:.6f}")
     atomic_write_text(path, "\n".join(lines) + "\n")

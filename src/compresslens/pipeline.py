@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 from .data_model import (
@@ -77,39 +77,57 @@ class ExperimentConfig:
             )
 
 
+_TOP_KEYS = ("seed", "out_dir", "topk")  # copied to ExperimentConfig as they are
+# "prune" block key -> ExperimentConfig field
+_PRUNE_KEYS = {"start": "prune_start", "end": "prune_end", "every": "prune_every"}
+
+
+def _block(doc, name: str, allowed) -> dict:
+    """A config block as a dict; `allowed` is a dataclass or a collection of keys."""
+    if is_dataclass(allowed):
+        allowed = [f.name for f in fields(allowed)]
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config block {name!r} must be a JSON object")
+    unknown = sorted(set(doc) - set(allowed))
+    if unknown:
+        raise ConfigError(f"unknown key {unknown[0]!r} in config block {name!r}")
+    return doc
+
+
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
-    """Parse the JSON config documented in the README."""
+    """Parse the JSON config documented in the README; keys left out keep defaults."""
     with open(path) as fh:
         doc = json.load(fh)
+    _block(doc, "top level", ("train", "sweep", "audit", "dataset", "prune", *_TOP_KEYS))
     kwargs: dict = {}
     if "train" in doc:
-        train = dict(doc["train"])
-        if "hidden_dims" in train:
-            train["hidden_dims"] = tuple(train["hidden_dims"])
-        kwargs["train"] = TrainConfig(**train)
+        kwargs["train"] = TrainConfig(**_block(doc["train"], "train", TrainConfig))
     if "sweep" in doc:
+        entries = [_block(e, "sweep", ("method", "sparsity")) for e in doc["sweep"]]
+        if any("method" not in entry for entry in entries):
+            raise ConfigError("sweep entry without 'method'")
         kwargs["sweep"] = tuple(
             CompressionSpec(
                 method=entry["method"], sparsity=float(entry.get("sparsity", 0.0))
             )
-            for entry in doc["sweep"]
+            for entry in entries
         )
     if "audit" in doc:
-        kwargs["audit"] = AuditConfig(**doc["audit"])
+        kwargs["audit"] = AuditConfig(**_block(doc["audit"], "audit", AuditConfig))
     if "dataset" in doc:
-        ds = doc["dataset"]
+        ds = _block(doc["dataset"], "dataset", ("path", "synth"))
         if "path" in ds:
             kwargs["dataset_path"] = ds["path"]
         elif "synth" in ds:
-            kwargs["synth"] = SynthLongTailSpec(**ds["synth"])
+            kwargs["synth"] = SynthLongTailSpec(
+                **_block(ds["synth"], "dataset.synth", SynthLongTailSpec)
+            )
         else:
             raise ConfigError("dataset must carry 'path' or 'synth'")
     if "prune" in doc:
-        p = doc["prune"]
-        kwargs["prune_start"] = int(p.get("start", 200))
-        kwargs["prune_end"] = int(p.get("end", 1400))
-        kwargs["prune_every"] = int(p.get("every", 100))
-    for key in ("seed", "out_dir", "topk"):
+        for key, value in _block(doc["prune"], "prune", _PRUNE_KEYS).items():
+            kwargs[_PRUNE_KEYS[key]] = int(value)
+    for key in _TOP_KEYS:
         if key in doc:
             kwargs[key] = doc[key]
     return ExperimentConfig(**kwargs)
@@ -157,24 +175,11 @@ def run_pipeline(config: ExperimentConfig) -> PipelineResult:
     logs: dict[str, PredictionLog] = {}
 
     def _train(spec: CompressionSpec, seed: int) -> PredictionLog:
-        cfg = TrainConfig(
-            steps=config.train.steps,
-            batch_size=config.train.batch_size,
-            learning_rate=config.train.learning_rate,
-            lr_decay_steps=config.train.lr_decay_steps,
-            lr_decay_factor=config.train.lr_decay_factor,
-            weight_decay=config.train.weight_decay,
-            seed=seed,
-            population_size=config.train.population_size,
-            hidden_dims=config.train.hidden_dims,
-            prune_biases=config.train.prune_biases,
-            prune_final_layer=config.train.prune_final_layer,
-        )
         with _stage(f"train {spec.label}"):
             _, log = train_population(
                 train_ds,
                 test_ds,
-                cfg,
+                replace(config.train, seed=seed),
                 spec,
                 schedule=_schedule_for(config, spec),
                 topk=config.topk,
@@ -216,10 +221,8 @@ def run_pipeline(config: ExperimentConfig) -> PipelineResult:
             else:
                 entry["significant_classes"] = 0
             pies = identify_pies(base_log, comp_log)
-            truth = {
-                int(e): int(t) for e, t in zip(base_log.example_ids, base_log.truth)
-            }
-            write_pie_report(pies, truth, out / "pies" / f"pie_{spec.label}.csv")
+            pie_csv = out / "pies" / f"pie_{spec.label}.csv"
+            write_pie_report(pies, base_log.truth, pie_csv)
             entry["pie_count"] = len(pies)
             if pies.pie_ids:
                 acc_pie, acc_non, acc_all = subset_accuracy(base_log, pies, 1)

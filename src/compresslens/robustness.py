@@ -8,13 +8,13 @@ sensitivity to that corruption.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .data_model import CompressionSpec, ExampleRecord, LabeledDataset, atomic_write_text
 from .errors import ConfigError, LayoutRequired, ZeroBaseline
-from .trainer import MLPModel
+from .trainer import MLPModel, rank_topk
 
 CORRUPTION_KINDS = (
     "gaussian_noise",
@@ -47,6 +47,8 @@ class CorruptionSpec:
             raise ConfigError(f"unknown corruption kind {self.kind!r}")
         if not 1 <= self.severity <= 5:
             raise ConfigError(f"severity must be in 1..5, got {self.severity}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -80,8 +82,8 @@ def corrupt_features(
     result is clamped back into [lo, hi].
     """
     x = np.asarray(features, dtype=np.float64).copy()
-    lo = np.broadcast_to(np.asarray(lo, dtype=np.float64), x.shape)
-    hi = np.broadcast_to(np.asarray(hi, dtype=np.float64), x.shape)
+    lo = np.asarray(lo, dtype=np.float64)
+    hi = np.asarray(hi, dtype=np.float64)
     span = hi - lo
     s = spec.severity - 1
 
@@ -126,13 +128,7 @@ def corrupt(example: ExampleRecord, spec: CorruptionSpec, lo=0.0, hi=1.0) -> Exa
     feats = corrupt_features(
         example.features, spec, example.example_id, lo, hi, example.layout
     )
-    return ExampleRecord(
-        example_id=example.example_id,
-        features=feats,
-        true_label=example.true_label,
-        attributes=example.attributes,
-        layout=example.layout,
-    )
+    return replace(example, features=feats)
 
 
 def relative_accuracy(acc_comp: float, acc_base: float) -> float:
@@ -142,30 +138,15 @@ def relative_accuracy(acc_comp: float, acc_base: float) -> float:
     return 100.0 * (acc_comp - acc_base) / acc_base
 
 
-def _dataset_bounds(dataset: LabeledDataset) -> tuple[np.ndarray, np.ndarray]:
-    mat = dataset.feature_matrix
-    return mat.min(axis=0), mat.max(axis=0)
-
-
-def _topk_hit_rates(
+def _hit_rates(
     models: list[MLPModel], x: np.ndarray, y: np.ndarray, k: int
 ) -> tuple[float, float]:
-    """(top-1, top-k) accuracy averaged over models, tie-break as in predict_topk."""
-    top1 = []
-    topk = []
-    labels = None
-    for m in models:
-        logits = m.logits(x)
-        if labels is None:
-            labels = np.arange(logits.shape[1])
-        true_logit = logits[np.arange(len(y)), y]
-        beats = (logits > true_logit[:, None]).sum(axis=1)
-        beats += ((logits == true_logit[:, None]) & (labels[None, :] < y[:, None])).sum(
-            axis=1
-        )
-        top1.append(float((beats < 1).mean()))
-        topk.append(float((beats < k).mean()))
-    return float(np.mean(top1)), float(np.mean(topk))
+    """(top-1, top-k) accuracy averaged over models, ranked by `rank_topk`."""
+    hits = [rank_topk(m.logits(x), k) == y[:, None] for m in models]
+    return (
+        float(np.mean([h[:, 0].mean() for h in hits])),
+        float(np.mean([h.any(axis=1).mean() for h in hits])),
+    )
 
 
 def robustness_report(
@@ -185,16 +166,16 @@ def robustness_report(
     """
     if topk is None:
         topk = min(5, test_ds.num_classes)
-    lo, hi = _dataset_bounds(test_ds)
+    lo, hi = test_ds.feature_matrix.min(axis=0), test_ds.feature_matrix.max(axis=0)
     order = np.argsort(test_ds.example_ids, kind="stable")
     feats = test_ds.feature_matrix[order]
     y = test_ds.labels[order]
     ids = test_ds.example_ids[order]
-    layout = test_ds.examples[0].layout if test_ds.examples else None
+    layout = test_ds.layout
 
     rows = []
     for kind in kinds:
-        base1 = basek = comp1 = compk = 0.0
+        rates = np.zeros((2, 2))  # (base, comp) x (top-1, top-k), mean over severities
         for severity in range(1, 6):
             spec = CorruptionSpec(kind=kind, severity=severity, seed=seed)
             xc = np.stack(
@@ -203,20 +184,18 @@ def robustness_report(
                     for i in range(feats.shape[0])
                 ]
             )
-            b1, bk = _topk_hit_rates(base_models, xc, y, topk)
-            c1, ck = _topk_hit_rates(comp_models, xc, y, topk)
-            base1 += b1 / 5.0
-            basek += bk / 5.0
-            comp1 += c1 / 5.0
-            compk += ck / 5.0
+            rates += np.array(
+                [_hit_rates(models, xc, y, topk) for models in (base_models, comp_models)]
+            ) / 5.0
+        (base1, basek), (comp1, compk) = (100.0 * rates).tolist()
         rows.append(
             RobustnessRow(
                 kind=kind,
                 sparsity=comp_spec.sparsity,
-                top1_abs=100.0 * comp1,
-                topk_abs=100.0 * compk,
-                top1_norm=relative_accuracy(100.0 * comp1, 100.0 * base1),
-                topk_norm=relative_accuracy(100.0 * compk, 100.0 * basek),
+                top1_abs=comp1,
+                topk_abs=compk,
+                top1_norm=relative_accuracy(comp1, base1),
+                topk_norm=relative_accuracy(compk, basek),
             )
         )
     return rows

@@ -157,12 +157,22 @@ def mean_shift(class_recalls: np.ndarray, model_accs: np.ndarray) -> np.ndarray:
     return class_recalls - model_accs
 
 
-def _mean_and_var(values: list[float]) -> tuple[float, float]:
-    # fsum keeps the shift/scale invariance properties tight
+def _mean_and_var(values: list[float]) -> tuple[float, float, int]:
+    """Mean, and sample variance in units of 4**e.
+
+    Squares of deviations below ~1e-154 underflow (above ~1e154, overflow),
+    so when the largest deviation is beyond 2**±256, 2**e is taken from it.
+    Otherwise e = 0: `x ** 2` is not always correctly rounded, and rescaling
+    could move the last bit. fsum keeps the shift/scale invariance tight.
+    """
     n = len(values)
     mean = math.fsum(values) / n
-    var = math.fsum((v - mean) ** 2 for v in values) / (n - 1)
-    return mean, var
+    devs = [v - mean for v in values]
+    e = math.frexp(max(map(abs, devs)))[1]
+    if abs(e) <= 256:
+        e = 0
+    var = math.fsum(math.ldexp(d, -e) ** 2 for d in devs) / (n - 1)
+    return mean, var, e
 
 
 def welch_t_test(a, b) -> WelchResult:
@@ -179,8 +189,8 @@ def welch_t_test(a, b) -> WelchResult:
     if not all(map(math.isfinite, a)) or not all(map(math.isfinite, b)):
         raise NonFiniteInput("samples must be finite")
 
-    mean_a, var_a = _mean_and_var(a)
-    mean_b, var_b = _mean_and_var(b)
+    mean_a, var_a, ea = _mean_and_var(a)
+    mean_b, var_b, eb = _mean_and_var(b)
     na, nb = len(a), len(b)
 
     if var_a == 0.0 and var_b == 0.0:
@@ -190,10 +200,15 @@ def welch_t_test(a, b) -> WelchResult:
         t = math.copysign(math.inf, mean_a - mean_b)
         return WelchResult(t, df, 0.0, mean_a, mean_b)
 
-    sa = var_a / na
-    sb = var_b / nb
+    # common unit 4**e for both variance terms, from the samples that vary
+    e = max(ex for ex, var in ((ea, var_a), (eb, var_b)) if var > 0.0)
+    sa = math.ldexp(var_a, 2 * (ea - e)) / na
+    sb = math.ldexp(var_b, 2 * (eb - e)) / nb
     se2 = sa + sb
-    t = (mean_a - mean_b) / math.sqrt(se2)
+    try:
+        t = math.ldexp(mean_a - mean_b, -e) / math.sqrt(se2)
+    except OverflowError:  # the mean gap is beyond float range in units of 2**e
+        t = math.copysign(math.inf, mean_a - mean_b)
     # scale-invariant Welch-Satterthwaite: u = sa/(sa+sb) keeps the ratio
     # well-conditioned even when the variances are denormally small
     u = sa / se2

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data_model import ExampleRecord, LabeledDataset, write_dataset
+from .data_model import LabeledDataset, write_dataset
 from .errors import ConfigError
 
 
@@ -133,41 +133,40 @@ def _sample_split(
     minority = {c for c in range(spec.num_classes) if counts[c] < median}
     g_lo, g_hi = spec.noisy_gamma
 
-    records: list[tuple[int, np.ndarray, frozenset[str]]] = []
+    labels: list[int] = []
+    rows: list[np.ndarray] = []
+    flags: list[tuple[bool, bool, bool]] = []  # atypical, minority, noisy
     for c in range(spec.num_classes):
         for _ in range(counts[c]):
             u = rng.random()
-            flags = set()
-            if c in minority:
-                flags.add("minority")
-            if u < spec.noisy_fraction:
-                flags.add("noisy")
+            noisy = u < spec.noisy_fraction
+            atypical = not noisy and u < spec.noisy_fraction + spec.atypical_fraction
+            if noisy:
                 other = int(rng.integers(spec.num_classes - 1))
                 if other >= c:
                     other += 1
                 gamma = rng.uniform(g_lo, g_hi)
                 base = (1.0 - gamma) * centers[other] + gamma * centers[c]
                 feats = base + spreads[c] * rng.standard_normal(spec.dim)
-            elif u < spec.noisy_fraction + spec.atypical_fraction:
-                flags.add("atypical")
+            elif atypical:
                 feats = centers[c] + (
                     spec.atypical_scale * spreads[c]
                 ) * rng.standard_normal(spec.dim)
             else:
                 feats = centers[c] + spreads[c] * rng.standard_normal(spec.dim)
-            records.append((c, feats, frozenset(flags)))
+            labels.append(c)
+            rows.append(feats)
+            flags.append((atypical, c in minority, noisy))
 
-    order = rng.permutation(len(records))
-    examples = tuple(
-        ExampleRecord(
-            example_id=id_offset + i,
-            features=records[j][1],
-            true_label=records[j][0],
-            attributes=records[j][2],
-        )
-        for i, j in enumerate(order)
+    order = rng.permutation(len(labels))
+    return LabeledDataset.from_arrays(
+        example_ids=id_offset + np.arange(len(labels)),
+        labels=np.array(labels, dtype=np.int64)[order],
+        feature_matrix=np.array(rows)[order],
+        num_classes=spec.num_classes,
+        attribute_names=("atypical", "minority", "noisy"),
+        attributes=np.array(flags)[order],
     )
-    return LabeledDataset(examples=examples, num_classes=spec.num_classes)
 
 
 def synthesize(spec: SynthLongTailSpec) -> tuple[LabeledDataset, LabeledDataset]:

@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +41,7 @@ class TrainConfig:
     prune_final_layer: bool = True
 
     def __post_init__(self):
+        object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
         if self.steps < 0:
             raise ConfigError("steps must be >= 0")
         if self.batch_size < 1:
@@ -191,12 +190,11 @@ def predict_topk(model: MLPModel, features: np.ndarray, k: int) -> list[int]:
     logits = model.logits(np.asarray(features, dtype=np.float64))
     if logits.ndim != 1:
         raise ShapeError("predict_topk expects a single example")
-    order = np.argsort(-logits, kind="stable")
-    return [int(c) for c in order[:k]]
+    return rank_topk(logits[np.newaxis, :], k)[0].tolist()
 
 
 def rank_topk(logits: np.ndarray, k: int) -> np.ndarray:
-    """Batched top-k label ranking with the same tie-break as predict_topk."""
+    """Top-k labels of each row by descending logit, ties to the lower label."""
     return np.argsort(-logits, axis=1, kind="stable")[:, :k]
 
 
@@ -223,11 +221,7 @@ def sparsity_at_step(schedule: PruneSchedule, step: int) -> float:
     return schedule.target_sparsity * (1.0 - (1.0 - p) ** 3)
 
 
-def apply_magnitude_mask(
-    weights: np.ndarray,
-    current_mask: np.ndarray | None,
-    target_sparsity: float,
-) -> np.ndarray:
+def apply_magnitude_mask(weights: np.ndarray, target_sparsity: float) -> np.ndarray:
     """Mask the round(s*n) smallest-magnitude entries of one tensor.
 
     Ties are broken by flattened index ascending. Entries masked earlier are
@@ -243,7 +237,6 @@ def apply_magnitude_mask(
     if z > 0:
         order = np.argsort(flat, kind="stable")
         mask[order[:z]] = 0.0
-    del current_mask  # kept for signature parity; zeros already encode history
     return mask.reshape(np.asarray(weights).shape)
 
 
@@ -260,7 +253,7 @@ def _prunable_tensors(model: MLPModel, config: TrainConfig):
 
 def _refresh_masks(model: MLPModel, config: TrainConfig, target: float) -> None:
     for tensors, masks, i in _prunable_tensors(model, config):
-        masks[i] = apply_magnitude_mask(tensors[i], masks[i], target)
+        masks[i] = apply_magnitude_mask(tensors[i], target)
         tensors[i] *= masks[i]
 
 
@@ -390,7 +383,7 @@ def _train_single(
     model_seed: int,
 ) -> MLPModel:
     rng = np.random.default_rng(model_seed)
-    dims = (train_ds.dim,) + tuple(config.hidden_dims) + (train_ds.num_classes,)
+    dims = (train_ds.dim,) + config.hidden_dims + (train_ds.num_classes,)
     model = MLPModel.initialize(dims, rng)
 
     x_all = train_ds.feature_matrix
@@ -448,14 +441,6 @@ def _train_single(
     return model
 
 
-def _max_workers() -> int:
-    raw = os.environ.get("COMPRESSLENS_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def evaluate_population(
     models: list[MLPModel],
     test_ds: LabeledDataset,
@@ -490,9 +475,7 @@ def train_population(
 ) -> tuple[list[MLPModel], PredictionLog]:
     """Train K models from independent seeded inits and log them on the test split.
 
-    Model k is seeded with config.seed + k. Models may train in parallel
-    (capped by COMPRESSLENS_THREADS); results are assembled in model-id
-    order, so parallelism never changes the output.
+    Model k is seeded with config.seed + k.
     """
     if compression.method == "magnitude_prune":
         if schedule is None:
@@ -512,20 +495,10 @@ def train_population(
     if missing:
         raise ConfigError(f"training split is missing classes {missing}")
 
-    seeds = [config.seed + k for k in range(config.population_size)]
-    workers = _max_workers()
-    if workers > 1 and len(seeds) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            models = list(
-                pool.map(
-                    lambda s: _train_single(train_ds, config, compression, schedule, s),
-                    seeds,
-                )
-            )
-    else:
-        models = [
-            _train_single(train_ds, config, compression, schedule, s) for s in seeds
-        ]
+    models = [
+        _train_single(train_ds, config, compression, schedule, config.seed + k)
+        for k in range(config.population_size)
+    ]
 
     pid = population_id if population_id is not None else compression.label
     log = evaluate_population(models, test_ds, compression, pid, topk)

@@ -1,11 +1,19 @@
 """End-to-end CLI tests on a miniature dataset (fast settings throughout)."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import compresslens
+from compresslens import cli
 from compresslens.cli import main
+from compresslens.errors import ConfigError
+from compresslens.pipeline import ExperimentConfig, load_experiment_config
+from compresslens.trainer import TrainConfig
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +83,20 @@ class TestTrain:
         assert rc == 0
         head = (tmp_path / "q.csv").read_text().split("\n")[1]
         assert "quant_dynamic_int8" in head
+
+
+    def test_omitted_flags_keep_train_config_defaults(
+        self, data_dir, tmp_path, monkeypatch
+    ):
+        seen = {}
+
+        def stop_before_training(train_ds, test_ds, config, *args, **kwargs):
+            seen["config"] = config
+            raise ConfigError("stopped before training")
+
+        monkeypatch.setattr(cli, "train_population", stop_before_training)
+        main(["train", "--data", str(data_dir), "--out", str(tmp_path / "x.csv")])
+        assert seen["config"] == TrainConfig()
 
 
 class TestAudits:
@@ -268,9 +290,60 @@ class TestRun:
         except SystemExit as exc:
             assert exc.code == 1
 
+    def test_partial_prune_block_keeps_defaults(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"prune": {"every": 100}}))
+        got = load_experiment_config(cfg)
+        want = ExperimentConfig()
+        assert (got.prune_start, got.prune_end, got.prune_every) == (
+            want.prune_start, want.prune_end, want.prune_every
+        )
+
     def test_failing_stage_is_named(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"dataset": {"path": str(tmp_path / "nowhere")}}))
         rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "stage: dataset" in capsys.readouterr().err
+
+
+def run_cli(argv: list[str]) -> tuple[int, str]:
+    """Exit code and stderr of the CLI in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(compresslens.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "compresslens.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    return proc.returncode, proc.stderr
+
+
+class TestBadInputExits2:
+    def test_negative_corruption_seed(self, logs, data_dir, tmp_path):
+        rc, err = run_cli([
+            "audit-robustness", "--data", str(data_dir),
+            "--base-models", str(logs / "base_models"),
+            "--comp-models", str(logs / "comp_models"),
+            "--kinds", "gaussian_noise", "--seed", "-1",
+            "--out", str(tmp_path / "rob.csv"),
+        ])
+        assert rc == 2 and "Traceback" not in err
+        assert "seed" in err
+
+    def test_non_numeric_sparsity(self, tmp_path):
+        rc, err = run_cli(
+            ["run", "--sparsity", "0.5,abc", "--out", str(tmp_path / "o")]
+        )
+        assert rc == 2 and "Traceback" not in err
+        assert "abc" in err
+
+    @pytest.mark.parametrize("doc, key", [
+        ({"train": {"stepz": 5}}, "stepz"),
+        ({"sweep": [{"method": "none"}, {"sparsity": 0.5}]}, "method"),
+        ({"prune": {"every": 100, "begin": 0}}, "begin"),
+    ])
+    def test_bad_config_key(self, tmp_path, doc, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        rc, err = run_cli(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 2 and "Traceback" not in err
+        assert key in err

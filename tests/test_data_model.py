@@ -96,6 +96,49 @@ class TestDatasetValidation:
         )
         assert ds.missing_classes() == [1, 2]
 
+    def test_from_arrays_rejects_bad_columns(self):
+        ids, labels, feats = np.arange(3), np.zeros(3, dtype=int), np.zeros((3, 4))
+        with pytest.raises(ConfigError):
+            LabeledDataset.from_arrays([0, -1, 2], labels, feats, 2)
+        with pytest.raises(ConfigError):
+            LabeledDataset.from_arrays(ids, labels[:2], feats, 2)
+        with pytest.raises(ConfigError):
+            LabeledDataset.from_arrays(ids, labels, feats, 2, layout=(3, 1))
+        with pytest.raises(ConfigError):
+            LabeledDataset.from_arrays(
+                ids, labels, feats, 2,
+                attribute_names=("a", "a"), attributes=np.ones((3, 2), dtype=bool),
+            )
+
+
+class TestDatasetColumns:
+    def test_records_and_arrays_agree(self):
+        feats = np.arange(12.0).reshape(3, 4)
+        records = LabeledDataset(
+            examples=tuple(
+                ExampleRecord(i, feats[i], i % 2, frozenset(["b"] if i else []),
+                              layout=(2, 2))
+                for i in range(3)
+            ),
+            num_classes=2,
+        )
+        arrays = LabeledDataset.from_arrays(
+            np.arange(3), [0, 1, 0], feats, 2,
+            attribute_names=("unused", "b"),
+            attributes=[[False, False], [False, True], [False, True]],
+            layout=(2, 2),
+        )
+        for ds in (records, arrays):
+            np.testing.assert_array_equal(ds.example_ids, [0, 1, 2])
+            np.testing.assert_array_equal(ds.labels, [0, 1, 0])
+            np.testing.assert_array_equal(ds.feature_matrix, feats)
+            assert ds.attribute_names == ("b",)
+            np.testing.assert_array_equal(ds.attribute_mask("b"), [False, True, True])
+            assert ds.layout == (2, 2)
+        assert [ex.attributes for ex in arrays.examples] == [
+            ex.attributes for ex in records.examples
+        ]
+
 
 class TestClassRecall:
     def test_all_correct_gives_ones(self):

@@ -17,6 +17,7 @@ from compresslens.pie_audit import (
     identify_pies,
     modal_label,
     subset_accuracy,
+    vote_counts,
     write_pie_report,
 )
 
@@ -61,9 +62,10 @@ class TestIdentifyPies:
         comp = rank1_log([[5, 0]], [0, 0], ids=[7, 8])
         pies = identify_pies(base, comp)
         assert pies.pie_ids == (7,)
-        rec = pies.records[0]
-        assert rec.modal_base == 3 and rec.modal_comp == 5
-        assert rec.counts_base == {3: 1}
+        np.testing.assert_array_equal(pies.example_ids, [7, 8])
+        np.testing.assert_array_equal(pies.modal_base, [3, 0])
+        np.testing.assert_array_equal(pies.modal_comp, [5, 0])
+        np.testing.assert_array_equal(vote_counts(base), [[0, 0, 0, 1], [1, 0, 0, 0]])
 
     def test_symmetry(self):
         rng = np.random.default_rng(0)
@@ -206,7 +208,7 @@ class TestPieReport:
         comp = rank1_log([[5, 0]], [0, 0], ids=[7, 8])
         pies = identify_pies(base, comp)
         path = tmp_path / "pie.csv"
-        write_pie_report(pies, {7: 0, 8: 0}, path)
+        write_pie_report(pies, base.truth, path)
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "example_id,true_label,modal_base,modal_comp,is_pie"
         assert lines[1] == "7,0,3,5,1"

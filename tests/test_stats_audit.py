@@ -29,6 +29,8 @@ from compresslens.stats_audit import (
 from oracles import student_t_tail_by_quadrature, welch_oracle
 
 finite_floats = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+# multiples of 2**-20 in [-1, 1]: sums of two are exact in float64
+dyadic_floats = st.integers(-(2**20), 2**20).map(lambda i: i / 2**20)
 
 
 class TestIncompleteBeta:
@@ -91,11 +93,20 @@ class TestWelch:
         with pytest.raises(NonFiniteInput):
             welch_t_test([0.5, float("nan")], [0.4, 0.3])
 
+    def test_tiny_deviation_does_not_underflow(self):
+        # squaring the 4.7e-176 deviations directly underflows to 0
+        r = welch_t_test([0.0, 0.0], [0.0, 9.37e-176])
+        assert r.t_stat == pytest.approx(-1.0, rel=1e-12)
+        assert r.df == pytest.approx(1.0, rel=1e-12)
+        assert r.p_value == pytest.approx(0.5, rel=1e-12)
+
+    # the shift must be exact for the property to hold in floating point:
+    # with b = [0, 1e-20] and c = 1, x + c rounds and t goes from -1 to 0
     @settings(max_examples=60, deadline=None)
     @given(
-        a=st.lists(finite_floats, min_size=2, max_size=20),
-        b=st.lists(finite_floats, min_size=2, max_size=20),
-        c=st.floats(-1.0, 1.0, allow_nan=False),
+        a=st.lists(dyadic_floats, min_size=2, max_size=20),
+        b=st.lists(dyadic_floats, min_size=2, max_size=20),
+        c=dyadic_floats,
     )
     def test_shift_invariance(self, a, b, c):
         base = welch_t_test(a, b)

@@ -89,28 +89,28 @@ class TestSparsitySchedule:
 
 class TestMagnitudeMask:
     def test_zero_sparsity_keeps_all(self):
-        mask = apply_magnitude_mask(np.array([1.0, -2.0]), None, 0.0)
+        mask = apply_magnitude_mask(np.array([1.0, -2.0]), 0.0)
         np.testing.assert_array_equal(mask, [1.0, 1.0])
 
     def test_smallest_magnitudes_masked(self):
-        mask = apply_magnitude_mask(np.array([0.5, -0.1, 0.3, -0.7]), None, 0.5)
+        mask = apply_magnitude_mask(np.array([0.5, -0.1, 0.3, -0.7]), 0.5)
         np.testing.assert_array_equal(mask, [1.0, 0.0, 0.0, 1.0])
 
     def test_tie_break_lowest_index(self):
-        mask = apply_magnitude_mask(np.array([0.2, -0.2, 0.5, 0.9]), None, 0.25)
+        mask = apply_magnitude_mask(np.array([0.2, -0.2, 0.5, 0.9]), 0.25)
         np.testing.assert_array_equal(mask, [0.0, 1.0, 1.0, 1.0])
 
     def test_count_uses_round_ties_to_even(self):
         # 6 weights at s=0.25 -> 1.5 -> round() gives 2
-        mask = apply_magnitude_mask(np.arange(1.0, 7.0), None, 0.25)
+        mask = apply_magnitude_mask(np.arange(1.0, 7.0), 0.25)
         assert mask.sum() == 4
         # 2 weights at s=0.25 -> 0.5 -> rounds to 0
-        mask = apply_magnitude_mask(np.array([1.0, 2.0]), None, 0.25)
+        mask = apply_magnitude_mask(np.array([1.0, 2.0]), 0.25)
         assert mask.sum() == 2
 
     def test_matrix_shape_preserved(self):
         w = np.arange(12.0).reshape(3, 4) - 5.0
-        mask = apply_magnitude_mask(w, None, 0.5)
+        mask = apply_magnitude_mask(w, 0.5)
         assert mask.shape == (3, 4)
         assert int(mask.sum()) == 12 - round(0.5 * 12)
 
@@ -290,7 +290,7 @@ class TestTrainPopulation:
         work = w.copy()
         for step in range(0, 101, 10):
             target = sparsity_at_step(schedule, step)
-            mask = apply_magnitude_mask(work, None, target)
+            mask = apply_magnitude_mask(work, target)
             work = work * mask
             now = set(np.flatnonzero(mask.ravel() == 0).tolist())
             assert masked_before <= now
@@ -341,15 +341,6 @@ class TestTrainPopulation:
         config = small_config(learning_rate=1e12, steps=80, population_size=1)
         with pytest.raises(DivergenceError):
             train_population(ds, ds, config)
-
-    def test_threaded_matches_sequential(self, monkeypatch):
-        ds = tiny_dataset()
-        config = small_config(population_size=3)
-        monkeypatch.delenv("COMPRESSLENS_THREADS", raising=False)
-        _, sequential = train_population(ds, ds, config)
-        monkeypatch.setenv("COMPRESSLENS_THREADS", "3")
-        _, threaded = train_population(ds, ds, config)
-        np.testing.assert_array_equal(sequential.predictions, threaded.predictions)
 
 
 class TestSnapshots:
