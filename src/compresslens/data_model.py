@@ -98,7 +98,12 @@ class ExampleRecord:
 
     def __post_init__(self):
         feats = np.asarray(self.features, dtype=np.float64)
-        feats.flags.writeable = False
+        if feats.flags.writeable:
+            # freeze a view, not a copy: the caller's own array stays writeable.
+            # A read-only array (a dataset row) is kept as it is, so building
+            # records from a dataset makes no extra array objects
+            feats = feats.view()
+            feats.flags.writeable = False
         object.__setattr__(self, "features", feats)
         if self.example_id < 0:
             raise ConfigError(f"example_id must be non-negative, got {self.example_id}")
@@ -279,9 +284,10 @@ class PredictionLog:
     explicit_num_classes: int | None = None
 
     def __post_init__(self):
-        ids = np.asarray(self.example_ids, dtype=np.int64)
-        truth = np.asarray(self.truth, dtype=np.int64)
-        preds = np.asarray(self.predictions, dtype=np.int64)
+        # views, so that freezing them leaves the caller's arrays writeable
+        ids = np.asarray(self.example_ids, dtype=np.int64).view()
+        truth = np.asarray(self.truth, dtype=np.int64).view()
+        preds = np.asarray(self.predictions, dtype=np.int64).view()
         if preds.ndim != 3:
             raise ConfigError("predictions must have shape (K, N, topk)")
         if ids.shape != (preds.shape[1],) or truth.shape != ids.shape:

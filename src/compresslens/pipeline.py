@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
@@ -70,6 +72,14 @@ class ExperimentConfig:
     topk: int | None = None
 
     def __post_init__(self):
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if self.topk is not None and (
+            not isinstance(self.topk, numbers.Integral) or self.topk < 1
+        ):
+            raise ConfigError(f"topk must be a positive integer, got {self.topk!r}")
+        if not isinstance(self.out_dir, (str, os.PathLike)):
+            raise ConfigError(f"out_dir must be a path, got {self.out_dir!r}")
         baselines = [s for s in self.sweep if s.method == "none"]
         if len(baselines) != 1:
             raise ConfigError(
@@ -94,6 +104,23 @@ def _block(doc, name: str, allowed) -> dict:
     return doc
 
 
+def _make(cls, doc, name: str):
+    """`cls(**doc)` for one config block; a value of the wrong type is a ConfigError."""
+    values = _block(doc, name, cls)
+    try:
+        return cls(**values)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad value in config block {name!r}: {exc}") from None
+
+
+def _number(value, kind: type, name: str):
+    """`kind(value)` for one config value; a value of the wrong type is a ConfigError."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be a number, got {value!r}") from None
+
+
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
     """Parse the JSON config documented in the README; keys left out keep defaults."""
     with open(path) as fh:
@@ -101,32 +128,31 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
     _block(doc, "top level", ("train", "sweep", "audit", "dataset", "prune", *_TOP_KEYS))
     kwargs: dict = {}
     if "train" in doc:
-        kwargs["train"] = TrainConfig(**_block(doc["train"], "train", TrainConfig))
+        kwargs["train"] = _make(TrainConfig, doc["train"], "train")
     if "sweep" in doc:
         entries = [_block(e, "sweep", ("method", "sparsity")) for e in doc["sweep"]]
         if any("method" not in entry for entry in entries):
             raise ConfigError("sweep entry without 'method'")
         kwargs["sweep"] = tuple(
             CompressionSpec(
-                method=entry["method"], sparsity=float(entry.get("sparsity", 0.0))
+                method=entry["method"],
+                sparsity=_number(entry.get("sparsity", 0.0), float, "sweep sparsity"),
             )
             for entry in entries
         )
     if "audit" in doc:
-        kwargs["audit"] = AuditConfig(**_block(doc["audit"], "audit", AuditConfig))
+        kwargs["audit"] = _make(AuditConfig, doc["audit"], "audit")
     if "dataset" in doc:
         ds = _block(doc["dataset"], "dataset", ("path", "synth"))
         if "path" in ds:
             kwargs["dataset_path"] = ds["path"]
         elif "synth" in ds:
-            kwargs["synth"] = SynthLongTailSpec(
-                **_block(ds["synth"], "dataset.synth", SynthLongTailSpec)
-            )
+            kwargs["synth"] = _make(SynthLongTailSpec, ds["synth"], "dataset.synth")
         else:
             raise ConfigError("dataset must carry 'path' or 'synth'")
     if "prune" in doc:
         for key, value in _block(doc["prune"], "prune", _PRUNE_KEYS).items():
-            kwargs[_PRUNE_KEYS[key]] = int(value)
+            kwargs[_PRUNE_KEYS[key]] = _number(value, int, f"prune.{key}")
     for key in _TOP_KEYS:
         if key in doc:
             kwargs[key] = doc[key]

@@ -8,12 +8,14 @@ sensitivity to that corruption.
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .data_model import CompressionSpec, ExampleRecord, LabeledDataset, atomic_write_text
-from .errors import ConfigError, LayoutRequired, ZeroBaseline
+from .errors import ConfigError, LayoutRequired, ShapeError, ZeroBaseline
 from .trainer import MLPModel, rank_topk
 
 CORRUPTION_KINDS = (
@@ -61,64 +63,113 @@ class RobustnessRow:
     topk_norm: float
 
 
-def _example_rng(spec: CorruptionSpec, example_id: int) -> np.random.Generator:
-    return np.random.default_rng(
-        [spec.seed, _KIND_INDEX[spec.kind], spec.severity, example_id]
-    )
+def _seed_words(n) -> list[int]:
+    """The little-endian uint32 words numpy's `SeedSequence` makes of one integer."""
+    n = operator.index(n)
+    if n < 0:
+        raise ConfigError(f"corruption keys must be non-negative, got {n}")
+    words = [n & 0xFFFFFFFF]
+    while n >> 32:
+        n >>= 32
+        words.append(n & 0xFFFFFFFF)
+    return words
+
+
+def _example_rngs(spec: CorruptionSpec, example_ids) -> Iterator[np.random.Generator]:
+    """One generator per id, each the stream of
+    `np.random.default_rng([spec.seed, kind index, spec.severity, example_id])`.
+
+    `default_rng` turns that key into these uint32 words one integer at a
+    time; seeding from the words directly gives the same stream for less.
+    """
+    key = [w for n in (spec.seed, _KIND_INDEX[spec.kind], spec.severity) for w in _seed_words(n)]
+    for example_id in example_ids:
+        words = np.array(key + _seed_words(example_id), dtype=np.uint32)
+        yield np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
 
 
 def corrupt_features(
     features: np.ndarray,
     spec: CorruptionSpec,
-    example_id: int,
+    example_id,
     lo=0.0,
     hi=1.0,
     layout: tuple[int, int] | None = None,
 ) -> np.ndarray:
-    """Apply one corruption to a feature vector; pure given (features, spec, id).
+    """Apply one corruption to a feature vector, or to each row of an (N, d) matrix.
 
+    A vector takes one `example_id`, a matrix one id per row. Row i of the
+    result depends only on (features[i], spec, example_id[i]), so corrupting
+    a matrix gives the rows that corrupting each vector alone would.
     `lo`/`hi` bound the feature domain (scalars or per-coordinate arrays);
     severity magnitudes are expressed as fractions of hi - lo, and the
     result is clamped back into [lo, hi].
     """
-    x = np.asarray(features, dtype=np.float64).copy()
+    x = np.asarray(features, dtype=np.float64)
+    single = x.ndim == 1
+    x, ids = (x[None, :], [example_id]) if single else (x, example_id)
+    if x.ndim != 2 or np.ndim(ids) != 1 or len(ids) != x.shape[0]:
+        raise ShapeError(
+            "expected one vector and one id, or an (N, d) matrix and N ids; got "
+            f"features of shape {np.shape(features)} and ids of shape {np.shape(ids)}"
+        )
     lo = np.asarray(lo, dtype=np.float64)
     hi = np.asarray(hi, dtype=np.float64)
     span = hi - lo
     s = spec.severity - 1
+    # the noise kinds draw row by row, each row from its own example's stream
+    rngs = _example_rngs(spec, ids)
 
+    # (N, d) temporaries are updated in place, which keeps the peak memory of
+    # a large batch near that of the input; x + y == y + x bit for bit
     if spec.kind == "gaussian_noise":
-        rng = _example_rng(spec, example_id)
-        x = x + rng.normal(0.0, 1.0, x.shape) * (_GAUSSIAN_SIGMA[s] * span)
+        noise = np.empty_like(x)
+        for row, rng in zip(noise, rngs):
+            row[:] = rng.normal(0.0, 1.0, row.shape)
+        noise *= _GAUSSIAN_SIGMA[s] * span
+        noise += x
+        x = noise
     elif spec.kind == "shot_noise":
-        rng = _example_rng(spec, example_id)
         lam = _SHOT_LAMBDA[s]
-        rate = np.maximum(x - lo, 0.0) * lam
-        x = lo + rng.poisson(rate) / lam
+        counts = x - lo
+        np.maximum(counts, 0.0, out=counts)
+        counts *= lam
+        for row, rng in zip(counts, rngs):
+            row[:] = rng.poisson(row)  # the row holds its Poisson rate until drawn
+        counts /= lam
+        counts += lo
+        x = counts
     elif spec.kind == "impulse_noise":
-        rng = _example_rng(spec, example_id)
-        hit = rng.random(x.shape) < _IMPULSE_FRACTION[s]
-        extreme_high = rng.random(x.shape) < 0.5
+        hit = np.empty(x.shape, dtype=bool)
+        extreme_high = np.empty(x.shape, dtype=bool)
+        for hit_row, high_row, rng in zip(hit, extreme_high, rngs):
+            hit_row[:] = rng.random(hit_row.shape) < _IMPULSE_FRACTION[s]
+            high_row[:] = rng.random(high_row.shape) < 0.5
         x = np.where(hit, np.where(extreme_high, hi, lo), x)
     elif spec.kind == "brightness":
         x = x + _BRIGHTNESS_SHIFT[s] * span
     elif spec.kind == "contrast":
-        mean = x.mean()
-        x = mean + (x - mean) * _CONTRAST_SCALE[s]
+        mean = x.mean(axis=1, keepdims=True)
+        x = x - mean
+        x *= _CONTRAST_SCALE[s]
+        x += mean
     elif spec.kind == "pixelate":
         if layout is None:
             raise LayoutRequired("pixelate requires a height x width layout")
         h, w = layout
+        if h * w != x.shape[1]:
+            raise ShapeError(f"layout {h}x{w} does not match feature length {x.shape[1]}")
         block = _PIXELATE_BLOCK[s]
-        img = x.reshape(h, w)
+        img = x.reshape(-1, h, w)
         out = np.empty_like(img)
         for r0 in range(0, h, block):
             for c0 in range(0, w, block):
-                patch = img[r0 : r0 + block, c0 : c0 + block]
-                out[r0 : r0 + block, c0 : c0 + block] = patch.mean()
-        x = out.ravel()
+                patch = img[:, r0 : r0 + block, c0 : c0 + block]
+                out[:, r0 : r0 + block, c0 : c0 + block] = patch.mean(axis=(1, 2), keepdims=True)
+        x = out.reshape(x.shape)
 
-    return np.clip(x, lo, hi)
+    np.clip(x, lo, hi, out=x)  # every branch made x a new array
+    return x[0] if single else x
 
 
 def corrupt(example: ExampleRecord, spec: CorruptionSpec, lo=0.0, hi=1.0) -> ExampleRecord:
@@ -178,12 +229,7 @@ def robustness_report(
         rates = np.zeros((2, 2))  # (base, comp) x (top-1, top-k), mean over severities
         for severity in range(1, 6):
             spec = CorruptionSpec(kind=kind, severity=severity, seed=seed)
-            xc = np.stack(
-                [
-                    corrupt_features(feats[i], spec, int(ids[i]), lo, hi, layout)
-                    for i in range(feats.shape[0])
-                ]
-            )
+            xc = corrupt_features(feats, spec, ids, lo, hi, layout)
             rates += np.array(
                 [_hit_rates(models, xc, y, topk) for models in (base_models, comp_models)]
             ) / 5.0

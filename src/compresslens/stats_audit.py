@@ -108,8 +108,14 @@ def student_t_two_sided_p(t: float, df: float) -> float:
         return 0.0
     if t == 0.0:
         return 1.0
-    x = df / (df + t * t)
-    return min(1.0, regularized_incomplete_beta(df / 2.0, 0.5, x))
+    t2 = t * t
+    a = df / 2.0
+    x = df / (df + t2)
+    if x < (a + 1.0) / (a + 2.5):
+        return min(1.0, regularized_incomplete_beta(a, 0.5, x))
+    # near x = 1 the beta function would take 1 - x, which cancels (and is 0
+    # once t * t < df * eps); take the complement with 1 - x formed directly
+    return 1.0 - regularized_incomplete_beta(0.5, a, t2 / (df + t2))
 
 
 @dataclass(frozen=True)
@@ -129,7 +135,7 @@ class ClassAccuracySample:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
+        vals = np.asarray(self.values, dtype=np.float64).view()  # the caller's stays writeable
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 

@@ -52,6 +52,8 @@ class TrainConfig:
             raise ConfigError("weight_decay must be non-negative")
         if self.population_size < 1:
             raise ConfigError("population_size must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if self.lr_decay_steps is not None and self.lr_decay_steps < 1:
             raise ConfigError("lr_decay_steps must be >= 1")
         if self.lr_decay_factor <= 0:

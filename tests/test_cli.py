@@ -347,3 +347,17 @@ class TestBadInputExits2:
         rc, err = run_cli(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 2 and "Traceback" not in err
         assert key in err
+
+    @pytest.mark.parametrize("doc, key", [
+        ({"prune": {"every": "x"}}, "prune.every"),
+        ({"train": {"steps": "x"}}, "train"),
+        ({"seed": "x"}, "seed"),
+        ({"seed": -1}, "seed"),
+        ({"topk": "x"}, "topk"),
+    ])
+    def test_wrong_type_config_value(self, tmp_path, doc, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        rc, err = run_cli(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 2 and "Traceback" not in err
+        assert key in err

@@ -86,6 +86,13 @@ class TestDatasetValidation:
         with pytest.raises(ConfigError):
             LabeledDataset(examples=tuple(exs), num_classes=2)
 
+    def test_caller_array_stays_writeable(self):
+        a = np.zeros(3)
+        ex = ExampleRecord(0, a, 0)
+        assert a.flags.writeable
+        assert not ex.features.flags.writeable
+        assert np.shares_memory(ex.features, a)  # frozen as a view, not a copy
+
     def test_layout_must_match(self):
         with pytest.raises(ConfigError):
             ExampleRecord(0, np.zeros(5), 0, layout=(2, 2))
@@ -232,6 +239,14 @@ class TestLogValidation:
     def test_duplicate_example_ids_rejected(self):
         with pytest.raises(ConfigError):
             make_log([[0, 1]], [0, 1], ids=[3, 3])
+
+    def test_caller_arrays_stay_writeable(self):
+        ids, truth, preds = np.array([2, 5]), np.array([0, 1]), np.array([[[0], [1]]])
+        log = PredictionLog("pop", CompressionSpec("none"), ids, truth, preds)
+        assert all(a.flags.writeable for a in (ids, truth, preds))
+        assert not any(
+            a.flags.writeable for a in (log.example_ids, log.truth, log.predictions)
+        )
 
 
 class TestLogRoundtrip:

@@ -2,11 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from compresslens.data_model import CompressionSpec, ExampleRecord, LabeledDataset
-from compresslens.errors import ConfigError, LayoutRequired, ZeroBaseline
+from compresslens.errors import ConfigError, LayoutRequired, ShapeError, ZeroBaseline
 from compresslens.robustness import (
+    _KIND_INDEX,
+    CORRUPTION_KINDS,
     CorruptionSpec,
+    _example_rngs,
     corrupt,
     corrupt_features,
     relative_accuracy,
@@ -100,6 +105,71 @@ class TestCorruptions:
         feats = np.zeros(8)
         out = corrupt_features(feats, CorruptionSpec("shot_noise", 3, seed=1), 0)
         np.testing.assert_array_equal(out, 0.0)
+
+
+# keys whose uint32 encoding has one word, the largest one-word value, and two and three words
+EDGE_KEYS = (0, 2**32 - 1, 2**32, 2**70)
+keys = st.sampled_from(EDGE_KEYS) | st.integers(0, 2**80)
+
+
+class TestBatchedCorruption:
+    @pytest.mark.parametrize("kind", CORRUPTION_KINDS)
+    @pytest.mark.parametrize("severity", range(1, 6))
+    @settings(max_examples=8, deadline=None)
+    @given(
+        seed=keys,
+        ids=st.lists(keys, min_size=1, max_size=5, unique=True),
+        per_coordinate=st.booleans(),
+        data_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_equal_single_calls(self, kind, severity, seed, ids, per_coordinate, data_seed):
+        x = np.random.default_rng(data_seed).random((len(ids), 64)) * 3.0 - 1.0
+        lo, hi = (x.min(axis=0), x.max(axis=0)) if per_coordinate else (-1.0, 2.0)
+        spec = CorruptionSpec(kind, severity, seed)
+        batch = corrupt_features(x, spec, ids, lo, hi, (8, 8))
+        assert batch.shape == x.shape
+        for i, example_id in enumerate(ids):
+            single = corrupt_features(x[i], spec, example_id, lo, hi, (8, 8))
+            assert batch[i].tobytes() == single.tobytes()
+
+    @pytest.mark.parametrize("seed", EDGE_KEYS)
+    @pytest.mark.parametrize("example_id", EDGE_KEYS)
+    def test_stream_equals_default_rng(self, seed, example_id):
+        for kind in CORRUPTION_KINDS:
+            for severity in range(1, 6):
+                (rng,) = _example_rngs(CorruptionSpec(kind, severity, seed), [example_id])
+                want = np.random.default_rng([seed, _KIND_INDEX[kind], severity, example_id])
+                assert rng.random(4).tobytes() == want.random(4).tobytes()
+
+    def test_negative_id_is_config_error(self):
+        with pytest.raises(ConfigError):
+            corrupt_features(np.zeros(3), CorruptionSpec("gaussian_noise", 1), -1)
+
+    @pytest.mark.parametrize("kind", CORRUPTION_KINDS)
+    def test_id_count_must_match_rows(self, kind):
+        spec = CorruptionSpec(kind, 1)
+        x = np.zeros((3, 4))
+        for features, ids in [
+            (x, [0, 1]),  # too few ids
+            (x, [0, 1, 2, 3]),  # too many
+            (x, 0),  # one id for a matrix
+            (x[0], [0]),  # a list of ids for a vector
+            (np.zeros((3, 2, 2)), [0, 1, 2]),  # not a vector or a matrix
+        ]:
+            with pytest.raises(ShapeError):
+                corrupt_features(features, spec, ids, layout=(2, 2))
+
+    def test_pixelate_matrix_requires_layout(self):
+        spec = CorruptionSpec("pixelate", 2)
+        with pytest.raises(LayoutRequired):
+            corrupt_features(np.zeros((2, 4)), spec, [0, 1])
+        with pytest.raises(ShapeError):
+            corrupt_features(np.zeros((2, 4)), spec, [0, 1], layout=(3, 3))
+
+    def test_empty_matrix(self):
+        for kind in CORRUPTION_KINDS:
+            out = corrupt_features(np.zeros((0, 4)), CorruptionSpec(kind, 1), [], layout=(2, 2))
+            assert out.shape == (0, 4)
 
 
 class TestRelativeAccuracy:

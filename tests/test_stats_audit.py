@@ -50,6 +50,21 @@ class TestIncompleteBeta:
             expected = student_t_tail_by_quadrature(t, df)
             assert student_t_two_sided_p(t, df) == pytest.approx(expected, abs=1e-12)
 
+    def test_against_scipy(self):
+        # a second, independent implementation next to the quadrature oracle;
+        # scipy is only needed by this test. Tiny |t| with large df is where
+        # 1 - x cancels (t=1e-6, df=5e4 once gave p=1.0); rel 1e-9 leaves room
+        # for the lgamma differences of the prefactor (up to ~7e-10 near df=8e4)
+        scipy_stats = pytest.importorskip("scipy.stats")
+        ts = (0.0, 1e-6, 0.3, 1.0, 1.96, 2.5, 4.0, 8.0, 15.0, 40.0)
+        # integers and fractional Welch degrees of freedom
+        dfs = (0.7, 1.0, 1.5, 2.0, 3.3, 7.25, 9.81, 30.0, 117.6, 1000.0, 5e4)
+        for df in dfs:
+            for t in ts + tuple(-t for t in ts):
+                expected = 2.0 * scipy_stats.t.sf(abs(t), df)
+                got = student_t_two_sided_p(t, df)
+                assert got == pytest.approx(expected, rel=1e-9, abs=1e-300), (t, df)
+
 
 class TestWelch:
     def test_frozen_hand_case(self):
@@ -160,6 +175,13 @@ class TestMeanShift:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             mean_shift(np.zeros(3), np.zeros(2))
+
+
+class TestClassAccuracySample:
+    def test_caller_array_stays_writeable(self):
+        a = np.array([0.1, 0.2])
+        s = ClassAccuracySample(0, a)
+        assert a.flags.writeable and not s.values.flags.writeable
 
 
 class TestNormalizedRecallDifference:
