@@ -56,6 +56,7 @@ from .trainer import (
     TrainConfig,
     apply_magnitude_mask,
     predict_topk,
+    prune_window,
     quantize_model,
     sparsity_at_step,
     train_population,
@@ -94,6 +95,7 @@ __all__ = [
     "model_accuracy",
     "normalized_recall_difference",
     "predict_topk",
+    "prune_window",
     "quantize_model",
     "read_dataset",
     "read_prediction_log",

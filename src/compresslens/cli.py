@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 usage error, 2 data/validation error, 3 numeric
-failure. Every flag overrides its config-file counterpart.
+failure. Every flag overrides its config-file counterpart; a flag left out
+keeps the default of the dataclass or function it feeds.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import sys
 from pathlib import Path
 
 from .data_model import (
+    QUANT_KINDS,
     AuditConfig,
     CompressionSpec,
     atomic_write_text,
@@ -41,6 +43,7 @@ from .trainer import (
     PruneSchedule,
     TrainConfig,
     load_model,
+    prune_window,
     save_model,
     train_population,
 )
@@ -49,12 +52,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
-
-_QUANT_FLAGS = {
-    "float16": "quant_float16",
-    "dynamic_int8": "quant_dynamic_int8",
-    "fixed_int8": "quant_fixed_int8",
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -68,49 +65,51 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="compresslens", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
+    # the dests of the tuning flags below are fields of the dataclass or
+    # parameters of the function they feed, and default to None: a flag left
+    # out keeps the default defined there (see `_given`)
     p = sub.add_parser("generate", help="synthesize a Zipf long-tail dataset")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--classes", type=int, default=10)
-    p.add_argument("--dim", type=int, default=16)
-    p.add_argument("--train-count", type=int, default=5000)
-    p.add_argument("--test-count", type=int, default=2000)
-    p.add_argument("--zipf", type=float, default=1.0)
-    p.add_argument("--noisy", type=float, default=0.05)
-    p.add_argument("--atypical", type=float, default=0.08)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--classes", dest="num_classes", type=int)
+    p.add_argument("--dim", type=int)
+    p.add_argument("--train-count", type=int)
+    p.add_argument("--test-count", type=int)
+    p.add_argument("--zipf", dest="zipf_exponent", type=float, metavar="EXPONENT")
+    p.add_argument("--noisy", dest="noisy_fraction", type=float, metavar="FRACTION")
+    p.add_argument("--atypical", dest="atypical_fraction", type=float, metavar="FRACTION")
+    p.add_argument("--seed", type=int)
 
     p = sub.add_parser("train", help="train one model population and log predictions")
     p.add_argument("--data", required=True, help="dataset directory (train.csv/test.csv)")
     p.add_argument("--out", required=True, help="prediction-log CSV path")
-    # the tuning flags' dests are TrainConfig fields; one left out keeps its default
     p.add_argument("--models", dest="population_size", type=int, help="population size K")
     p.add_argument("--steps", type=int)
     p.add_argument("--batch-size", type=int)
     p.add_argument("--lr", dest="learning_rate", type=float, metavar="LR")
     p.add_argument("--weight-decay", type=float)
     p.add_argument("--hidden", dest="hidden_dims", type=int, nargs="+", metavar="WIDTH")
-    p.add_argument("--sparsity", type=float, default=None, help="magnitude pruning target")
-    p.add_argument("--quant", choices=sorted(_QUANT_FLAGS), default=None)
-    p.add_argument("--prune-start", type=int, default=None)
-    p.add_argument("--prune-end", type=int, default=None)
-    p.add_argument("--prune-every", type=int, default=None)
-    p.add_argument("--topk", type=int, default=None)
+    p.add_argument("--sparsity", type=float, help="magnitude pruning target")
+    p.add_argument("--quant", choices=sorted(QUANT_KINDS))
+    p.add_argument("--prune-start", type=int)
+    p.add_argument("--prune-end", type=int)
+    p.add_argument("--prune-every", type=int)
+    p.add_argument("--topk", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--save-models", default=None, help="directory for model snapshots")
+    p.add_argument("--save-models", help="directory for model snapshots")
 
     p = sub.add_parser("audit-classes", help="per-class Welch significance audit")
     p.add_argument("--base", required=True, help="baseline prediction log")
     p.add_argument("--comp", required=True, help="compressed prediction log")
     p.add_argument("--out", required=True, help="audit CSV path")
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--bonferroni", action="store_true")
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--bonferroni", action="store_true", default=None)
 
     p = sub.add_parser("audit-pie", help="detect PIEs and analyze their composition")
     p.add_argument("--base", required=True)
     p.add_argument("--comp", required=True)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--data", default=None, help="dataset dir for attribute analysis")
-    p.add_argument("--topk", type=int, default=1)
+    p.add_argument("--data", help="dataset dir for attribute analysis")
+    p.add_argument("--topk", dest="k", type=int, help="rank depth of subset accuracy")
 
     p = sub.add_parser("audit-robustness", help="corruption sensitivity report")
     p.add_argument("--data", required=True, help="dataset directory")
@@ -118,24 +117,31 @@ def _build_parser() -> _Parser:
     p.add_argument("--comp-models", required=True, help="compressed snapshot directory")
     p.add_argument("--out", required=True, help="robustness CSV path")
     p.add_argument("--kinds", nargs="+", default=list(CORRUPTION_KINDS))
-    p.add_argument("--topk", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--topk", type=int)
+    p.add_argument("--seed", type=int)
 
     p = sub.add_parser("report", help="merge audit CSVs into text + JSON reports")
     p.add_argument("--audit", required=True, help="class-audit CSV")
-    p.add_argument("--pie", default=None, help="optional PIE CSV")
+    p.add_argument("--pie", help="optional PIE CSV")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--chart", action="store_true", help="emit per-class chart data")
 
     p = sub.add_parser("run", help="full pipeline from a JSON config")
-    p.add_argument("--config", default=None, help="experiment config JSON")
-    p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--sparsity", default=None, help="comma-separated sweep, e.g. 0.3,0.9")
-    p.add_argument("--quant", choices=sorted(_QUANT_FLAGS), action="append", default=None)
-    p.add_argument("--topk", type=int, default=None)
+    p.add_argument("--config", help="experiment config JSON")
+    p.add_argument("--out", dest="out_dir")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--sparsity", help="comma-separated sweep, e.g. 0.3,0.9")
+    p.add_argument("--quant", choices=sorted(QUANT_KINDS), action="append")
+    p.add_argument("--topk", type=int)
     return parser
+
+
+def _given(args, names) -> dict:
+    """The flags among `names` (or a dataclass's fields) given on the command line."""
+    if dataclasses.is_dataclass(names):
+        names = [f.name for f in dataclasses.fields(names)]
+    return {n: getattr(args, n) for n in names if getattr(args, n, None) is not None}
 
 
 def _load_models(path: str) -> tuple[list, CompressionSpec]:
@@ -148,16 +154,7 @@ def _load_models(path: str) -> tuple[list, CompressionSpec]:
 
 
 def _cmd_generate(args) -> int:
-    spec = SynthLongTailSpec(
-        num_classes=args.classes,
-        dim=args.dim,
-        train_count=args.train_count,
-        test_count=args.test_count,
-        zipf_exponent=args.zipf,
-        noisy_fraction=args.noisy,
-        atypical_fraction=args.atypical,
-        seed=args.seed,
-    )
+    spec = SynthLongTailSpec(**_given(args, SynthLongTailSpec))
     train_path, test_path = generate(spec, args.out)
     print(f"wrote {train_path} and {test_path}")
     return EXIT_OK
@@ -166,25 +163,17 @@ def _cmd_generate(args) -> int:
 def _cmd_train(args) -> int:
     if args.sparsity is not None and args.quant is not None:
         raise ConfigError("choose either --sparsity or --quant, not both")
-    flags = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(TrainConfig)}
-    config = TrainConfig(**{k: v for k, v in flags.items() if v is not None})
+    config = TrainConfig(**_given(args, TrainConfig))
     train_ds = read_dataset(Path(args.data) / "train.csv")
     test_ds = read_dataset(Path(args.data) / "test.csv")
 
+    compression, schedule = CompressionSpec("none"), None
     if args.sparsity is not None:
         compression = CompressionSpec("magnitude_prune", args.sparsity)
-        start = args.prune_start if args.prune_start is not None else config.steps // 10
-        end = args.prune_end if args.prune_end is not None else (config.steps * 7) // 10
-        every = args.prune_every if args.prune_every is not None else max(
-            1, (end - start) // 12
-        )
-        schedule = PruneSchedule(args.sparsity, start, end, every)
+        window = prune_window(config.steps, args.prune_start, args.prune_end, args.prune_every)
+        schedule = PruneSchedule(args.sparsity, *window)
     elif args.quant is not None:
-        compression = CompressionSpec(_QUANT_FLAGS[args.quant])
-        schedule = None
-    else:
-        compression = CompressionSpec("none")
-        schedule = None
+        compression = CompressionSpec(QUANT_KINDS[args.quant])
 
     models, log = train_population(
         train_ds, test_ds, config, compression, schedule, topk=args.topk
@@ -202,11 +191,11 @@ def _cmd_train(args) -> int:
 def _cmd_audit_classes(args) -> int:
     base = read_prediction_log(args.base)
     comp = read_prediction_log(args.comp)
-    config = AuditConfig(alpha=args.alpha, bonferroni=args.bonferroni)
+    config = AuditConfig(**_given(args, AuditConfig))
     rows = audit_classes(base, comp, config)
     write_audit_csv(rows, args.out)
     n = sum(r.significant for r in rows)
-    print(f"wrote {args.out}: {len(rows)} classes, {n} significant at alpha={args.alpha}")
+    print(f"wrote {args.out}: {len(rows)} classes, {n} significant at alpha={config.alpha}")
     return EXIT_OK
 
 
@@ -220,8 +209,8 @@ def _cmd_audit_pie(args) -> int:
 
     doc: dict = {"pie_count": len(pies), "examples": len(pies.example_ids)}
     if pies.pie_ids:
-        k = min(args.topk, base.topk)
-        acc_pie, acc_non, acc_all = subset_accuracy(base, pies, k)
+        depth = {} if args.k is None else {"k": min(args.k, base.topk)}
+        acc_pie, acc_non, acc_all = subset_accuracy(base, pies, **depth)
         doc["baseline_topk_on_pies"] = acc_pie
         doc["baseline_topk_on_non_pies"] = acc_non
         doc["baseline_topk_on_all"] = acc_all
@@ -243,13 +232,8 @@ def _cmd_audit_robustness(args) -> int:
     base_models, _ = _load_models(args.base_models)
     comp_models, comp_spec = _load_models(args.comp_models)
     rows = robustness_report(
-        test_ds,
-        list(args.kinds),
-        base_models,
-        comp_models,
-        comp_spec,
-        topk=args.topk,
-        seed=args.seed,
+        test_ds, list(args.kinds), base_models, comp_models, comp_spec,
+        **_given(args, ["topk", "seed"]),
     )
     write_robustness_report(rows, args.out)
     print(f"wrote {args.out}: {len(rows)} corruption rows")
@@ -266,18 +250,8 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    config = (
-        load_experiment_config(args.config)
-        if args.config is not None
-        else ExperimentConfig()
-    )
-    overrides: dict = {}
-    if args.out is not None:
-        overrides["out_dir"] = args.out
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.topk is not None:
-        overrides["topk"] = args.topk
+    config = ExperimentConfig() if args.config is None else load_experiment_config(args.config)
+    overrides = _given(args, ["out_dir", "seed", "topk"])
     if args.alpha is not None:
         overrides["audit"] = dataclasses.replace(config.audit, alpha=args.alpha)
     if args.sparsity is not None or args.quant:
@@ -289,7 +263,7 @@ def _cmd_run(args) -> int:
                 raise ConfigError(f"--sparsity {args.sparsity!r}: {exc}") from None
             sweep += [CompressionSpec("magnitude_prune", s) for s in levels]
         for q in args.quant or []:
-            sweep.append(CompressionSpec(_QUANT_FLAGS[q]))
+            sweep.append(CompressionSpec(QUANT_KINDS[q]))
         overrides["sweep"] = tuple(sweep)
     if overrides:
         config = dataclasses.replace(config, **overrides)
@@ -322,7 +296,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericError as exc:
         print(f"compresslens: numeric failure in {args.command}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (CompressLensError, OSError, json.JSONDecodeError) as exc:
+    except (CompressLensError, OSError) as exc:
         print(f"compresslens: {args.command} failed: {exc}", file=sys.stderr)
         return EXIT_DATA
 

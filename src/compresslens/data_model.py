@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 import os
 import tempfile
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import compress
 from pathlib import Path
@@ -46,6 +47,30 @@ _METHOD_LABELS = {
     "quant_dynamic_int8": "dynamic_int8",
     "quant_fixed_int8": "fixed_int8",
 }
+
+# quantization kind (a method's short name, as `--quant` takes it) -> method
+QUANT_KINDS = {_METHOD_LABELS[m]: m for m in QUANT_METHODS}
+
+
+# the field annotations `check_field_types` checks, and the types they admit
+_FIELD_TYPES = {
+    "int": (numbers.Integral,),
+    "int | None": (numbers.Integral, type(None)),
+    "float": (numbers.Real,),
+    "bool": (bool,),
+}
+
+
+def check_field_types(obj) -> None:
+    """ConfigError for a dataclass field whose value its annotation does not admit.
+
+    Only the annotations of `_FIELD_TYPES` are checked; a bool is admitted
+    only where the annotation says bool.
+    """
+    for f in fields(obj):
+        kinds, value = _FIELD_TYPES.get(f.type), getattr(obj, f.name)
+        if kinds and (not isinstance(value, kinds) or isinstance(value, bool) != (bool in kinds)):
+            raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -261,6 +286,7 @@ class AuditConfig:
     bonferroni: bool = False
 
     def __post_init__(self):
+        check_field_types(self)
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.topk_eval < 1:
@@ -543,12 +569,16 @@ def read_dataset(csv_path: str | Path) -> LabeledDataset:
     meta_path = _meta_path(csv_path)
     if not meta_path.exists():
         raise SchemaError(f"missing sidecar metadata {meta_path}")
-    with open(meta_path) as fh:
-        meta = json.load(fh)
-    num_classes = int(meta["num_classes"])
+    meta = read_json_object(meta_path)
+    for key in ("num_classes", "height", "width"):
+        if (key == "num_classes" or key in meta) and type(meta.get(key)) is not int:
+            raise SchemaError(f"{meta_path}: {key!r} must be an integer, got {meta.get(key)!r}")
+    if not isinstance(meta.get("class_names", []), list):
+        raise SchemaError(f"{meta_path}: 'class_names' must be a list")
+    num_classes = meta["num_classes"]
     layout = None
     if "height" in meta and "width" in meta:
-        layout = (int(meta["height"]), int(meta["width"]))
+        layout = (meta["height"], meta["width"])
     class_names = tuple(meta["class_names"]) if "class_names" in meta else None
 
     with open(csv_path, newline="") as fh:
@@ -596,6 +626,18 @@ def read_dataset(csv_path: str | Path) -> LabeledDataset:
         layout=layout,
         class_names=class_names,
     )
+
+
+def read_json_object(path: str | Path) -> dict:
+    """A JSON file that must hold one object; anything else is a SchemaError."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # a JSON or a text decoding error
+        raise SchemaError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{path}: expected a JSON object")
+    return doc
 
 
 def _meta_path(csv_path: Path) -> Path:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import json
-import numbers
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, is_dataclass, replace
@@ -21,12 +20,15 @@ from .data_model import (
     LabeledDataset,
     PredictionLog,
     atomic_write_text,
+    check_field_types,
     model_accuracy,
     read_dataset,
+    read_json_object,
     write_prediction_log,
 )
 from .errors import CompressLensError, ConfigError, ParseError, SchemaError
 from .pie_audit import (
+    PIE_HEADER,
     identify_pies,
     subset_accuracy,
     write_attribute_report,
@@ -34,7 +36,7 @@ from .pie_audit import (
 )
 from .stats_audit import AUDIT_HEADER, audit_classes, write_audit_csv
 from .synth import SynthLongTailSpec, synthesize
-from .trainer import PruneSchedule, TrainConfig, train_population
+from .trainer import PruneSchedule, TrainConfig, prune_window, train_population
 
 # seed stride between populations so no two share model seeds
 _POPULATION_SEED_STRIDE = 100_000
@@ -51,9 +53,7 @@ def _stage(name: str):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    # the defaults are the calibrated desk-scale experiment: excluding biases
-    # from pruning keeps the learned Zipf class priors intact at high sparsity
-    train: TrainConfig = field(default_factory=lambda: TrainConfig(prune_biases=False))
+    train: TrainConfig = field(default_factory=TrainConfig)
     sweep: tuple[CompressionSpec, ...] = (
         CompressionSpec("none"),
         CompressionSpec("magnitude_prune", 0.3),
@@ -66,20 +66,28 @@ class ExperimentConfig:
     out_dir: str = "compresslens-run"
     dataset_path: str | None = None  # directory holding train.csv / test.csv
     synth: SynthLongTailSpec = field(default_factory=SynthLongTailSpec)
-    prune_start: int = 250
-    prune_end: int = 1750
-    prune_every: int = 100
+    # a window value left out is derived from train.steps by `prune_window`
+    # when the config is built (the defaults give 250 / 1750 / 100)
+    prune_start: int | None = None
+    prune_end: int | None = None
+    prune_every: int | None = None
     topk: int | None = None
 
     def __post_init__(self):
-        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if self.topk is not None and (
-            not isinstance(self.topk, numbers.Integral) or self.topk < 1
-        ):
-            raise ConfigError(f"topk must be a positive integer, got {self.topk!r}")
-        if not isinstance(self.out_dir, (str, os.PathLike)):
-            raise ConfigError(f"out_dir must be a path, got {self.out_dir!r}")
+        check_field_types(self)
+        window = prune_window(
+            self.train.steps, self.prune_start, self.prune_end, self.prune_every
+        )
+        for name, value in zip(("prune_start", "prune_end", "prune_every"), window):
+            object.__setattr__(self, name, value)
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed!r}")
+        if self.topk is not None and self.topk < 1:
+            raise ConfigError(f"topk must be positive, got {self.topk!r}")
+        for name in ("out_dir", "dataset_path"):
+            value = getattr(self, name)
+            if not isinstance(value, (str, os.PathLike, type(None))):
+                raise ConfigError(f"{name} must be a path, got {value!r}")
         baselines = [s for s in self.sweep if s.method == "none"]
         if len(baselines) != 1:
             raise ConfigError(
@@ -109,7 +117,7 @@ def _make(cls, doc, name: str):
     values = _block(doc, name, cls)
     try:
         return cls(**values)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ConfigError) as exc:
         raise ConfigError(f"bad value in config block {name!r}: {exc}") from None
 
 
@@ -123,13 +131,14 @@ def _number(value, kind: type, name: str):
 
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
     """Parse the JSON config documented in the README; keys left out keep defaults."""
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = read_json_object(path)
     _block(doc, "top level", ("train", "sweep", "audit", "dataset", "prune", *_TOP_KEYS))
     kwargs: dict = {}
     if "train" in doc:
         kwargs["train"] = _make(TrainConfig, doc["train"], "train")
     if "sweep" in doc:
+        if not isinstance(doc["sweep"], list):
+            raise ConfigError(f"sweep must be a JSON list, got {doc['sweep']!r}")
         entries = [_block(e, "sweep", ("method", "sparsity")) for e in doc["sweep"]]
         if any("method" not in entry for entry in entries):
             raise ConfigError("sweep entry without 'method'")
@@ -169,12 +178,7 @@ def _resolve_dataset(config: ExperimentConfig) -> tuple[LabeledDataset, LabeledD
 def _schedule_for(config: ExperimentConfig, spec: CompressionSpec) -> PruneSchedule | None:
     if spec.method != "magnitude_prune":
         return None
-    return PruneSchedule(
-        target_sparsity=spec.sparsity,
-        prune_start=config.prune_start,
-        prune_end=config.prune_end,
-        prune_every=config.prune_every,
-    )
+    return PruneSchedule(spec.sparsity, config.prune_start, config.prune_end, config.prune_every)
 
 
 @dataclass(frozen=True)
@@ -319,10 +323,14 @@ def _read_pie_counts(path: str | Path) -> tuple[int, int]:
         header = next(reader, None)
         if header is None:
             return 0, 0
+        if header != PIE_HEADER:
+            raise SchemaError(f"{path}: unexpected PIE header {header}")
         total = pies = 0
-        for row in reader:
+        for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
+            if len(row) != len(header):
+                raise ParseError(f"expected {len(header)} fields", lineno)
             total += 1
             if row[-1] == "1":
                 pies += 1

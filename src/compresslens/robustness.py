@@ -16,7 +16,7 @@ import numpy as np
 
 from .data_model import CompressionSpec, ExampleRecord, LabeledDataset, atomic_write_text
 from .errors import ConfigError, LayoutRequired, ShapeError, ZeroBaseline
-from .trainer import MLPModel, rank_topk
+from .trainer import MLPModel, rank_topk, ranking_depth
 
 CORRUPTION_KINDS = (
     "gaussian_noise",
@@ -207,7 +207,7 @@ def robustness_report(
     comp_models: list[MLPModel],
     comp_spec: CompressionSpec,
     topk: int | None = None,
-    seed: int = 0,
+    seed: int = CorruptionSpec.seed,
 ) -> list[RobustnessRow]:
     """One row per corruption kind: absolute and baseline-normalized accuracy.
 
@@ -215,8 +215,7 @@ def robustness_report(
     normalization divides by the baseline population's mean accuracy on the
     same corruption.
     """
-    if topk is None:
-        topk = min(5, test_ds.num_classes)
+    topk = ranking_depth(topk, test_ds.num_classes)
     lo, hi = test_ds.feature_matrix.min(axis=0), test_ds.feature_matrix.max(axis=0)
     order = np.argsort(test_ds.example_ids, kind="stable")
     feats = test_ds.feature_matrix[order]

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data_model import LabeledDataset, write_dataset
+from .data_model import LabeledDataset, check_field_types, write_dataset
 from .errors import ConfigError
 
 
@@ -48,6 +48,9 @@ class SynthLongTailSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if self.num_classes < 2:
             raise ConfigError("need at least 2 classes")
         if self.dim < 1:

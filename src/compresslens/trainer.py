@@ -12,18 +12,25 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .data_model import (
+    QUANT_KINDS,
     CompressionSpec,
     LabeledDataset,
     PredictionLog,
     atomic_write_text,
+    check_field_types,
+    read_json_object,
 )
-from .errors import ConfigError, DivergenceError, ShapeError
+from .errors import ConfigError, DivergenceError, SchemaError, ShapeError
+
+# fixed_int8 calibrates activation ranges on this many leading training examples
+REPRESENTATIVE_COUNT = 100
 
 
 @dataclass(frozen=True)
@@ -37,11 +44,16 @@ class TrainConfig:
     seed: int = 0
     population_size: int = 10
     hidden_dims: tuple[int, ...] = (320,)
-    prune_biases: bool = True
+    # the default is calibrated on the desk-scale experiment: excluding biases
+    # from pruning keeps the learned Zipf class priors intact at high sparsity
+    prune_biases: bool = False
     prune_final_layer: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
+        check_field_types(self)
+        if not all(isinstance(d, numbers.Integral) and d >= 1 for d in self.hidden_dims):
+            raise ConfigError(f"hidden_dims must be positive integers, got {self.hidden_dims}")
         if self.steps < 0:
             raise ConfigError("steps must be >= 0")
         if self.batch_size < 1:
@@ -80,23 +92,26 @@ class PruneSchedule:
             raise ConfigError("at least one pruning interval must fit in the ramp")
 
 
+def prune_window(steps: int, start=None, end=None, every=None) -> tuple[int, int, int]:
+    """The (start, end, every) of the cubic ramp (Zhu & Gupta 2017) for `steps` steps.
+
+    By default the ramp spans steps // 10 to 7 * steps // 10, an event every
+    fifteenth of the span: 250, 1750, 100 at 2500 steps. A value given
+    overrides its part, and `every` follows the resolved start and end.
+    """
+    start = steps // 10 if start is None else start
+    end = 7 * steps // 10 if end is None else end
+    every = max(1, (end - start) // 15) if every is None else every
+    return start, end, every
+
+
 @dataclass(frozen=True)
 class QuantizationScheme:
-    kind: str  # float16 | dynamic_int8 | fixed_int8
-    representative_count: int = 100
+    kind: str  # a key of QUANT_KINDS: float16 | dynamic_int8 | fixed_int8
 
     def __post_init__(self):
-        if self.kind not in ("float16", "dynamic_int8", "fixed_int8"):
+        if self.kind not in QUANT_KINDS:
             raise ConfigError(f"unknown quantization kind {self.kind!r}")
-        if self.representative_count < 1:
-            raise ConfigError("representative_count must be >= 1")
-
-
-_METHOD_TO_KIND = {
-    "quant_float16": "float16",
-    "quant_dynamic_int8": "dynamic_int8",
-    "quant_fixed_int8": "fixed_int8",
-}
 
 
 class MLPModel:
@@ -117,8 +132,8 @@ class MLPModel:
     ):
         self.weights = [np.asarray(w, dtype=np.float64) for w in weights]
         self.biases = [np.asarray(b, dtype=np.float64) for b in biases]
-        if len(self.weights) != len(self.biases):
-            raise ShapeError("weights and biases must have one entry per layer")
+        if not self.weights or len(self.weights) != len(self.biases):
+            raise ShapeError("weights and biases must have one entry per layer, at least one")
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             if w.ndim != 2 or b.ndim != 1 or w.shape[1] != b.shape[0]:
                 raise ShapeError(f"layer {i}: weight {w.shape} vs bias {b.shape}")
@@ -198,6 +213,11 @@ def predict_topk(model: MLPModel, features: np.ndarray, k: int) -> list[int]:
 def rank_topk(logits: np.ndarray, k: int) -> np.ndarray:
     """Top-k labels of each row by descending logit, ties to the lower label."""
     return np.argsort(-logits, axis=1, kind="stable")[:, :k]
+
+
+def ranking_depth(topk: int | None, num_classes: int) -> int:
+    """`topk`, or by default five ranks capped at the class count."""
+    return min(5, num_classes) if topk is None else topk
 
 
 # ---------------------------------------------------------------------------
@@ -431,14 +451,12 @@ def _train_single(
             _refresh_masks(model, config, target)
 
     if compression.is_quantization():
-        scheme = QuantizationScheme(kind=_METHOD_TO_KIND[compression.method])
+        scheme = QuantizationScheme(kind=compression.label)
         calibration = None
         if scheme.kind == "fixed_int8":
-            if scheme.representative_count > n:
-                raise ConfigError(
-                    "representative_count exceeds the training-set size"
-                )
-            calibration = x_all[: scheme.representative_count]
+            if REPRESENTATIVE_COUNT > n:
+                raise ConfigError(f"fixed_int8 calibrates on {REPRESENTATIVE_COUNT} examples")
+            calibration = x_all[:REPRESENTATIVE_COUNT]
         model = quantize_model(model, scheme, calibration)
     return model
 
@@ -451,8 +469,7 @@ def evaluate_population(
     topk: int | None = None,
 ) -> PredictionLog:
     """Record each model's top-k ranked predictions on the test split."""
-    if topk is None:
-        topk = min(5, test_ds.num_classes)
+    topk = ranking_depth(topk, test_ds.num_classes)
     order = np.argsort(test_ds.example_ids, kind="stable")
     x = test_ds.feature_matrix[order]
     preds = np.stack([rank_topk(m.logits(x), topk) for m in models])
@@ -532,20 +549,26 @@ def save_model(model: MLPModel, compression: CompressionSpec, path: str | Path) 
 
 
 def load_model(path: str | Path) -> tuple[MLPModel, CompressionSpec]:
-    with open(path) as fh:
-        doc = json.load(fh)
-    model = MLPModel(
-        weights=[np.array(w, dtype=np.float64) for w in doc["weights"]],
-        biases=[np.array(b, dtype=np.float64) for b in doc["biases"]],
-        weight_masks=[np.array(m, dtype=np.float64) for m in doc["weight_masks"]],
-        bias_masks=[np.array(m, dtype=np.float64) for m in doc["bias_masks"]],
-        activation_ranges=(
-            [tuple(r) for r in doc["activation_ranges"]]
-            if doc.get("activation_ranges")
-            else None
-        ),
-    )
-    spec = CompressionSpec(**doc["compression"])
-    if tuple(doc["layer_dims"]) != model.layer_dims:
-        raise ShapeError("layer_dims do not match the stored arrays")
+    """Read a `save_model` snapshot; a missing key or a malformed array is a SchemaError."""
+    doc = read_json_object(path)
+    try:
+        model = MLPModel(
+            weights=[np.array(w, dtype=np.float64) for w in doc["weights"]],
+            biases=[np.array(b, dtype=np.float64) for b in doc["biases"]],
+            weight_masks=[np.array(m, dtype=np.float64) for m in doc["weight_masks"]],
+            bias_masks=[np.array(m, dtype=np.float64) for m in doc["bias_masks"]],
+            activation_ranges=(
+                [tuple(r) for r in doc["activation_ranges"]]
+                if doc.get("activation_ranges")
+                else None
+            ),
+        )
+        spec = CompressionSpec(**doc["compression"])
+        layer_dims = tuple(doc["layer_dims"])
+    except KeyError as exc:
+        raise SchemaError(f"{path}: missing key {exc}") from None
+    except (TypeError, ValueError, ShapeError) as exc:
+        raise SchemaError(f"{path}: malformed snapshot: {exc}") from None
+    if layer_dims != model.layer_dims:
+        raise ShapeError(f"{path}: layer_dims do not match the stored arrays")
     return model, spec

@@ -148,6 +148,7 @@ def test_criterion_5_sparsity_and_quantization_invariants():
         config = TrainConfig(
             steps=120, batch_size=32, learning_rate=0.1, lr_decay_steps=None,
             weight_decay=1e-4, seed=0, population_size=1, hidden_dims=(13,),
+            prune_biases=True,
         )
         models, _ = train_population(
             ds, ds, config,

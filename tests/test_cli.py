@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ from compresslens import cli
 from compresslens.cli import main
 from compresslens.errors import ConfigError
 from compresslens.pipeline import ExperimentConfig, load_experiment_config
+from compresslens.synth import SynthLongTailSpec, generate
 from compresslens.trainer import TrainConfig
 
 
@@ -354,6 +356,9 @@ class TestBadInputExits2:
         ({"seed": "x"}, "seed"),
         ({"seed": -1}, "seed"),
         ({"topk": "x"}, "topk"),
+        ({"sweep": 5}, "sweep"),
+        ({"dataset": {"path": 5}}, "path"),
+        ({"train": {"hidden_dims": ["a"], "steps": 5}}, "hidden_dims"),
     ])
     def test_wrong_type_config_value(self, tmp_path, doc, key):
         cfg = tmp_path / "cfg.json"
@@ -361,3 +366,95 @@ class TestBadInputExits2:
         rc, err = run_cli(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 2 and "Traceback" not in err
         assert key in err
+
+    @pytest.mark.parametrize("meta, key", [
+        ({}, "num_classes"),
+        ({"num_classes": "x"}, "num_classes"),
+        ({"num_classes": 4, "height": "x", "width": 2}, "height"),
+        ([4], "object"),
+    ])
+    def test_bad_dataset_sidecar(self, logs, data_dir, tmp_path, meta, key):
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        (data / "test.meta.json").write_text(json.dumps(meta))
+        rc, err = run_cli([
+            "audit-robustness", "--data", str(data),
+            "--base-models", str(logs / "base_models"),
+            "--comp-models", str(logs / "comp_models"),
+            "--kinds", "brightness", "--out", str(tmp_path / "rob.csv"),
+        ])
+        assert rc == 2 and "Traceback" not in err
+        assert "test.meta.json" in err and key in err
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: {},
+        lambda doc: {k: v for k, v in doc.items() if k != "biases"},
+        lambda doc: {**doc, "weights": [[[1.0, 2.0], [3.0]]]},
+        lambda doc: {**doc, "weights": 5},
+        lambda doc: {**doc, "weights": [], "biases": []},
+    ], ids=["empty", "no biases", "ragged weights", "weights not a list", "no layers"])
+    def test_bad_model_snapshot(self, logs, data_dir, tmp_path, edit):
+        snaps = tmp_path / "base_models"
+        shutil.copytree(logs / "base_models", snaps)
+        snap = snaps / "model_000.json"
+        snap.write_text(json.dumps(edit(json.loads(snap.read_text()))))
+        rc, err = run_cli([
+            "audit-robustness", "--data", str(data_dir),
+            "--base-models", str(snaps), "--comp-models", str(logs / "comp_models"),
+            "--kinds", "brightness", "--out", str(tmp_path / "rob.csv"),
+        ])
+        assert rc == 2 and "Traceback" not in err
+        assert "model_000.json" in err
+
+    def test_report_rejects_non_pie_csv(self, logs, tmp_path):
+        audit = tmp_path / "audit.csv"
+        assert main([
+            "audit-classes", "--base", str(logs / "base.csv"),
+            "--comp", str(logs / "comp.csv"), "--out", str(audit),
+        ]) == 0
+        rc, err = run_cli([
+            "report", "--audit", str(audit), "--pie", str(audit),
+            "--out", str(tmp_path / "r"),
+        ])
+        assert rc == 2 and "Traceback" not in err
+        assert "PIE header" in err
+        assert not (tmp_path / "r" / "report.json").exists()
+
+
+class TestOneSetOfDefaults:
+    """The CLI, the JSON config and the dataclasses resolve to the same defaults."""
+
+    def test_train_matches_run(self, data_dir, tmp_path):
+        seed = 5
+        common = ["--data", str(data_dir), "--steps", "120", "--models", "2", "--hidden", "8"]
+        assert main(["train", "--out", str(tmp_path / "base.csv"),
+                     "--seed", str(seed), *common]) == 0
+        assert main(["train", "--out", str(tmp_path / "prune.csv"), "--sparsity", "0.8",
+                     "--seed", str(seed + 100_000), *common]) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "seed": seed,
+            "dataset": {"path": str(data_dir)},
+            "train": {"steps": 120, "population_size": 2, "hidden_dims": [8]},
+            "sweep": [{"method": "none"}, {"method": "magnitude_prune", "sparsity": 0.8}],
+        }))
+        bundle = tmp_path / "bundle"
+        assert main(["run", "--config", str(cfg), "--out", str(bundle)]) == 0
+        for cli_log, run_log in (("base.csv", "baseline.csv"), ("prune.csv", "prune_0.8.csv")):
+            assert (tmp_path / cli_log).read_bytes() == (
+                bundle / "logs" / run_log
+            ).read_bytes(), cli_log
+
+    def test_prune_window_follows_steps(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"train": {"steps": 600}}))
+        got = load_experiment_config(cfg)
+        assert (got.prune_start, got.prune_end, got.prune_every) == (60, 420, 24)
+
+    def test_generate_defaults(self, tmp_path):
+        assert main(["generate", "--out", str(tmp_path / "cli")]) == 0
+        generate(SynthLongTailSpec(), tmp_path / "lib")
+        for name in ("train.csv", "train.meta.json", "test.csv", "test.meta.json"):
+            assert (tmp_path / "cli" / name).read_bytes() == (
+                tmp_path / "lib" / name
+            ).read_bytes(), name

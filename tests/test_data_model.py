@@ -351,3 +351,18 @@ class TestDatasetRoundtrip:
         (tmp_path / "x.csv").write_text("example_id,true_label,f0\n0,0,1.0\n")
         with pytest.raises(SchemaError):
             read_dataset(tmp_path / "x.csv")
+
+    @pytest.mark.parametrize("meta", [
+        "{}",
+        '{"num_classes": "x"}',
+        '{"num_classes": true}',
+        '{"num_classes": 1, "height": 1.5, "width": 1}',
+        '{"num_classes": 1, "class_names": 5}',
+        "[1]",
+        "{",
+    ])
+    def test_bad_sidecar_names_it(self, tmp_path, meta):
+        (tmp_path / "x.csv").write_text("example_id,true_label,f0\n0,0,1.0\n")
+        (tmp_path / "x.meta.json").write_text(meta)
+        with pytest.raises(SchemaError, match="x.meta.json"):
+            read_dataset(tmp_path / "x.csv")

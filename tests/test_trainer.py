@@ -1,10 +1,12 @@
 """Tests for training, pruning, and quantization."""
 
+import json
+
 import numpy as np
 import pytest
 
 from compresslens.data_model import CompressionSpec, ExampleRecord, LabeledDataset
-from compresslens.errors import ConfigError, ShapeError
+from compresslens.errors import ConfigError, SchemaError, ShapeError
 from compresslens.trainer import (
     MLPModel,
     PruneSchedule,
@@ -14,6 +16,7 @@ from compresslens.trainer import (
     load_model,
     loss_and_gradients,
     predict_topk,
+    prune_window,
     quantize_model,
     save_model,
     sparsity_at_step,
@@ -77,6 +80,14 @@ class TestSparsitySchedule:
         s = PruneSchedule(0.7, 13, 404, 17)
         vals = [sparsity_at_step(s, step) for step in range(500)]
         assert all(x <= y for x, y in zip(vals, vals[1:]))
+
+    def test_window_rule(self):
+        assert prune_window(2500) == (250, 1750, 100)
+        assert prune_window(600) == (60, 420, 24)
+        assert prune_window(5) == (0, 3, 1)
+        # a value given overrides its part; every follows the resolved span
+        assert prune_window(600, end=300) == (60, 300, 16)
+        assert prune_window(600, 0, 150, 7) == (0, 150, 7)
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -270,7 +281,7 @@ class TestTrainPopulation:
     def test_sparsity_exact_after_training(self):
         ds = tiny_dataset()
         t = 0.9
-        config = small_config(steps=120)
+        config = small_config(steps=120, prune_biases=True)
         schedule = PruneSchedule(t, 10, 80, 10)
         models, _ = train_population(
             ds, ds, config, CompressionSpec("magnitude_prune", t), schedule
@@ -362,6 +373,20 @@ class TestSnapshots:
             np.testing.assert_array_equal(a, b)
         for a, b in zip(back.weight_masks, models[0].weight_masks):
             np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("doc", [
+        {},
+        {"layer_dims": [1, 1], "weights": [[[1.0]]], "biases": [[0.0]]},
+        {"layer_dims": [2, 1], "weights": [[[1.0], [2.0, 3.0]]], "biases": [[0.0]],
+         "weight_masks": [[[1], [1]]], "bias_masks": [[1]],
+         "compression": {"method": "none"}},
+        [1, 2],
+    ])
+    def test_malformed_snapshot_names_the_file(self, tmp_path, doc):
+        path = tmp_path / "snap.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match="snap.json"):
+            load_model(path)
 
 
 def log_features(ds):
