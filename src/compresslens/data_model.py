@@ -9,16 +9,17 @@ everything is safe to share across threads.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import numbers
 import os
+import re
 import tempfile
-from array import array
 from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import compress
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NoReturn
 
 import numpy as np
 
@@ -442,98 +443,223 @@ def atomic_write_text(path: str | Path, text: str) -> None:
 
 
 def write_prediction_log(log: PredictionLog, path: str | Path) -> None:
-    """Serialize a log as long-format CSV, rows ordered by (model, example, rank)."""
+    """Serialize a log as long-format CSV, rows ordered by (model, example, rank).
+
+    Each model's rows are formatted by one `%` call over a flat tuple of cells.
+    """
     spec = log.compression
-    prefix = f"{log.population_id},{spec.method},{spec.sparsity!r}"
-    ids, truth = log.example_ids.tolist(), log.truth.tolist()
-    lines = [",".join(LOG_HEADER)]
+    prefix = f"{log.population_id},{spec.method},{spec.sparsity!r}".replace("%", "%%")
+    block = (prefix + ",%d,%d,%d,%d,%d\n") * (log.num_examples * log.topk)
+    # the (model, example, rank, prediction, truth) cells of one model's rows
+    cells = np.empty((log.num_examples, log.topk, 5), dtype=np.int64)
+    cells[:, :, 1] = log.example_ids[:, np.newaxis]
+    cells[:, :, 2] = np.arange(1, log.topk + 1)
+    cells[:, :, 4] = log.truth[:, np.newaxis]
+    blocks = [",".join(LOG_HEADER) + "\n"]
     for k in range(log.num_models):
-        for eid, label, ranked in zip(ids, truth, log.predictions[k].tolist()):
-            lines.extend(
-                f"{prefix},{k},{eid},{r},{p},{label}" for r, p in enumerate(ranked, 1)
-            )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+        cells[:, :, 0] = k
+        cells[:, :, 3] = log.predictions[k]
+        blocks.append(block % tuple(cells.ravel().tolist()))
+    atomic_write_text(path, "".join(blocks))
+
+
+# The data rows of a log or dataset CSV are parsed by one `np.loadtxt` call
+# over the file's bytes. When it, or a column-wise check, rejects a file, the
+# rows are read again one by one, only to name the first faulty line; the
+# rules below make that pass accept exactly the cells the call accepts.
+# An integer cell: what int() and np.loadtxt both accept, as ASCII text
+_INT_CELL = re.compile(r"[\t\x0b\x0c ]*[+-]?[0-9]+[\t\x0b\x0c ]*")
+# np.loadtxt reads these bytes more leniently than int()/float() do: it pads
+# numbers with \x1c-\x1f, and a NUL at the end of a string cell is dropped
+_ROW_BY_ROW_BYTES = (b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+_NONBLANK = re.compile(rb"[^\r\n]")
+_LOG_ROW = np.dtype([(name, np.int64) for name in LOG_HEADER[3:]])
+
+
+def _read_csv(path: Path) -> tuple[bytes, list[str], int]:
+    """A CSV file's bytes, its header row and the offset of the line after it.
+
+    SchemaError for an empty file; ParseError, with the line, for bytes that
+    are not UTF-8.
+    """
+    data = path.read_bytes()
+    if not data:
+        raise SchemaError(f"{path}: empty file")
+    if not data.isascii():
+        try:
+            data.decode()
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise ParseError(f"not UTF-8 text ({exc.reason})", line) from None
+    start = data.find(b"\n") + 1 or len(data)
+    try:
+        header = next(csv.reader([data[:start].decode()]), [])
+    except csv.Error as exc:
+        raise SchemaError(f"{path}: unreadable header ({exc})") from None
+    return data, header, start
+
+
+def _parse_rows(data: bytes, start: int, row: np.dtype, usecols=None) -> np.ndarray | None:
+    """The rows after `start` as a structured array, or None if np.loadtxt rejects one.
+
+    Blank lines are skipped; fields are unquoted and split at every comma.
+    """
+    if _NONBLANK.search(data, start) is None:
+        return np.empty(0, row)
+    stream = io.BytesIO(data)  # shares `data`, no copy
+    stream.seek(start)
+    try:
+        return np.loadtxt(
+            stream, dtype=row, delimiter=",", comments=None, usecols=usecols, ndmin=1
+        )
+    except ValueError:
+        return None
+
+
+def _body_rows(data: bytes, start: int):
+    """(line number, fields) of each non-blank line after the header.
+
+    Lines end with \\n or \\r\\n; any other carriage return is a ParseError.
+    """
+    for lineno, line in enumerate(data[start:].decode().split("\n"), start=2):
+        line = line.removesuffix("\r")
+        if "\r" in line:
+            raise ParseError("carriage return inside a line", lineno)
+        if line:
+            yield lineno, line.split(",")
+
+
+def _int_cell(cell: str) -> int:
+    """int(cell) for a cell np.loadtxt reads as an int64; ValueError for any other."""
+    value = int(cell)
+    if not _INT_CELL.fullmatch(cell):
+        raise ValueError(f"not an unquoted ASCII decimal integer: {cell!r}")
+    if not -(2**63) <= value < 2**63:
+        raise ValueError(f"integer out of the 64-bit range: {cell!r}")
+    return value
+
+
+def _float_cell(cell: str) -> float:
+    """float(cell) for a cell np.loadtxt reads as a float64; ValueError for any other."""
+    value = float(cell)
+    if not cell.isascii() or "_" in cell:
+        raise ValueError(f"not an unquoted ASCII decimal number: {cell!r}")
+    return value
 
 
 def read_prediction_log(path: str | Path) -> PredictionLog:
     """Parse a long-format CSV log; the inverse of `write_prediction_log`.
 
     Rows may appear in any order. Raises SchemaError for a bad header and
-    ParseError (with a 1-based line number) for a bad row.
+    ParseError (with a 1-based line number) for a bad row. The five integer
+    columns are parsed by one np.loadtxt call and checked column-wise.
     """
     path = Path(path)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file") from None
-        if header != LOG_HEADER:
-            missing = [c for c in LOG_HEADER if c not in header]
-            extra = [c for c in header if c not in LOG_HEADER]
-            detail = []
-            if missing:
-                detail.append(f"missing columns {missing}")
-            if extra:
-                detail.append(f"unexpected columns {extra}")
-            raise SchemaError(f"{path}: {'; '.join(detail) or 'columns out of order'}")
-
-        population: tuple[str, str, float] | None = None
-        cells = array("q")  # per row: model, example, rank, pred, truth, line number
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(LOG_HEADER):
-                raise ParseError(f"expected {len(LOG_HEADER)} fields, got {len(row)}", lineno)
-            try:
-                cell = (int(row[3]), int(row[4]), int(row[5]), int(row[6]), int(row[7]))
-                row_population = (row[0], row[1], float(row[2]))
-            except ValueError as exc:
-                raise ParseError(str(exc), lineno) from None
-            if population is None:
-                population = row_population
-            elif row_population != population:
-                raise ParseError("mixed populations in one log file", lineno)
-            if cell[2] < 1:
-                raise ParseError(f"ranks are 1-based, got {cell[2]}", lineno)
-            cells.extend(cell)
-            cells.append(lineno)
-
-    if population is None:
+    data, header, start = _read_csv(path)
+    if header != LOG_HEADER:
+        missing = [c for c in LOG_HEADER if c not in header]
+        extra = [c for c in header if c not in LOG_HEADER]
+        detail = []
+        if missing:
+            detail.append(f"missing columns {missing}")
+        if extra:
+            detail.append(f"unexpected columns {extra}")
+        raise SchemaError(f"{path}: {'; '.join(detail) or 'columns out of order'}")
+    first_row = _NONBLANK.search(data, start)
+    if first_row is None:
         raise ParseError("log contains no data rows", None)
-    table = np.frombuffer(cells, np.int64).reshape(-1, 6)
-    model, example, rank, pred, truth, line = table.T
+
+    table = _parse_rows(data, start, _LOG_ROW, usecols=range(3, len(LOG_HEADER)))
+    population = prefix = None
+    # with `usecols`, loadtxt takes a row of more than 8 fields: count the commas
+    if (
+        table is not None
+        and data.count(b",", start) == (len(LOG_HEADER) - 1) * len(table)
+        and table["rank"].min() >= 1
+    ):
+        end = first_row.start()
+        for _ in range(3):
+            end = data.index(b",", end) + 1
+        prefix = data[first_row.start():end]  # the first row's "pid,method,sparsity,"
+        pid, method, sparsity, _ = prefix.decode().split(",")
+        try:
+            population = (pid, method, float(sparsity))
+        except ValueError:
+            pass
+    if (
+        population is None
+        or population[2] != population[2]  # NaN: no row equals the first
+        or data.count(b"\n" + prefix, start - 1) != len(table)
+        or any(byte in data for byte in _ROW_BY_ROW_BYTES)
+    ):
+        # a row is faulty, or gives the population in other words (0.9, 0.90)
+        _check_log_rows(data, start)
+        if population is None:
+            raise ParseError("malformed log", None)  # the row pass names each fault
+
+    model, example, rank, pred, truth = (table[name] for name in LOG_HEADER[3:])
     example_ids, first, col = np.unique(example, return_index=True, return_inverse=True)
-    # the first row that repeats a cell or gives its example a second true label
-    repeated = np.ones(len(line), dtype=bool)
-    repeated[np.unique(table[:, :3], axis=0, return_index=True)[1]] = False
-    bad = np.flatnonzero(repeated | (truth != truth[first][col]))
-    if bad.size:
-        i = bad[0]
-        if repeated[i]:
-            key = tuple(table[i, :3].tolist())
-            raise ParseError(f"duplicate (model_id, example_id, rank) {key}", int(line[i]))
-        raise ParseError(f"conflicting true_label for example {example[i]}", int(line[i]))
-    model_ids, ranks = np.unique(model).tolist(), np.unique(rank).tolist()
-    K, N, topk = len(model_ids), len(example_ids), len(ranks)
+    K, N, topk = int(model.max()) + 1, len(example_ids), int(rank.max())
+    # a complete log of distinct cells fills the (K, N, topk) cube exactly once
+    cell = None
+    if model.min() == 0 and K * N * topk == len(table):
+        cell = (model * N + col) * topk + (rank - 1)
+    if cell is None or np.bincount(cell).max() > 1 or (truth != truth[first][col]).any():
+        _raise_cross_row_fault(table, data, start)
+    preds = np.empty(len(table), dtype=np.int64)
+    preds[cell] = pred
+    return PredictionLog(
+        population_id=population[0],
+        compression=CompressionSpec(method=population[1], sparsity=population[2]),
+        example_ids=example_ids,
+        truth=truth[first],
+        predictions=preds.reshape(K, N, topk),
+    )
+
+
+def _check_log_rows(data: bytes, start: int) -> None:
+    """Raise a ParseError for the first log row that is faulty on its own, if any."""
+    population: tuple[str, str, float] | None = None
+    for lineno, row in _body_rows(data, start):
+        if len(row) != len(LOG_HEADER):
+            raise ParseError(f"expected {len(LOG_HEADER)} fields, got {len(row)}", lineno)
+        try:
+            rank = [_int_cell(cell) for cell in row[3:]][2]
+            row_population = (row[0], row[1], float(row[2]))
+        except ValueError as exc:
+            raise ParseError(str(exc), lineno) from None
+        if population is None:
+            population = row_population
+        elif row_population != population:
+            raise ParseError("mixed populations in one log file", lineno)
+        if rank < 1:
+            raise ParseError(f"ranks are 1-based, got {rank}", lineno)
+
+
+def _raise_cross_row_fault(table: np.ndarray, data: bytes, start: int) -> NoReturn:
+    """Raise the ParseError of a log whose rows do not fill its (K, N, topk) cube once.
+
+    The first row that repeats a cell or gives its example a second true
+    label is named; otherwise the model ids, the ranks or the row count fail.
+    """
+    lines = [n for n, line in enumerate(data[start:].split(b"\n"), 2) if line not in (b"", b"\r")]
+    seen, label_of = set(), {}
+    for i, (model, example, rank, _, truth) in enumerate(table.tolist()):
+        if (model, example, rank) in seen:
+            raise ParseError(
+                f"duplicate (model_id, example_id, rank) {(model, example, rank)}", lines[i]
+            )
+        seen.add((model, example, rank))
+        if label_of.setdefault(example, truth) != truth:
+            raise ParseError(f"conflicting true_label for example {example}", lines[i])
+    model_ids = np.unique(table["model_id"]).tolist()
+    ranks = np.unique(table["rank"]).tolist()
+    K, N, topk = len(model_ids), len(label_of), len(ranks)
     if model_ids != list(range(K)):
         raise ParseError(f"model ids must be 0..K-1, got {model_ids}", None)
     if ranks != list(range(1, topk + 1)):
         raise ParseError(f"ranks must be contiguous from 1, got {ranks}", None)
-    if len(line) != K * N * topk:
-        raise ParseError(
-            f"incomplete log: expected {K * N * topk} rows, got {len(line)}", None
-        )
-    preds = np.empty((K, N, topk), dtype=np.int64)
-    preds[model, col, rank - 1] = pred
-    pid, method, sparsity = population
-    return PredictionLog(
-        population_id=pid,
-        compression=CompressionSpec(method=method, sparsity=sparsity),
-        example_ids=example_ids,
-        truth=truth[first],
-        predictions=preds,
-    )
+    raise ParseError(f"incomplete log: expected {K * N * topk} rows, got {len(table)}", None)
 
 
 def write_dataset(dataset: LabeledDataset, csv_path: str | Path) -> None:
@@ -564,7 +690,12 @@ def write_dataset(dataset: LabeledDataset, csv_path: str | Path) -> None:
 
 
 def read_dataset(csv_path: str | Path) -> LabeledDataset:
-    """Read a dataset CSV and its sidecar metadata."""
+    """Read a dataset CSV and its sidecar metadata.
+
+    The id, label, attribute and feature columns are parsed by one
+    np.loadtxt call; attribute cells are 0 or 1. ParseError, with the line,
+    for a bad row.
+    """
     csv_path = Path(csv_path)
     meta_path = _meta_path(csv_path)
     if not meta_path.exists():
@@ -581,51 +712,63 @@ def read_dataset(csv_path: str | Path) -> LabeledDataset:
         layout = (meta["height"], meta["width"])
     class_names = tuple(meta["class_names"]) if "class_names" in meta else None
 
-    with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{csv_path}: empty file") from None
-        if header[:2] != ["example_id", "true_label"]:
-            raise SchemaError(
-                f"{csv_path}: header must start with example_id,true_label"
-            )
-        attr_names = []
-        col = 2
-        while col < len(header) and header[col].startswith("attr_"):
-            attr_names.append(header[col][len("attr_"):])
-            col += 1
-        feat_cols = header[col:]
-        expected = [f"f{j}" for j in range(len(feat_cols))]
-        if feat_cols != expected:
-            raise SchemaError(f"{csv_path}: feature columns must be f0..f{{d-1}}")
+    data, header, start = _read_csv(csv_path)
+    if header[:2] != ["example_id", "true_label"]:
+        raise SchemaError(
+            f"{csv_path}: header must start with example_id,true_label"
+        )
+    attr_names = []
+    col = 2
+    while col < len(header) and header[col].startswith("attr_"):
+        attr_names.append(header[col][len("attr_"):])
+        col += 1
+    feat_cols = header[col:]
+    expected = [f"f{j}" for j in range(len(feat_cols))]
+    if feat_cols != expected:
+        raise SchemaError(f"{csv_path}: feature columns must be f0..f{{d-1}}")
 
-        ids, labels, flags, feats = [], [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError(
-                    f"expected {len(header)} fields, got {len(row)}", lineno
-                )
-            try:
-                ids.append(int(row[0]))
-                labels.append(int(row[1]))
-                feats.append([float(v) for v in row[col:]])
-            except ValueError as exc:
-                raise ParseError(str(exc), lineno) from None
-            flags.append([cell == "1" for cell in row[2:col]])
+    row = np.dtype([
+        ("example_id", np.int64),
+        ("true_label", np.int64),
+        ("attributes", "U2", (len(attr_names),)),  # 2 characters: "01" is not "0"
+        ("features", np.float64, (len(feat_cols),)),
+    ])
+    table = _parse_rows(data, start, row)
+    if (
+        table is None
+        or any(byte in data for byte in _ROW_BY_ROW_BYTES)
+        or not np.isin(table["attributes"], ("0", "1")).all()
+    ):
+        _check_dataset_rows(data, start, len(header), col)
+        if table is None:
+            raise ParseError("malformed dataset", None)  # the row pass names each fault
     return LabeledDataset.from_arrays(
-        ids,
-        labels,
-        np.array(feats, dtype=np.float64).reshape(len(ids), len(feat_cols)),
+        table["example_id"],
+        table["true_label"],
+        table["features"],
         num_classes,
         attribute_names=attr_names,
-        attributes=flags,
+        attributes=table["attributes"] == "1",
         layout=layout,
         class_names=class_names,
     )
+
+
+def _check_dataset_rows(data: bytes, start: int, width: int, col: int) -> None:
+    """Raise a ParseError for the first faulty dataset row; features start at `col`."""
+    for lineno, row in _body_rows(data, start):
+        if len(row) != width:
+            raise ParseError(f"expected {width} fields, got {len(row)}", lineno)
+        try:
+            _int_cell(row[0])
+            _int_cell(row[1])
+            for cell in row[col:]:
+                _float_cell(cell)
+        except ValueError as exc:
+            raise ParseError(str(exc), lineno) from None
+        for cell in row[2:col]:
+            if cell not in ("0", "1"):
+                raise ParseError(f"attribute cells must be 0 or 1, got {cell!r}", lineno)
 
 
 def read_json_object(path: str | Path) -> dict:

@@ -36,7 +36,13 @@ from .pie_audit import (
 )
 from .stats_audit import AUDIT_HEADER, audit_classes, write_audit_csv
 from .synth import SynthLongTailSpec, synthesize
-from .trainer import PruneSchedule, TrainConfig, prune_window, train_population
+from .trainer import (
+    PruneSchedule,
+    TrainConfig,
+    check_schedule,
+    prune_window,
+    train_population,
+)
 
 # seed stride between populations so no two share model seeds
 _POPULATION_SEED_STRIDE = 100_000
@@ -190,6 +196,11 @@ class PipelineResult:
 
 def run_pipeline(config: ExperimentConfig) -> PipelineResult:
     """Run the full protocol: train the sweep, audit each level, write the bundle."""
+    schedules = {}  # every level's, checked before anything is trained or written
+    for spec in config.sweep:
+        with _stage(f"train {spec.label}"):
+            schedules[spec.label] = _schedule_for(config, spec)
+            check_schedule(config.train, spec, schedules[spec.label])
     out = Path(config.out_dir)
     (out / "logs").mkdir(parents=True, exist_ok=True)
     (out / "audits").mkdir(exist_ok=True)
@@ -211,7 +222,7 @@ def run_pipeline(config: ExperimentConfig) -> PipelineResult:
                 test_ds,
                 replace(config.train, seed=seed),
                 spec,
-                schedule=_schedule_for(config, spec),
+                schedule=schedules[spec.label],
                 topk=config.topk,
             )
             path = out / "logs" / f"{spec.label}.csv"

@@ -483,6 +483,24 @@ def evaluate_population(
     )
 
 
+def check_schedule(
+    config: TrainConfig, compression: CompressionSpec, schedule: PruneSchedule | None
+) -> None:
+    """ConfigError unless `schedule` is the one `compression` needs and fits `config.steps`."""
+    if compression.method == "magnitude_prune":
+        if schedule is None:
+            raise ConfigError("magnitude_prune requires a PruneSchedule")
+        if schedule.target_sparsity != compression.sparsity:
+            raise ConfigError(
+                f"schedule target {schedule.target_sparsity} != "
+                f"compression sparsity {compression.sparsity}"
+            )
+        if config.steps < schedule.prune_end:
+            raise ConfigError("steps must be >= prune_end when pruning is active")
+    elif schedule is not None:
+        raise ConfigError("a PruneSchedule is only valid with magnitude_prune")
+
+
 def train_population(
     train_ds: LabeledDataset,
     test_ds: LabeledDataset,
@@ -496,18 +514,7 @@ def train_population(
 
     Model k is seeded with config.seed + k.
     """
-    if compression.method == "magnitude_prune":
-        if schedule is None:
-            raise ConfigError("magnitude_prune requires a PruneSchedule")
-        if schedule.target_sparsity != compression.sparsity:
-            raise ConfigError(
-                f"schedule target {schedule.target_sparsity} != "
-                f"compression sparsity {compression.sparsity}"
-            )
-        if config.steps < schedule.prune_end:
-            raise ConfigError("steps must be >= prune_end when pruning is active")
-    elif schedule is not None:
-        raise ConfigError("a PruneSchedule is only valid with magnitude_prune")
+    check_schedule(config, compression, schedule)
     if train_ds.dim != test_ds.dim or train_ds.num_classes != test_ds.num_classes:
         raise ConfigError("train/test splits disagree on dimensions or classes")
     missing = train_ds.missing_classes()

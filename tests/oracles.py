@@ -2,15 +2,32 @@
 
 Nothing here shares code with the package: the t-distribution tail comes
 from mpmath's arbitrary-precision incomplete beta, binary16 rounding is done
-bit by bit, and PIE detection is a dict-based recount.
+bit by bit, and PIE detection is a dict-based recount. The CSV readers are
+the package's former row-by-row readers (`csv` module, `int()`/`float()` per
+cell) and its former line-by-line log writer; they build the package's types
+but share none of its parsing or formatting.
 """
 
 from __future__ import annotations
 
+import csv
 import math
+from array import array
 from collections import Counter
+from pathlib import Path
 
 import mpmath as mp
+import numpy as np
+
+from compresslens.data_model import (
+    LOG_HEADER,
+    CompressionSpec,
+    LabeledDataset,
+    PredictionLog,
+    _meta_path,
+    read_json_object,
+)
+from compresslens.errors import ParseError, SchemaError
 
 mp.mp.dps = 50
 
@@ -113,3 +130,163 @@ def pie_brute_force(base_rank1: dict[int, list[int]], comp_rank1: dict[int, list
         if modal[0] != modal[1]:
             pies.append(eid)
     return pies
+
+
+def write_prediction_log(log: PredictionLog, path: str | Path) -> None:
+    """Serialize a log as long-format CSV, rows ordered by (model, example, rank)."""
+    spec = log.compression
+    prefix = f"{log.population_id},{spec.method},{spec.sparsity!r}"
+    ids, truth = log.example_ids.tolist(), log.truth.tolist()
+    lines = [",".join(LOG_HEADER)]
+    for k in range(log.num_models):
+        for eid, label, ranked in zip(ids, truth, log.predictions[k].tolist()):
+            lines.extend(
+                f"{prefix},{k},{eid},{r},{p},{label}" for r, p in enumerate(ranked, 1)
+            )
+    Path(path).write_text("\n".join(lines) + "\n", newline="")
+
+
+def read_prediction_log(path: str | Path) -> PredictionLog:
+    """Parse a long-format CSV log; the inverse of `write_prediction_log`.
+
+    Rows may appear in any order. Raises SchemaError for a bad header and
+    ParseError (with a 1-based line number) for a bad row.
+    """
+    path = Path(path)
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise SchemaError(f"{path}: empty file") from None
+        if header != LOG_HEADER:
+            missing = [c for c in LOG_HEADER if c not in header]
+            extra = [c for c in header if c not in LOG_HEADER]
+            detail = []
+            if missing:
+                detail.append(f"missing columns {missing}")
+            if extra:
+                detail.append(f"unexpected columns {extra}")
+            raise SchemaError(f"{path}: {'; '.join(detail) or 'columns out of order'}")
+
+        population: tuple[str, str, float] | None = None
+        cells = array("q")  # per row: model, example, rank, pred, truth, line number
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(LOG_HEADER):
+                raise ParseError(f"expected {len(LOG_HEADER)} fields, got {len(row)}", lineno)
+            try:
+                cell = (int(row[3]), int(row[4]), int(row[5]), int(row[6]), int(row[7]))
+                row_population = (row[0], row[1], float(row[2]))
+            except ValueError as exc:
+                raise ParseError(str(exc), lineno) from None
+            if population is None:
+                population = row_population
+            elif row_population != population:
+                raise ParseError("mixed populations in one log file", lineno)
+            if cell[2] < 1:
+                raise ParseError(f"ranks are 1-based, got {cell[2]}", lineno)
+            cells.extend(cell)
+            cells.append(lineno)
+
+    if population is None:
+        raise ParseError("log contains no data rows", None)
+    table = np.frombuffer(cells, np.int64).reshape(-1, 6)
+    model, example, rank, pred, truth, line = table.T
+    example_ids, first, col = np.unique(example, return_index=True, return_inverse=True)
+    # the first row that repeats a cell or gives its example a second true label
+    repeated = np.ones(len(line), dtype=bool)
+    repeated[np.unique(table[:, :3], axis=0, return_index=True)[1]] = False
+    bad = np.flatnonzero(repeated | (truth != truth[first][col]))
+    if bad.size:
+        i = bad[0]
+        if repeated[i]:
+            key = tuple(table[i, :3].tolist())
+            raise ParseError(f"duplicate (model_id, example_id, rank) {key}", int(line[i]))
+        raise ParseError(f"conflicting true_label for example {example[i]}", int(line[i]))
+    model_ids, ranks = np.unique(model).tolist(), np.unique(rank).tolist()
+    K, N, topk = len(model_ids), len(example_ids), len(ranks)
+    if model_ids != list(range(K)):
+        raise ParseError(f"model ids must be 0..K-1, got {model_ids}", None)
+    if ranks != list(range(1, topk + 1)):
+        raise ParseError(f"ranks must be contiguous from 1, got {ranks}", None)
+    if len(line) != K * N * topk:
+        raise ParseError(
+            f"incomplete log: expected {K * N * topk} rows, got {len(line)}", None
+        )
+    preds = np.empty((K, N, topk), dtype=np.int64)
+    preds[model, col, rank - 1] = pred
+    pid, method, sparsity = population
+    return PredictionLog(
+        population_id=pid,
+        compression=CompressionSpec(method=method, sparsity=sparsity),
+        example_ids=example_ids,
+        truth=truth[first],
+        predictions=preds,
+    )
+
+
+def read_dataset(csv_path: str | Path) -> LabeledDataset:
+    """Read a dataset CSV and its sidecar metadata."""
+    csv_path = Path(csv_path)
+    meta_path = _meta_path(csv_path)
+    if not meta_path.exists():
+        raise SchemaError(f"missing sidecar metadata {meta_path}")
+    meta = read_json_object(meta_path)
+    for key in ("num_classes", "height", "width"):
+        if (key == "num_classes" or key in meta) and type(meta.get(key)) is not int:
+            raise SchemaError(f"{meta_path}: {key!r} must be an integer, got {meta.get(key)!r}")
+    if not isinstance(meta.get("class_names", []), list):
+        raise SchemaError(f"{meta_path}: 'class_names' must be a list")
+    num_classes = meta["num_classes"]
+    layout = None
+    if "height" in meta and "width" in meta:
+        layout = (meta["height"], meta["width"])
+    class_names = tuple(meta["class_names"]) if "class_names" in meta else None
+
+    with open(csv_path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise SchemaError(f"{csv_path}: empty file") from None
+        if header[:2] != ["example_id", "true_label"]:
+            raise SchemaError(
+                f"{csv_path}: header must start with example_id,true_label"
+            )
+        attr_names = []
+        col = 2
+        while col < len(header) and header[col].startswith("attr_"):
+            attr_names.append(header[col][len("attr_"):])
+            col += 1
+        feat_cols = header[col:]
+        expected = [f"f{j}" for j in range(len(feat_cols))]
+        if feat_cols != expected:
+            raise SchemaError(f"{csv_path}: feature columns must be f0..f{{d-1}}")
+
+        ids, labels, flags, feats = [], [], [], []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ParseError(
+                    f"expected {len(header)} fields, got {len(row)}", lineno
+                )
+            try:
+                ids.append(int(row[0]))
+                labels.append(int(row[1]))
+                feats.append([float(v) for v in row[col:]])
+            except ValueError as exc:
+                raise ParseError(str(exc), lineno) from None
+            flags.append([cell == "1" for cell in row[2:col]])
+    return LabeledDataset.from_arrays(
+        ids,
+        labels,
+        np.array(feats, dtype=np.float64).reshape(len(ids), len(feat_cols)),
+        num_classes,
+        attribute_names=attr_names,
+        attributes=flags,
+        layout=layout,
+        class_names=class_names,
+    )

@@ -406,6 +406,38 @@ class TestBadInputExits2:
         assert rc == 2 and "Traceback" not in err
         assert "model_000.json" in err
 
+    @pytest.mark.parametrize("kind", ["log", "dataset"])
+    def test_integer_beyond_64_bits(self, logs, data_dir, tmp_path, kind):
+        huge = "99999999999999999999"
+        if kind == "log":
+            lines = (logs / "base.csv").read_text().split("\n")
+            lines[1] = ",".join(lines[1].split(",")[:4] + [huge] + lines[1].split(",")[5:])
+            (tmp_path / "base.csv").write_text("\n".join(lines))
+            argv = ["audit-classes", "--base", str(tmp_path / "base.csv"),
+                    "--comp", str(logs / "comp.csv"), "--out", str(tmp_path / "a.csv")]
+        else:
+            data = tmp_path / "data"
+            shutil.copytree(data_dir, data)
+            lines = (data / "test.csv").read_text().split("\n")
+            lines[1] = huge + lines[1][lines[1].index(","):]
+            (data / "test.csv").write_text("\n".join(lines))
+            argv = ["audit-robustness", "--data", str(data),
+                    "--base-models", str(logs / "base_models"),
+                    "--comp-models", str(logs / "comp_models"),
+                    "--kinds", "brightness", "--out", str(tmp_path / "rob.csv")]
+        rc, err = run_cli(argv)
+        assert rc == 2 and "Traceback" not in err
+        assert "line 2" in err and huge in err
+
+    def test_bad_window_fails_before_training(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"train": {"steps": 60}, "prune": {"end": 100}}))
+        out = tmp_path / "o"
+        rc, err = run_cli(["run", "--config", str(cfg), "--out", str(out)])
+        assert rc == 2 and "Traceback" not in err
+        assert "prune_end" in err
+        assert not any(out.glob("logs/*"))
+
     def test_report_rejects_non_pie_csv(self, logs, tmp_path):
         audit = tmp_path / "audit.csv"
         assert main([
@@ -458,3 +490,28 @@ class TestOneSetOfDefaults:
             assert (tmp_path / "cli" / name).read_bytes() == (
                 tmp_path / "lib" / name
             ).read_bytes(), name
+
+
+class TestBundleReadBack:
+    """Audits of a bundle's log CSVs, read back, equal the audits `run` wrote."""
+
+    def test_audits_from_logs_match_bundle(self, data_dir, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "seed": 7,
+            "dataset": {"path": str(data_dir)},
+            "train": {"steps": 120, "population_size": 3, "hidden_dims": [8]},
+            "sweep": [{"method": "none"}, {"method": "magnitude_prune", "sparsity": 0.8}],
+        }))
+        bundle = tmp_path / "bundle"
+        assert main(["run", "--config", str(cfg), "--out", str(bundle)]) == 0
+        logs, label = bundle / "logs", "prune_0.8"
+        pair = ["--base", str(logs / "baseline.csv"), "--comp", str(logs / f"{label}.csv")]
+        assert main(["audit-classes", *pair, "--out", str(tmp_path / "audit.csv")]) == 0
+        assert main(["audit-pie", *pair, "--data", str(data_dir), "--out", str(tmp_path / "pie")]) == 0
+        for got, want in (
+            (tmp_path / "audit.csv", bundle / "audits" / f"class_audit_{label}.csv"),
+            (tmp_path / "pie" / "pie.csv", bundle / "pies" / f"pie_{label}.csv"),
+            (tmp_path / "pie" / "attributes.csv", bundle / "pies" / f"attr_{label}.csv"),
+        ):
+            assert got.read_bytes() == want.read_bytes(), want.name

@@ -1,11 +1,15 @@
 """Tests for the core types, accuracy primitives, and file formats."""
 
+import re
+
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from compresslens.data_model import (
+    LOG_HEADER,
     CompressionSpec,
     ExampleRecord,
     LabeledDataset,
@@ -366,3 +370,228 @@ class TestDatasetRoundtrip:
         (tmp_path / "x.meta.json").write_text(meta)
         with pytest.raises(SchemaError, match="x.meta.json"):
             read_dataset(tmp_path / "x.csv")
+
+
+# ---------------------------------------------------------------------------
+# the column-wise readers against the former row-by-row ones (tests/oracles.py)
+# ---------------------------------------------------------------------------
+
+@st.composite
+def small_logs(draw, max_models=4, max_examples=6, pid_excludes=""):
+    C = draw(st.integers(1, 6))
+    topk = draw(st.integers(1, C))
+    K = draw(st.integers(1, max_models))
+    N = draw(st.integers(1, max_examples))
+    ids = draw(st.lists(st.integers(0, 2**63 - 1), min_size=N, max_size=N, unique=True))
+    preds = [[draw(st.permutations(range(C)))[:topk] for _ in range(N)] for _ in range(K)]
+    truth = draw(st.lists(st.integers(0, C - 1), min_size=N, max_size=N))
+    spec = draw(
+        st.sampled_from([CompressionSpec("none"), CompressionSpec("quant_dynamic_int8")])
+        | st.floats(0, 1, exclude_min=True, exclude_max=True).map(
+            lambda s: CompressionSpec("magnitude_prune", s)
+        )
+    )
+    # any text a field holds: no comma, no line break (a quote is a plain character)
+    pid = draw(st.text(
+        st.characters(blacklist_characters=",\n\r" + pid_excludes, blacklist_categories=("Cs",)),
+        max_size=8,
+    ))
+    return PredictionLog(pid, spec, ids, truth, np.array(preds).reshape(K, N, topk))
+
+
+def _outcome(read, path):
+    """What a reader makes of a file: the log's contents, or the exception raised."""
+    try:
+        log = read(path)
+    except Exception as exc:  # the exception is the outcome compared
+        return type(exc), str(exc)
+    return (
+        log.population_id, log.compression, log.example_ids.tolist(),
+        log.truth.tolist(), log.predictions.tolist(),
+    )
+
+
+def _newly_rejected(text: str) -> bool:
+    """A log the former reader read that the grammar now rejects: a numeric cell
+    that int() reads but that is quoted, holds `_` or non-ASCII characters, or is
+    outside the 64-bit range; or a carriage return that does not end a line."""
+    if re.search("\r(?!\n)", text):
+        return True
+    for line in text.split("\n")[1:]:
+        for cell in line.split(",")[3:]:
+            try:
+                value = int(cell.strip('"'))
+            except ValueError:
+                continue
+            if '"' in cell or "_" in cell or not cell.isascii() or not -(2**63) <= value < 2**63:
+                return True
+    return False
+
+
+MUTATIONS = ["drop", "add", "dup", "rank0", "population", "sparsity", "blank", "crlf",
+             "huge", "nonint", "truncate"]
+HUGE = ["99999999999999999999", "-99999999999999999999", "9223372036854775808",
+        "-9223372036854775809", "9223372036854775807", "4611686018427387904"]
+NONINT = ["x", "1.5", "", " 2", "2\t", "+1", "01", "1e3", '"3"', "1_0", "٣", "3\x1c", "\x0b4"]
+
+
+def _mutate(data, lines: list[str]) -> list[str]:
+    """One mutation of a log's lines (header first), as drawn by Hypothesis."""
+    kind = data.draw(st.sampled_from(MUTATIONS))
+    i = data.draw(st.integers(1, max(1, len(lines) - 1)))
+    if i >= len(lines):
+        return lines
+    fields = lines[i].split(",")
+    if kind == "drop" and fields:
+        fields.pop(data.draw(st.integers(0, len(fields) - 1)))
+    elif kind == "add":
+        fields.insert(data.draw(st.integers(0, len(fields))), data.draw(st.sampled_from(["1", "", "x"])))
+    elif kind == "dup":
+        return lines[:i] + [lines[i]] + lines[i:]
+    elif kind == "rank0" and len(fields) > 5:
+        fields[5] = data.draw(st.sampled_from(["0", "-1"]))
+    elif kind == "population" and fields:
+        fields[0] += "x"
+    elif kind == "sparsity" and len(fields) > 2:
+        s = fields[2]
+        fields[2] = data.draw(st.sampled_from([s + "0", f"{float(s):.20g}", "0.5", "nan", "x"]))
+    elif kind == "blank":
+        return lines[:i] + [data.draw(st.sampled_from(["", "\r", " "]))] + lines[i:]
+    elif kind == "crlf":
+        return [line + "\r" if line else line for line in lines]
+    elif kind == "huge" and len(fields) > 3:
+        fields[data.draw(st.integers(3, len(fields) - 1))] = data.draw(st.sampled_from(HUGE))
+    elif kind == "nonint" and len(fields) > 3:
+        fields[data.draw(st.integers(3, len(fields) - 1))] = data.draw(st.sampled_from(NONINT))
+    elif kind == "truncate":
+        text = "\n".join(lines)
+        return text[: data.draw(st.integers(0, len(text)))].split("\n")
+    lines[i] = ",".join(fields)
+    return lines
+
+
+class TestColumnarLogReader:
+    @settings(max_examples=150, deadline=None)
+    @given(log=small_logs())
+    def test_roundtrip(self, tmp_path_factory, log):
+        path = tmp_path_factory.mktemp("rt") / "log.csv"
+        write_prediction_log(log, path)
+        back = read_prediction_log(path)
+        assert back.population_id == log.population_id
+        assert back.compression == log.compression
+        np.testing.assert_array_equal(back.example_ids, log.example_ids)
+        np.testing.assert_array_equal(back.truth, log.truth)
+        np.testing.assert_array_equal(back.predictions, log.predictions)
+
+    @settings(max_examples=150, deadline=None)
+    @given(log=small_logs())
+    def test_writer_matches_former_writer(self, tmp_path_factory, log):
+        root = tmp_path_factory.mktemp("w")
+        write_prediction_log(log, root / "new.csv")
+        oracles.write_prediction_log(log, root / "old.csv")
+        assert (root / "new.csv").read_bytes() == (root / "old.csv").read_bytes()
+
+    @settings(max_examples=400, deadline=None)
+    # the former reader took a leading quote for CSV quoting, which the writer
+    # never writes: quotes are left out of the population ids here
+    @given(log=small_logs(max_models=3, max_examples=4, pid_excludes='"'), data=st.data())
+    def test_mutations_match_former_reader(self, tmp_path_factory, log, data):
+        path = tmp_path_factory.mktemp("fz") / "log.csv"
+        write_prediction_log(log, path)
+        lines = path.read_text().split("\n")
+        for _ in range(data.draw(st.integers(1, 2))):
+            lines = _mutate(data, lines)
+        text = "\n".join(lines)
+        path.write_bytes(text.encode())
+        got = _outcome(read_prediction_log, path)
+        if _newly_rejected(text):
+            assert got[0] is ParseError and got[1].startswith("line "), got
+        else:
+            assert got == _outcome(oracles.read_prediction_log, path)
+
+    @pytest.mark.parametrize("cell, message", [
+        ("99999999999999999999", "64-bit range"),
+        ("-9223372036854775809", "64-bit range"),
+        ('"1"', "invalid literal"),
+        ("1_0", "ASCII decimal integer"),
+        ("١", "ASCII decimal integer"),
+    ])
+    def test_newly_rejected_cells_name_the_line(self, tmp_path, cell, message):
+        rows = ["p,none,0.0,0,1,1,0,0", f"p,none,0.0,0,2,1,{cell},0"]
+        path = tmp_path / "log.csv"
+        path.write_text("\n".join([",".join(LOG_HEADER), *rows]) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=f"line 3: .*{message}"):
+            read_prediction_log(path)
+
+    def test_crlf_and_blank_lines(self, tmp_path):
+        log = make_log([[0, 1], [1, 0]], [0, 1])
+        path = tmp_path / "log.csv"
+        write_prediction_log(log, path)
+        lines = path.read_text().split("\n")
+        path.write_bytes("\r\n".join(lines[:2] + ["", ""] + lines[2:]).encode())
+        np.testing.assert_array_equal(read_prediction_log(path).predictions, log.predictions)
+
+
+def _dataset_csv(path, rows, attrs=("a",), dim=2):
+    header = ["example_id", "true_label", *(f"attr_{a}" for a in attrs), *(f"f{j}" for j in range(dim))]
+    path.write_text("\n".join([",".join(header), *rows]) + "\n", encoding="utf-8")
+    path.with_suffix(".meta.json").write_text('{"num_classes": 3}')
+
+
+class TestColumnarDatasetReader:
+    @settings(max_examples=100, deadline=None)
+    @given(feats=st.lists(st.floats(width=64), min_size=1, max_size=24))
+    def test_floats_match_float_bit_for_bit(self, tmp_path_factory, feats):
+        feats += [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, float("inf"), float("nan")]
+        n = len(feats)
+        ds = LabeledDataset.from_arrays(
+            np.arange(n), np.arange(n) % 3, np.array(feats).reshape(n, 1), 3, ("a",),
+            (np.arange(n) % 2 == 0)[:, np.newaxis],
+        )
+        path = tmp_path_factory.mktemp("ds") / "d.csv"
+        write_dataset(ds, path)
+        back, old = read_dataset(path), oracles.read_dataset(path)
+        bits = back.feature_matrix.view(np.int64)
+        np.testing.assert_array_equal(bits, old.feature_matrix.view(np.int64))
+        finite = ~np.isnan(ds.feature_matrix)
+        np.testing.assert_array_equal(bits[finite], ds.feature_matrix.view(np.int64)[finite])
+        np.testing.assert_array_equal(back.attributes, ds.attributes)
+        np.testing.assert_array_equal(back.example_ids, old.example_ids)
+
+    @pytest.mark.parametrize("cell", ["yes", "01", "", " 1", "true", "1\x00"])
+    def test_attribute_cells_are_0_or_1(self, tmp_path, cell):
+        _dataset_csv(tmp_path / "d.csv", ["0,0,1,0.5,1.5", f"1,1,{cell},0.5,1.5"])
+        with pytest.raises(ParseError, match="line 3: attribute cells must be 0 or 1"):
+            read_dataset(tmp_path / "d.csv")
+
+    @pytest.mark.parametrize("row, message", [
+        ("99999999999999999999,1,0,0.5,1.5", "64-bit range"),
+        ("1_0,1,0,0.5,1.5", "ASCII decimal integer"),
+        ("1,1,0,0_5,1.5", "ASCII decimal number"),
+    ])
+    def test_newly_rejected_cells_name_the_line(self, tmp_path, row, message):
+        _dataset_csv(tmp_path / "d.csv", ["0,0,1,0.5,1.5", row])
+        with pytest.raises(ParseError, match=f"line 3: .*{message}"):
+            read_dataset(tmp_path / "d.csv")
+
+    @pytest.mark.parametrize("row", [
+        "1,1,0,0.5", "1,1,0,0.5,1.5,2", "x,1,0,0.5,1.5", "1,1.0,0,0.5,1.5",
+        "1,1,0,0.5,abc", "1,1,0,0.5,1.5\x1c", " ", "1,1,0,0.5,1.5\r\r",
+    ])
+    def test_bad_rows_report_as_before(self, tmp_path, row):
+        _dataset_csv(tmp_path / "d.csv", ["0,0,1,0.5,1.5", row, "2,2,0,1,2"])
+        with pytest.raises(ParseError) as new:
+            read_dataset(tmp_path / "d.csv")
+        if "\r" in row:  # a carriage return inside a line is newly rejected
+            assert str(new.value) == "line 3: carriage return inside a line"
+            return
+        with pytest.raises(ParseError) as old:
+            oracles.read_dataset(tmp_path / "d.csv")
+        assert str(new.value) == str(old.value)
+
+    def test_crlf_blank_lines_and_no_rows(self, tmp_path):
+        _dataset_csv(tmp_path / "d.csv", ["0,0,1,0.5,1.5\r", "", "\r", "1,2,0,-1,2e3\r"])
+        ds = read_dataset(tmp_path / "d.csv")
+        np.testing.assert_array_equal(ds.feature_matrix, [[0.5, 1.5], [-1.0, 2000.0]])
+        _dataset_csv(tmp_path / "e.csv", [])
+        assert len(read_dataset(tmp_path / "e.csv")) == 0
