@@ -26,7 +26,6 @@ from .pie_audit import (
     PIESet,
     attribute_relative_representation,
     identify_pies,
-    modal_label,
     subset_accuracy,
     vote_counts,
 )
@@ -55,7 +54,6 @@ from .trainer import (
     QuantizationScheme,
     TrainConfig,
     apply_magnitude_mask,
-    predict_topk,
     prune_window,
     quantize_model,
     sparsity_at_step,
@@ -91,10 +89,8 @@ __all__ = [
     "identify_pies",
     "load_experiment_config",
     "mean_shift",
-    "modal_label",
     "model_accuracy",
     "normalized_recall_difference",
-    "predict_topk",
     "prune_window",
     "quantize_model",
     "read_dataset",

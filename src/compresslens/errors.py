@@ -78,10 +78,6 @@ class ExampleSetMismatch(DataError):
 
 # -- pie_audit --
 
-class EmptyVotes(DataError):
-    """Modal label requested for an empty vote multiset."""
-
-
 class EmptyPIESet(DataError):
     """An operation requires at least one PIE."""
 

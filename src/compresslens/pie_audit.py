@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .data_model import CompressionSpec, LabeledDataset, PredictionLog, atomic_write_text
-from .errors import EmptyPIESet, EmptyVotes, ExampleSetMismatch, RankDepthExceeded
+from .errors import EmptyPIESet, ExampleSetMismatch, RankDepthExceeded
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,17 +38,11 @@ class PIESet:
         return len(self.pie_ids)
 
 
-def modal_label(votes) -> int:
-    """Most frequent label in a vote multiset; ties go to the lowest label."""
-    votes = np.asarray(votes, dtype=np.int64)
-    if votes.size == 0:
-        raise EmptyVotes("modal label of an empty vote set is undefined")
-    counts = np.bincount(votes)
-    return int(counts.argmax())  # argmax returns the first (lowest) max
-
-
 def vote_counts(log: PredictionLog) -> np.ndarray:
-    """(N, C) histogram of the population's rank-1 votes on each example."""
+    """(N, C) histogram of the population's rank-1 votes on each example.
+
+    `.argmax(axis=1)` is each example's modal label, ties to the lowest label.
+    """
     rank1 = log.predictions[:, :, 0]
     n = log.num_examples
     c = max(log.num_classes, int(rank1.max()) + 1 if rank1.size else 1)

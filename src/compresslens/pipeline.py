@@ -72,8 +72,8 @@ class ExperimentConfig:
     out_dir: str = "compresslens-run"
     dataset_path: str | None = None  # directory holding train.csv / test.csv
     synth: SynthLongTailSpec = field(default_factory=SynthLongTailSpec)
-    # a window value left out is derived from train.steps by `prune_window`
-    # when the config is built (the defaults give 250 / 1750 / 100)
+    # a window value left out (None) is derived from train.steps by
+    # `prune_window` when a level is scheduled (the defaults give 250 / 1750 / 100)
     prune_start: int | None = None
     prune_end: int | None = None
     prune_every: int | None = None
@@ -81,11 +81,6 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_field_types(self)
-        window = prune_window(
-            self.train.steps, self.prune_start, self.prune_end, self.prune_every
-        )
-        for name, value in zip(("prune_start", "prune_end", "prune_every"), window):
-            object.__setattr__(self, name, value)
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed!r}")
         if self.topk is not None and self.topk < 1:
@@ -184,7 +179,10 @@ def _resolve_dataset(config: ExperimentConfig) -> tuple[LabeledDataset, LabeledD
 def _schedule_for(config: ExperimentConfig, spec: CompressionSpec) -> PruneSchedule | None:
     if spec.method != "magnitude_prune":
         return None
-    return PruneSchedule(spec.sparsity, config.prune_start, config.prune_end, config.prune_every)
+    window = prune_window(
+        config.train.steps, config.prune_start, config.prune_end, config.prune_every
+    )
+    return PruneSchedule(spec.sparsity, *window)
 
 
 @dataclass(frozen=True)

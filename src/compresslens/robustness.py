@@ -213,14 +213,12 @@ def robustness_report(
 
     Per kind, accuracy is the mean over severities 1..5 and over models;
     normalization divides by the baseline population's mean accuracy on the
-    same corruption.
+    same corruption. Each example's corruption and hits depend only on its
+    own features and id, so the rows do not depend on the split's row order.
     """
     topk = ranking_depth(topk, test_ds.num_classes)
-    lo, hi = test_ds.feature_matrix.min(axis=0), test_ds.feature_matrix.max(axis=0)
-    order = np.argsort(test_ds.example_ids, kind="stable")
-    feats = test_ds.feature_matrix[order]
-    y = test_ds.labels[order]
-    ids = test_ds.example_ids[order]
+    feats, y, ids = test_ds.feature_matrix, test_ds.labels, test_ds.example_ids
+    lo, hi = feats.min(axis=0), feats.max(axis=0)
     layout = test_ds.layout
 
     rows = []

@@ -189,25 +189,24 @@ class MLPModel:
             raise ShapeError(
                 f"input dim {x.shape[1]} does not match model dim {self.layer_dims[0]}"
             )
+        for _, h in self._layers(x, self.activation_ranges):
+            pass
+        return h[0] if squeeze else h
+
+    def _layers(self, x: np.ndarray, ranges: list[tuple[float, float]] | None = None):
+        """Yield each layer's (pre-activation, activation) on the (N, d) batch `x`.
+
+        Pre-activations are clamped to `ranges[i]` when ranges are given; the
+        last layer's activation is its pre-activation (the logits).
+        """
         h = x
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             z = h @ w + b
-            if self.activation_ranges is not None:
-                lo, hi = self.activation_ranges[i]
-                z = np.clip(z, lo, hi)
+            if ranges is not None:
+                z = np.clip(z, *ranges[i])
             h = z if i == last else np.maximum(z, 0.0)
-        return h[0] if squeeze else h
-
-
-def predict_topk(model: MLPModel, features: np.ndarray, k: int) -> list[int]:
-    """Top-k class labels ordered by descending logit, ties to the lower label."""
-    if k < 1 or k > model.num_classes:
-        raise ShapeError(f"k={k} outside [1, {model.num_classes}]")
-    logits = model.logits(np.asarray(features, dtype=np.float64))
-    if logits.ndim != 1:
-        raise ShapeError("predict_topk expects a single example")
-    return rank_topk(logits[np.newaxis, :], k)[0].tolist()
+            yield z, h
 
 
 def rank_topk(logits: np.ndarray, k: int) -> np.ndarray:
@@ -300,14 +299,11 @@ def loss_and_gradients(
     # overflow/invalid values surface as a non-finite loss (DivergenceError
     # in the training loop), so numpy warnings here are redundant noise
     with np.errstate(over="ignore", invalid="ignore"):
+        # training never clamps: activation ranges apply to inference only
         acts = [x]
         pre = []
-        h = x
-        last = len(model.weights) - 1
-        for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-            z = h @ w + b
+        for z, h in model._layers(x):
             pre.append(z)
-            h = z if i == last else np.maximum(z, 0.0)
             acts.append(h)
 
         logits = acts[-1]
@@ -327,7 +323,7 @@ def loss_and_gradients(
 
         grads_w: list[np.ndarray] = [None] * len(model.weights)  # type: ignore[list-item]
         grads_b: list[np.ndarray] = [None] * len(model.biases)  # type: ignore[list-item]
-        for i in range(last, -1, -1):
+        for i in range(len(model.weights) - 1, -1, -1):
             grads_w[i] = acts[i].T @ delta
             if weight_decay:
                 grads_w[i] += weight_decay * model.weights[i]
@@ -382,14 +378,9 @@ def quantize_model(
     calibration = np.asarray(calibration, dtype=np.float64)
     if calibration.shape[0] < 1:
         raise ConfigError("calibration slice is empty")
-    ranges: list[tuple[float, float]] = []
-    h = calibration
-    last = len(out.weights) - 1
-    for i, (w, b) in enumerate(zip(out.weights, out.biases)):
-        z = h @ w + b
-        ranges.append((float(z.min()), float(z.max())))
-        h = z if i == last else np.maximum(z, 0.0)
-    out.activation_ranges = ranges
+    out.activation_ranges = [
+        (float(z.min()), float(z.max())) for z, _ in out._layers(calibration)
+    ]
     return out
 
 
@@ -470,14 +461,12 @@ def evaluate_population(
 ) -> PredictionLog:
     """Record each model's top-k ranked predictions on the test split."""
     topk = ranking_depth(topk, test_ds.num_classes)
-    order = np.argsort(test_ds.example_ids, kind="stable")
-    x = test_ds.feature_matrix[order]
-    preds = np.stack([rank_topk(m.logits(x), topk) for m in models])
-    return PredictionLog(
+    preds = np.stack([rank_topk(m.logits(test_ds.feature_matrix), topk) for m in models])
+    return PredictionLog(  # orders the rows by example id
         population_id=population_id,
         compression=compression,
-        example_ids=test_ds.example_ids[order],
-        truth=test_ds.labels[order],
+        example_ids=test_ds.example_ids,
+        truth=test_ds.labels,
         predictions=preds,
         explicit_num_classes=test_ds.num_classes,
     )

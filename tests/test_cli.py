@@ -1,5 +1,6 @@
 """End-to-end CLI tests on a miniature dataset (fast settings throughout)."""
 
+import dataclasses
 import json
 import os
 import shutil
@@ -12,10 +13,11 @@ import pytest
 import compresslens
 from compresslens import cli
 from compresslens.cli import main
+from compresslens.data_model import CompressionSpec
 from compresslens.errors import ConfigError
-from compresslens.pipeline import ExperimentConfig, load_experiment_config
+from compresslens.pipeline import ExperimentConfig, _schedule_for, load_experiment_config
 from compresslens.synth import SynthLongTailSpec, generate
-from compresslens.trainer import TrainConfig
+from compresslens.trainer import TrainConfig, prune_window
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +37,12 @@ TRAIN_FAST = [
     "--models", "3", "--steps", "120", "--batch-size", "32",
     "--lr", "0.1", "--hidden", "16",
 ]
+
+
+def resolved_window(config: ExperimentConfig) -> tuple[int, int, int]:
+    """The (start, end, every) that `run` prunes a level of `config` on."""
+    s = _schedule_for(config, CompressionSpec("magnitude_prune", 0.5))
+    return s.prune_start, s.prune_end, s.prune_every
 
 
 @pytest.fixture(scope="module")
@@ -296,10 +304,7 @@ class TestRun:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"prune": {"every": 100}}))
         got = load_experiment_config(cfg)
-        want = ExperimentConfig()
-        assert (got.prune_start, got.prune_end, got.prune_every) == (
-            want.prune_start, want.prune_end, want.prune_every
-        )
+        assert resolved_window(got) == resolved_window(ExperimentConfig()) == (250, 1750, 100)
 
     def test_failing_stage_is_named(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -481,7 +486,12 @@ class TestOneSetOfDefaults:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"train": {"steps": 600}}))
         got = load_experiment_config(cfg)
-        assert (got.prune_start, got.prune_end, got.prune_every) == (60, 420, 24)
+        assert resolved_window(got) == (60, 420, 24)
+
+    @pytest.mark.parametrize("steps, window", [(5000, (500, 3500, 200)), (600, (60, 420, 24))])
+    def test_replace_steps_moves_the_window(self, steps, window):
+        config = dataclasses.replace(ExperimentConfig(), train=TrainConfig(steps=steps))
+        assert resolved_window(config) == window == prune_window(steps)
 
     def test_generate_defaults(self, tmp_path):
         assert main(["generate", "--out", str(tmp_path / "cli")]) == 0

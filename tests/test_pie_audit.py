@@ -11,11 +11,10 @@ from compresslens.data_model import (
     LabeledDataset,
     PredictionLog,
 )
-from compresslens.errors import EmptyPIESet, EmptyVotes, ExampleSetMismatch
+from compresslens.errors import EmptyPIESet, ExampleSetMismatch
 from compresslens.pie_audit import (
     attribute_relative_representation,
     identify_pies,
-    modal_label,
     subset_accuracy,
     vote_counts,
     write_pie_report,
@@ -36,20 +35,22 @@ def rank1_log(preds, truth, ids=None, population_id="p"):
     )
 
 
+def modal_labels(*votes):
+    """Modal label of each example, given each example's rank-1 votes (one per model)."""
+    log = rank1_log(np.asarray(votes).T, np.zeros(len(votes)))
+    return vote_counts(log).argmax(axis=1).tolist()
+
+
 class TestModalLabel:
     def test_unanimous(self):
-        assert modal_label([3, 3, 3, 3]) == 3
+        assert modal_labels([3, 3, 3, 3]) == [3]
 
     def test_majority(self):
-        assert modal_label([1, 1, 2]) == 1
+        assert modal_labels([1, 1, 2]) == [1]
 
     def test_tie_goes_to_lowest(self):
-        assert modal_label([1, 2]) == 1
-        assert modal_label([4, 2, 4, 2]) == 2
-
-    def test_empty(self):
-        with pytest.raises(EmptyVotes):
-            modal_label([])
+        assert modal_labels([1, 2], [2, 1]) == [1, 1]
+        assert modal_labels([4, 2, 4, 2]) == [2]
 
 
 class TestIdentifyPies:

@@ -1,0 +1,134 @@
+"""The package names that the benchmark under `bench/` relies on.
+
+`bench/` is kept fixed between benchmark changes, so a rename or removal in
+the package that it imports, or that its tracer times, must fail here first.
+The benchmark's files are parsed, not imported or run.
+"""
+
+import ast
+import importlib
+import inspect
+import re
+from pathlib import Path
+
+import pytest
+
+import compresslens
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+BENCH_FILES = sorted(BENCH.glob("*.py"))
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _assigned(tree: ast.Module, name: str) -> ast.expr:
+    """The value of the module-level assignment `name = ...`."""
+    return next(
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == name
+    )
+
+
+def imported_names(tree: ast.Module) -> list[tuple[str, str | None]]:
+    """(module, attribute) pairs the file takes from the package.
+
+    `from compresslens.m import x` gives ("compresslens.m", "x"), `import
+    compresslens.m` gives ("compresslens.m", None), and `alias.x` on an
+    `import compresslens as alias` gives ("compresslens", "x").
+    """
+    names = []
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "compresslens":
+            names += [(node.module, a.name) for a in node.names]
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.split(".")[0] == "compresslens":
+                    names.append((a.name, None))
+                    aliases[a.asname or a.name] = a.name
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in aliases
+        ):
+            names.append((aliases[node.value.id], node.attr))
+    return names
+
+
+def test_bench_files_found():
+    assert {"tracer.py", "workloads.py", "checks.py"} <= {p.name for p in BENCH_FILES}
+
+
+@pytest.mark.parametrize("path", BENCH_FILES, ids=lambda p: p.name)
+def test_bench_imports_resolve(path):
+    for module, attr in imported_names(_parse(path)):
+        mod = importlib.import_module(module)
+        assert attr is None or hasattr(mod, attr), f"{path.name}: {module}.{attr}"
+
+
+def traced_span_names(tree: ast.Module) -> set[str]:
+    """Span names the tracer reads: `_ATTRS` keys and every "layer.function" literal.
+
+    Dictionary keys other than `_ATTRS`' are the metric names it reports, not
+    spans. The `cli.<command>` spans are operation names built with
+    f-strings, so they are not literals and are not collected.
+    """
+    layers = ast.literal_eval(_assigned(tree, "LAYERS"))
+    span = re.compile(rf"^(?:{'|'.join(layers)})\.[A-Za-z_][\w.]*(?::\w+)?$")
+    names = {key.value for key in _assigned(tree, "_ATTRS").keys}
+    metric_keys = {
+        id(key) for node in ast.walk(tree) if isinstance(node, ast.Dict) for key in node.keys
+    }
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and id(node) not in metric_keys
+            and span.match(node.value)
+        ):
+            names.add(node.value.split(":")[0])
+    return names
+
+
+def _resolve(name: str):
+    module, *path = name.split(".")
+    obj = importlib.import_module(f"compresslens.{module}")
+    for part in path:
+        obj = getattr(obj, part)
+    return obj
+
+
+def test_traced_spans_are_public_functions():
+    names = traced_span_names(_parse(BENCH / "tracer.py"))
+    # the parse found both kinds of name: a function and the one method
+    assert {"trainer.loss_and_gradients", "trainer.MLPModel.logits", "synth.synthesize"} <= names
+    for name in sorted(names):
+        obj = _resolve(name)
+        assert inspect.isfunction(obj), name
+        assert not obj.__name__.startswith("_"), name
+        module = f"compresslens.{name.split('.')[0]}"
+        assert obj.__module__ == module, f"{name} is defined in {obj.__module__}"
+
+
+def test_traced_argument_positions_match():
+    """`_arg(args, kwargs, i, "p")` in `_ATTRS` reads parameter `p` at position `i`."""
+    attrs = _assigned(_parse(BENCH / "tracer.py"), "_ATTRS")
+    checked = 0
+    for key, value in zip(attrs.keys, attrs.values):
+        params = list(inspect.signature(_resolve(key.value)).parameters)
+        for call in ast.walk(value):
+            if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_arg":
+                index, param = (ast.literal_eval(a) for a in call.args[2:4])
+                assert params[index] == param, f"{key.value}: {params} at {index}"
+                checked += 1
+    assert checked
+
+
+def test_all_names_exist():
+    missing = [name for name in compresslens.__all__ if not hasattr(compresslens, name)]
+    assert missing == []
+    assert len(set(compresslens.__all__)) == len(compresslens.__all__)

@@ -1,5 +1,7 @@
 """Tests for corruption generation and the normalized robustness metrics."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -292,6 +294,29 @@ class TestRobustnessReport:
         rev = robustness_report(ds, ["brightness"], models[::-1], models,
                                 CompressionSpec("none"), topk=1)
         assert fwd[0].top1_abs == rev[0].top1_abs
+
+    def test_rows_independent_of_split_row_order(self):
+        # odd N, and a 3x3 layout so that pixelate runs too
+        ds = cluster_dataset(seed=4, n=201, d=9)
+        config = TrainConfig(
+            steps=60, batch_size=32, learning_rate=0.1, lr_decay_steps=None,
+            weight_decay=0.0, seed=0, population_size=2, hidden_dims=(8,),
+        )
+        base, _ = train_population(ds, ds, config)
+        comp, _ = train_population(ds, ds, replace(config, seed=7))
+
+        def report(rows):
+            split = LabeledDataset.from_arrays(
+                ds.example_ids[rows], ds.labels[rows], ds.feature_matrix[rows],
+                ds.num_classes, layout=(3, 3),
+            )
+            return robustness_report(
+                split, list(CORRUPTION_KINDS), base, comp,
+                CompressionSpec("magnitude_prune", 0.5), seed=3,
+            )
+
+        shuffled = np.random.default_rng(1).permutation(len(ds))
+        assert report(shuffled) == report(np.arange(len(ds)))
 
     def test_csv_format(self, tmp_path):
         ds = cluster_dataset(seed=3, n=150)

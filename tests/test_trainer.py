@@ -13,11 +13,12 @@ from compresslens.trainer import (
     QuantizationScheme,
     TrainConfig,
     apply_magnitude_mask,
+    evaluate_population,
     load_model,
     loss_and_gradients,
-    predict_topk,
     prune_window,
     quantize_model,
+    rank_topk,
     save_model,
     sparsity_at_step,
     train_population,
@@ -126,25 +127,20 @@ class TestMagnitudeMask:
         assert int(mask.sum()) == 12 - round(0.5 * 12)
 
 
-class TestPredictTopk:
+class TestRankTopk:
     def test_zero_model_tie_break(self):
         model = MLPModel([np.zeros((3, 4))], [np.zeros(4)])
-        assert predict_topk(model, np.ones(3), 3) == [0, 1, 2]
+        np.testing.assert_array_equal(rank_topk(model.logits(np.ones((1, 3))), 3), [[0, 1, 2]])
 
     def test_hand_affine(self):
         # identity-ish map: logit_c = x_c
         model = MLPModel([np.eye(2)], [np.zeros(2)])
-        assert predict_topk(model, np.array([0.2, 0.9]), 2) == [1, 0]
-
-    def test_k_exceeds_classes(self):
-        model = MLPModel([np.zeros((3, 4))], [np.zeros(4)])
-        with pytest.raises(ShapeError):
-            predict_topk(model, np.ones(3), 5)
+        np.testing.assert_array_equal(rank_topk(model.logits([[0.2, 0.9]]), 2), [[1, 0]])
 
     def test_dim_mismatch(self):
         model = MLPModel([np.zeros((3, 4))], [np.zeros(4)])
         with pytest.raises(ShapeError):
-            predict_topk(model, np.ones(2), 1)
+            model.logits(np.ones(2))
 
 
 class TestQuantization:
@@ -220,6 +216,40 @@ class TestQuantization:
         model = MLPModel([w.copy()], [np.zeros(2)])
         quantize_model(model, QuantizationScheme("dynamic_int8"))
         np.testing.assert_array_equal(model.weights[0], w)
+
+
+class TestSharedForwardPass:
+    """Inference, training and fixed-int8 calibration run one forward pass."""
+
+    @staticmethod
+    def two_hidden_layers(seed=4):
+        rng = np.random.default_rng(seed)
+        return MLPModel.initialize((5, 9, 7, 3), rng), rng.normal(size=(31, 5))
+
+    def test_fixed_int8_ranges_are_layer_extremes(self):
+        model, x = self.two_hidden_layers()
+        q = quantize_model(model, QuantizationScheme("fixed_int8"), x)
+        want = []
+        h = x
+        for i, (w, b) in enumerate(zip(q.weights, q.biases)):
+            z = h @ w + b
+            want.append((float(z.min()), float(z.max())))
+            h = z if i == 2 else np.maximum(z, 0.0)
+        assert q.activation_ranges == want
+
+    def test_training_never_clamps(self):
+        model, x = self.two_hidden_layers(seed=5)
+        y = np.arange(len(x)) % 3
+        calibrated = quantize_model(model, QuantizationScheme("fixed_int8"), x[:2])
+        plain = calibrated.copy()
+        plain.activation_ranges = None
+        # the narrow calibration slice makes inference clamp on x
+        assert not np.array_equal(calibrated.logits(x), plain.logits(x))
+        loss, grads_w, grads_b = loss_and_gradients(calibrated, x, y, 1e-3)
+        want_loss, want_w, want_b = loss_and_gradients(plain, x, y, 1e-3)
+        assert loss == want_loss
+        for got, want in zip(grads_w + grads_b, want_w + want_b):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestGradients:
@@ -344,6 +374,17 @@ class TestTrainPopulation:
         )
         assert models[0].activation_ranges is not None
         assert log.compression.method == "quant_fixed_int8"
+
+    def test_log_independent_of_split_row_order(self):
+        ds = tiny_dataset(n=121)
+        models, log = train_population(ds, ds, small_config(hidden_dims=(16, 8)))
+        order = np.random.default_rng(0).permutation(len(ds))
+        shuffled = LabeledDataset.from_arrays(
+            ds.example_ids[order], ds.labels[order], ds.feature_matrix[order], ds.num_classes
+        )
+        got = evaluate_population(models, shuffled, log.compression, log.population_id)
+        for field in ("example_ids", "truth", "predictions"):
+            np.testing.assert_array_equal(getattr(got, field), getattr(log, field))
 
     def test_divergence_detected(self):
         from compresslens.errors import DivergenceError
