@@ -87,6 +87,7 @@ class CompressionSpec:
     sparsity: float = 0.0
 
     def __post_init__(self):
+        check_field_types(self)
         if self.method not in COMPRESSION_METHODS:
             raise ConfigError(f"unknown compression method {self.method!r}")
         if self.method == "magnitude_prune":
@@ -283,15 +284,12 @@ class AuditConfig:
     """Knobs for the statistical audits."""
 
     alpha: float = 0.05
-    topk_eval: int = 5
     bonferroni: bool = False
 
     def __post_init__(self):
         check_field_types(self)
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.topk_eval < 1:
-            raise ConfigError("topk_eval must be >= 1")
 
 
 @dataclass(frozen=True, eq=False)

@@ -41,6 +41,7 @@ from .trainer import (
     TrainConfig,
     check_schedule,
     prune_window,
+    ranking_depth,
     train_population,
 )
 
@@ -122,14 +123,6 @@ def _make(cls, doc, name: str):
         raise ConfigError(f"bad value in config block {name!r}: {exc}") from None
 
 
-def _number(value, kind: type, name: str):
-    """`kind(value)` for one config value; a value of the wrong type is a ConfigError."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be a number, got {value!r}") from None
-
-
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
     """Parse the JSON config documented in the README; keys left out keep defaults."""
     doc = read_json_object(path)
@@ -140,29 +133,22 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
     if "sweep" in doc:
         if not isinstance(doc["sweep"], list):
             raise ConfigError(f"sweep must be a JSON list, got {doc['sweep']!r}")
-        entries = [_block(e, "sweep", ("method", "sparsity")) for e in doc["sweep"]]
-        if any("method" not in entry for entry in entries):
-            raise ConfigError("sweep entry without 'method'")
-        kwargs["sweep"] = tuple(
-            CompressionSpec(
-                method=entry["method"],
-                sparsity=_number(entry.get("sparsity", 0.0), float, "sweep sparsity"),
-            )
-            for entry in entries
-        )
+        kwargs["sweep"] = tuple(_make(CompressionSpec, e, "sweep") for e in doc["sweep"])
     if "audit" in doc:
         kwargs["audit"] = _make(AuditConfig, doc["audit"], "audit")
     if "dataset" in doc:
         ds = _block(doc["dataset"], "dataset", ("path", "synth"))
+        if len(ds) != 1:
+            raise ConfigError("dataset must carry either 'path' or 'synth'")
         if "path" in ds:
             kwargs["dataset_path"] = ds["path"]
-        elif "synth" in ds:
-            kwargs["synth"] = _make(SynthLongTailSpec, ds["synth"], "dataset.synth")
         else:
-            raise ConfigError("dataset must carry 'path' or 'synth'")
+            kwargs["synth"] = _make(SynthLongTailSpec, ds["synth"], "dataset.synth")
     if "prune" in doc:
         for key, value in _block(doc["prune"], "prune", _PRUNE_KEYS).items():
-            kwargs[_PRUNE_KEYS[key]] = _number(value, int, f"prune.{key}")
+            # checked alone, so that an error names the JSON key
+            _make(ExperimentConfig, {_PRUNE_KEYS[key]: value}, f"prune.{key}")
+            kwargs[_PRUNE_KEYS[key]] = value
     for key in _TOP_KEYS:
         if key in doc:
             kwargs[key] = doc[key]
@@ -233,8 +219,7 @@ def run_pipeline(config: ExperimentConfig) -> PipelineResult:
     for i, spec in enumerate(comp_specs):
         _train(spec, config.seed + _POPULATION_SEED_STRIDE * (i + 1))
 
-    eval_k = config.audit.topk_eval
-    eval_k = min(eval_k, base_log.topk)
+    eval_k = ranking_depth(None, base_log.topk)  # five ranks, capped at the log's depth
 
     def _population_entry(log: PredictionLog) -> dict:
         return {

@@ -14,7 +14,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data_model import CompressionSpec, ExampleRecord, LabeledDataset, atomic_write_text
+from .data_model import (
+    CompressionSpec,
+    ExampleRecord,
+    LabeledDataset,
+    atomic_write_text,
+    check_field_types,
+)
 from .errors import ConfigError, LayoutRequired, ShapeError, ZeroBaseline
 from .trainer import MLPModel, rank_topk, ranking_depth
 
@@ -45,6 +51,7 @@ class CorruptionSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         if self.kind not in CORRUPTION_KINDS:
             raise ConfigError(f"unknown corruption kind {self.kind!r}")
         if not 1 <= self.severity <= 5:

@@ -163,6 +163,13 @@ def mean_shift(class_recalls: np.ndarray, model_accs: np.ndarray) -> np.ndarray:
     return class_recalls - model_accs
 
 
+def _mean(values) -> float:
+    """fsum mean; a constant's is its value (fsum([0.1] * 3) / 3 is an ulp off)."""
+    if min(values) == max(values):
+        return float(values[0])
+    return math.fsum(values) / len(values)
+
+
 def _mean_and_var(values: list[float]) -> tuple[float, float, int]:
     """Mean, and sample variance in units of 4**e.
 
@@ -172,7 +179,7 @@ def _mean_and_var(values: list[float]) -> tuple[float, float, int]:
     could move the last bit. fsum keeps the shift/scale invariance tight.
     """
     n = len(values)
-    mean = math.fsum(values) / n
+    mean = _mean(values)
     devs = [v - mean for v in values]
     e = math.frexp(max(map(abs, devs)))[1]
     if abs(e) <= 256:
@@ -233,10 +240,7 @@ def normalized_recall_difference(
     """
     if base.values.size == 0 or comp.values.size == 0:
         raise EmptySample("both samples must be non-empty")
-    return float(
-        math.fsum(comp.values) / comp.values.size
-        - math.fsum(base.values) / base.values.size
-    )
+    return _mean(comp.values) - _mean(base.values)
 
 
 def audit_classes(
@@ -274,15 +278,13 @@ def audit_classes(
         shifted_base = mean_shift(base_recalls[c], base_acc)
         shifted_comp = mean_shift(comp_recalls[c], comp_acc)
         welch = welch_t_test(shifted_comp, shifted_base)
-        diff = normalized_recall_difference(
-            ClassAccuracySample(c, shifted_base), ClassAccuracySample(c, shifted_comp)
-        )
         rows.append(
             ClassAuditRow(
                 class_id=c,
                 mean_recall_base=float(base_recalls[c].mean()),
                 mean_recall_comp=float(comp_recalls[c].mean()),
-                norm_recall_diff=diff,
+                # `normalized_recall_difference`, from the means the test took
+                norm_recall_diff=welch.mean_a - welch.mean_b,
                 t_stat=welch.t_stat,
                 df=welch.df,
                 p_value=welch.p_value,

@@ -14,6 +14,17 @@ Three attribute flags feed the downstream PIE analyses:
   between the recorded class's cluster and another cluster, modeling the
   confusable examples that attract wrong labels in real data.
 - ``attr_atypical``: features drawn far off the cluster center.
+
+The geometry is fixed by the private constants below, calibrated on the
+desk-scale experiment so that the rarest classes are the first to go under
+pruning; a spec sets only the dataset's shape, noise and seed. Head centers
+sit ``_CENTER_SCALE * sqrt(dim)`` from the origin with spread
+``_CLUSTER_SPREAD``. Tail class j of n sits ``_TAIL_OFFSET_*`` cluster
+spreads from its host with ``_TAIL_SPREAD_*`` times the host's spread, each
+linear from the ``_EASY`` value at j = 0 to the ``_HARD`` one at j = n - 1.
+A noisy example starts a fraction gamma ~ U(``_NOISY_GAMMA``) of the way
+from another class's center to its own; an atypical one is drawn with
+``_ATYPICAL_SCALE`` times its class's spread.
 """
 
 from __future__ import annotations
@@ -26,6 +37,16 @@ import numpy as np
 from .data_model import LabeledDataset, check_field_types, write_dataset
 from .errors import ConfigError
 
+_CENTER_SCALE = 1.6
+_CLUSTER_SPREAD = 0.9
+# satellite ladder, easiest (most frequent tail class) to hardest (rarest)
+_TAIL_OFFSET_EASY = 2.0
+_TAIL_OFFSET_HARD = 1.45
+_TAIL_SPREAD_EASY = 0.28
+_TAIL_SPREAD_HARD = 0.40
+_NOISY_GAMMA = (0.4, 0.65)
+_ATYPICAL_SCALE = 2.4
+
 
 @dataclass(frozen=True)
 class SynthLongTailSpec:
@@ -34,17 +55,8 @@ class SynthLongTailSpec:
     train_count: int = 5000
     test_count: int = 2000
     zipf_exponent: float = 1.0
-    center_scale: float = 1.6
-    cluster_spread: float = 0.9
-    # satellite ladder, easiest (most frequent tail class) to hardest (rarest)
-    tail_offset_easy: float = 2.0
-    tail_offset_hard: float = 1.45
-    tail_spread_easy: float = 0.28
-    tail_spread_hard: float = 0.40
     noisy_fraction: float = 0.05
-    noisy_gamma: tuple[float, float] = (0.4, 0.65)
     atypical_fraction: float = 0.08
-    atypical_scale: float = 2.4
     seed: int = 0
 
     def __post_init__(self):
@@ -63,11 +75,6 @@ class SynthLongTailSpec:
             v = getattr(self, name)
             if not 0.0 <= v < 1.0:
                 raise ConfigError(f"{name} must be in [0, 1)")
-        if self.cluster_spread <= 0 or self.center_scale <= 0:
-            raise ConfigError("spread and center scale must be positive")
-        lo, hi = self.noisy_gamma
-        if not 0.0 < lo <= hi < 1.0:
-            raise ConfigError("noisy_gamma must satisfy 0 < lo <= hi < 1")
 
 
 def zipf_allocate(total: int, num_classes: int, exponent: float) -> list[int]:
@@ -101,8 +108,8 @@ def _cluster_geometry(
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     centers = np.zeros((spec.num_classes, spec.dim))
     spreads = np.zeros(spec.num_classes)
-    centers[:n_head] = dirs * spec.center_scale * np.sqrt(spec.dim)
-    spreads[:n_head] = spec.cluster_spread
+    centers[:n_head] = dirs * _CENTER_SCALE * np.sqrt(spec.dim)
+    spreads[:n_head] = _CLUSTER_SPREAD
 
     n_tail = spec.num_classes - n_head
     for j, c in enumerate(range(n_head, spec.num_classes)):
@@ -110,16 +117,12 @@ def _cluster_geometry(
         # broadest and closest-in: first to go when capacity drops
         host = (n_head - 1 - j) % n_head
         frac = j / max(1, n_tail - 1)
-        offset = spec.tail_offset_easy + frac * (
-            spec.tail_offset_hard - spec.tail_offset_easy
-        )
-        ratio = spec.tail_spread_easy + frac * (
-            spec.tail_spread_hard - spec.tail_spread_easy
-        )
+        offset = _TAIL_OFFSET_EASY + frac * (_TAIL_OFFSET_HARD - _TAIL_OFFSET_EASY)
+        ratio = _TAIL_SPREAD_EASY + frac * (_TAIL_SPREAD_HARD - _TAIL_SPREAD_EASY)
         direction = rng.standard_normal(spec.dim)
         direction /= np.linalg.norm(direction)
-        centers[c] = centers[host] + direction * offset * spec.cluster_spread
-        spreads[c] = spec.cluster_spread * ratio
+        centers[c] = centers[host] + direction * offset * _CLUSTER_SPREAD
+        spreads[c] = _CLUSTER_SPREAD * ratio
     return centers, spreads
 
 
@@ -134,7 +137,6 @@ def _sample_split(
     counts = zipf_allocate(total, spec.num_classes, spec.zipf_exponent)
     median = float(np.median(counts))
     minority = {c for c in range(spec.num_classes) if counts[c] < median}
-    g_lo, g_hi = spec.noisy_gamma
 
     labels: list[int] = []
     rows: list[np.ndarray] = []
@@ -148,12 +150,12 @@ def _sample_split(
                 other = int(rng.integers(spec.num_classes - 1))
                 if other >= c:
                     other += 1
-                gamma = rng.uniform(g_lo, g_hi)
+                gamma = rng.uniform(*_NOISY_GAMMA)
                 base = (1.0 - gamma) * centers[other] + gamma * centers[c]
                 feats = base + spreads[c] * rng.standard_normal(spec.dim)
             elif atypical:
                 feats = centers[c] + (
-                    spec.atypical_scale * spreads[c]
+                    _ATYPICAL_SCALE * spreads[c]
                 ) * rng.standard_normal(spec.dim)
             else:
                 feats = centers[c] + spreads[c] * rng.standard_normal(spec.dim)

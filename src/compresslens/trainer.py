@@ -47,7 +47,6 @@ class TrainConfig:
     # the default is calibrated on the desk-scale experiment: excluding biases
     # from pruning keeps the learned Zipf class priors intact at high sparsity
     prune_biases: bool = False
-    prune_final_layer: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
@@ -82,6 +81,7 @@ class PruneSchedule:
     prune_every: int
 
     def __post_init__(self):
+        check_field_types(self)
         if not 0.0 <= self.target_sparsity < 1.0:
             raise ConfigError("target_sparsity must be in [0, 1)")
         if not 0 <= self.prune_start < self.prune_end:
@@ -263,10 +263,7 @@ def apply_magnitude_mask(weights: np.ndarray, target_sparsity: float) -> np.ndar
 
 def _prunable_tensors(model: MLPModel, config: TrainConfig):
     """Yield (tensor, mask_list, index) pairs subject to pruning."""
-    last = len(model.weights) - 1
     for i in range(len(model.weights)):
-        if i == last and not config.prune_final_layer:
-            continue
         yield model.weights, model.weight_masks, i
         if config.prune_biases:
             yield model.biases, model.bias_masks, i
@@ -496,12 +493,12 @@ def train_population(
     config: TrainConfig,
     compression: CompressionSpec = CompressionSpec("none"),
     schedule: PruneSchedule | None = None,
-    population_id: str | None = None,
     topk: int | None = None,
 ) -> tuple[list[MLPModel], PredictionLog]:
     """Train K models from independent seeded inits and log them on the test split.
 
-    Model k is seeded with config.seed + k.
+    Model k is seeded with config.seed + k. The log's population id is the
+    compression's label.
     """
     check_schedule(config, compression, schedule)
     if train_ds.dim != test_ds.dim or train_ds.num_classes != test_ds.num_classes:
@@ -515,8 +512,7 @@ def train_population(
         for k in range(config.population_size)
     ]
 
-    pid = population_id if population_id is not None else compression.label
-    log = evaluate_population(models, test_ds, compression, pid, topk)
+    log = evaluate_population(models, test_ds, compression, compression.label, topk)
     return models, log
 
 
@@ -563,7 +559,7 @@ def load_model(path: str | Path) -> tuple[MLPModel, CompressionSpec]:
         layer_dims = tuple(doc["layer_dims"])
     except KeyError as exc:
         raise SchemaError(f"{path}: missing key {exc}") from None
-    except (TypeError, ValueError, ShapeError) as exc:
+    except (TypeError, ValueError, ShapeError, ConfigError) as exc:
         raise SchemaError(f"{path}: malformed snapshot: {exc}") from None
     if layer_dims != model.layer_dims:
         raise ShapeError(f"{path}: layer_dims do not match the stored arrays")

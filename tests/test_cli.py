@@ -347,6 +347,10 @@ class TestBadInputExits2:
         ({"train": {"stepz": 5}}, "stepz"),
         ({"sweep": [{"method": "none"}, {"sparsity": 0.5}]}, "method"),
         ({"prune": {"every": 100, "begin": 0}}, "begin"),
+        # calibration constants and options that are no longer settable
+        ({"dataset": {"synth": {"center_scale": 1.6}}}, "center_scale"),
+        ({"train": {"prune_final_layer": True}}, "prune_final_layer"),
+        ({"audit": {"topk_eval": 5}}, "topk_eval"),
     ])
     def test_bad_config_key(self, tmp_path, doc, key):
         cfg = tmp_path / "cfg.json"
@@ -364,6 +368,14 @@ class TestBadInputExits2:
         ({"sweep": 5}, "sweep"),
         ({"dataset": {"path": 5}}, "path"),
         ({"train": {"hidden_dims": ["a"], "steps": 5}}, "hidden_dims"),
+        # a value of another type is rejected, not converted
+        ({"prune": {"every": 5.7}}, "prune.every"),
+        ({"prune": {"start": "24"}}, "prune.start"),
+        ({"prune": {"end": True}}, "prune.end"),
+        ({"sweep": [{"method": "none"}, {"method": "magnitude_prune", "sparsity": "0.5"}]},
+         "sweep"),
+        ({"sweep": [{"method": "none", "sparsity": False}]}, "sweep"),
+        ({"dataset": {"path": "data", "synth": {"seed": 1}}}, "synth"),
     ])
     def test_wrong_type_config_value(self, tmp_path, doc, key):
         cfg = tmp_path / "cfg.json"
@@ -397,7 +409,10 @@ class TestBadInputExits2:
         lambda doc: {**doc, "weights": [[[1.0, 2.0], [3.0]]]},
         lambda doc: {**doc, "weights": 5},
         lambda doc: {**doc, "weights": [], "biases": []},
-    ], ids=["empty", "no biases", "ragged weights", "weights not a list", "no layers"])
+        lambda doc: {**doc, "compression": {"method": "bogus"}},
+        lambda doc: {**doc, "compression": {"method": "magnitude_prune", "sparsity": 2.0}},
+    ], ids=["empty", "no biases", "ragged weights", "weights not a list", "no layers",
+            "unknown method", "sparsity out of range"])
     def test_bad_model_snapshot(self, logs, data_dir, tmp_path, edit):
         snaps = tmp_path / "base_models"
         shutil.copytree(logs / "base_models", snaps)
@@ -492,6 +507,39 @@ class TestOneSetOfDefaults:
     def test_replace_steps_moves_the_window(self, steps, window):
         config = dataclasses.replace(ExperimentConfig(), train=TrainConfig(steps=steps))
         assert resolved_window(config) == window == prune_window(steps)
+
+    def test_generate_flags_are_the_spec_fields(self):
+        args = vars(cli._build_parser().parse_args(["generate", "--out", "o"]))
+        assert set(args) - {"command", "out"} == {
+            f.name for f in dataclasses.fields(SynthLongTailSpec)
+        }
+
+    @pytest.mark.parametrize("topk, depth", [(3, "top3"), (8, "top5")])
+    def test_summary_topk_depth(self, tmp_path, topk, depth):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "dataset": {"synth": {"num_classes": 10, "dim": 4, "train_count": 200,
+                                  "test_count": 100, "seed": 1}},
+            "train": {"steps": 20, "population_size": 2, "hidden_dims": [8]},
+            "sweep": [{"method": "none"}],
+            "topk": topk,
+        }))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert sorted(summary["baseline"]) == sorted(["top1", depth])
+
+    def test_readme_config_loads(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("### Experiment config (JSON)", 1)[1]
+        block = section.split("```json\n", 1)[1].split("```", 1)[0]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(block)
+        config = load_experiment_config(cfg)
+        # the example spells out the built-in defaults of these blocks
+        assert (config.synth, config.train, config.audit) == (
+            SynthLongTailSpec(), TrainConfig(), compresslens.AuditConfig()
+        )
 
     def test_generate_defaults(self, tmp_path):
         assert main(["generate", "--out", str(tmp_path / "cli")]) == 0

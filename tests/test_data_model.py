@@ -62,6 +62,11 @@ class TestCompressionSpec:
         with pytest.raises(ConfigError):
             CompressionSpec("prune")
 
+    @pytest.mark.parametrize("sparsity", [False, "0.5", None])
+    def test_sparsity_must_be_a_number(self, sparsity):
+        with pytest.raises(ConfigError, match="sparsity"):
+            CompressionSpec("none", sparsity=sparsity)
+
     def test_labels(self):
         assert CompressionSpec("magnitude_prune", 0.9).label == "prune_0.9"
         assert CompressionSpec("quant_dynamic_int8").label == "dynamic_int8"

@@ -37,6 +37,9 @@ class TestCorruptions:
             CorruptionSpec("brightness", 6)
         with pytest.raises(ConfigError):
             CorruptionSpec("fog", 1)
+        for severity in (2.5, True):  # another type is rejected, not used as is
+            with pytest.raises(ConfigError, match="severity"):
+                CorruptionSpec("brightness", severity)
 
     def test_brightness_severity1(self):
         ex = example([0.0, 0.5, 0.98])

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from compresslens.data_model import AuditConfig, CompressionSpec, PredictionLog
+from compresslens.data_model import (
+    AuditConfig,
+    CompressionSpec,
+    PredictionLog,
+    class_recall_matrix,
+    model_accuracy,
+)
 from compresslens.errors import (
     EmptySample,
     ExampleSetMismatch,
@@ -93,6 +99,15 @@ class TestWelch:
         assert r.p_value == 1.0
         assert r.t_stat == 0.0
         assert r.df == 2.0
+
+    def test_constant_samples_have_no_variance(self):
+        # fsum([0.1] * 3) / 3 is 0.10000000000000002: the mean must still be 0.1
+        r = welch_t_test([0.1] * 3, [0.1] * 2)
+        assert (r.t_stat, r.df, r.p_value, r.mean_a) == (0.0, 3.0, 1.0, 0.1)
+        r = welch_t_test([0.0, 0.0], [0.1] * 3)
+        assert (r.t_stat, r.p_value, r.mean_b) == (-math.inf, 0.0, 0.1)
+        a, b = (ClassAccuracySample(0, np.array([0.1] * n)) for n in (3, 2))
+        assert normalized_recall_difference(a, b) == 0.0
 
     def test_degenerate_distinct_means(self):
         r = welch_t_test([0.5, 0.5], [0.4, 0.4])
@@ -253,6 +268,24 @@ class TestAuditClasses:
         assert flagged[0].norm_recall_diff < -0.1
         # report sorted most harmed first
         assert rows[0].class_id == 0
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_diff_is_normalized_recall_difference(self, seed):
+        rng = np.random.default_rng(seed)
+        truth = np.concatenate([np.arange(5), rng.integers(0, 5, 45)])
+        base, comp = (
+            _log_from_rank1(rng.integers(0, 5, (k, 50)), truth) for k in (4, 7)
+        )
+        rows = audit_classes(base, comp)
+        samples = [
+            [ClassAccuracySample(c, mean_shift(class_recall_matrix(log)[c],
+                                               model_accuracy(log, 1)))
+             for log in (base, comp)]
+            for c in range(5)
+        ]
+        for r in rows:  # bit for bit
+            assert r.norm_recall_diff == normalized_recall_difference(*samples[r.class_id])
 
     def test_example_set_mismatch(self):
         a = _log_from_rank1([[0, 1]], [0, 1])

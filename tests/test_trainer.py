@@ -97,6 +97,8 @@ class TestSparsitySchedule:
             PruneSchedule(0.5, 100, 100, 10)
         with pytest.raises(ConfigError):
             PruneSchedule(0.5, 0, 5, 10)  # no event fits
+        with pytest.raises(ConfigError, match="prune_start"):
+            PruneSchedule(0.5, 10.5, 80, 10)
 
 
 class TestMagnitudeMask:
