@@ -202,9 +202,10 @@ class MLPModel:
         h = x
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = h @ w + b
+            z = h @ w
+            z += b
             if ranges is not None:
-                z = np.clip(z, *ranges[i])
+                np.clip(z, *ranges[i], out=z)
             h = z if i == last else np.maximum(z, 0.0)
             yield z, h
 
@@ -269,6 +270,18 @@ def _prunable_tensors(model: MLPModel, config: TrainConfig):
             yield model.biases, model.bias_masks, i
 
 
+def _prune_events(schedule: PruneSchedule, steps: int) -> dict[int, float]:
+    """{step: target} for the steps before `steps` at which the ramp's target can change.
+
+    `sparsity_at_step` is constant between these steps: the events
+    start, start + every, ... before prune_end, and prune_end itself, where
+    the ramp reaches its final target even when no event falls on it.
+    """
+    candidates = list(range(schedule.prune_start, schedule.prune_end, schedule.prune_every))
+    candidates.append(schedule.prune_end)
+    return {t: sparsity_at_step(schedule, t) for t in candidates if t < steps}
+
+
 def _refresh_masks(model: MLPModel, config: TrainConfig, target: float) -> None:
     for tensors, masks, i in _prunable_tensors(model, config):
         masks[i] = apply_magnitude_mask(tensors[i], target)
@@ -288,45 +301,42 @@ def loss_and_gradients(
     """Mean softmax cross-entropy plus 0.5*wd*sum(W^2), with exact gradients.
 
     Weight decay applies to weight matrices only. The returned gradients are
-    for all entries; the caller re-applies masks after the update.
+    fresh arrays for all entries; the caller may scale them in place and
+    re-applies masks after the update. `x` and the model are left untouched.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     n = x.shape[0]
-    # overflow/invalid values surface as a non-finite loss (DivergenceError
-    # in the training loop), so numpy warnings here are redundant noise
-    with np.errstate(over="ignore", invalid="ignore"):
-        # training never clamps: activation ranges apply to inference only
-        acts = [x]
-        pre = []
-        for z, h in model._layers(x):
-            pre.append(z)
-            acts.append(h)
+    rows = np.arange(n)
+    # training never clamps: activation ranges apply to inference only
+    acts = [x] + [h for _, h in model._layers(x)]
+    # each hidden layer's ReLU derivative as 0.0/1.0 (h > 0 exactly where z > 0)
+    relu_masks = [(h > 0.0).astype(np.float64) for h in acts[1:-1]]
 
-        logits = acts[-1]
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        exp = np.exp(shifted)
-        probs = exp / exp.sum(axis=1, keepdims=True)
-        nll = -(shifted[np.arange(n), y] - np.log(exp.sum(axis=1)))
-        loss = float(nll.mean())
+    # softmax in place on the logits, which nothing else holds
+    logits = acts.pop()
+    logits -= logits.max(axis=1, keepdims=True)
+    delta = np.exp(logits)
+    total = delta.sum(axis=1)
+    nll = -(logits[rows, y] - np.log(total))
+    loss = float(nll.sum()) / n  # nll.mean() to the bit, without its overhead
+    if weight_decay:
+        loss += 0.5 * weight_decay * sum(float((w * w).sum()) for w in model.weights)
+
+    delta /= total[:, None]
+    delta[rows, y] -= 1.0
+    delta /= n
+
+    grads_w: list[np.ndarray] = [None] * len(model.weights)  # type: ignore[list-item]
+    grads_b: list[np.ndarray] = [None] * len(model.biases)  # type: ignore[list-item]
+    for i in range(len(model.weights) - 1, -1, -1):
+        grads_w[i] = acts[i].T @ delta
         if weight_decay:
-            loss += 0.5 * weight_decay * sum(
-                float((w * w).sum()) for w in model.weights
-            )
-
-        delta = probs
-        delta[np.arange(n), y] -= 1.0
-        delta /= n
-
-        grads_w: list[np.ndarray] = [None] * len(model.weights)  # type: ignore[list-item]
-        grads_b: list[np.ndarray] = [None] * len(model.biases)  # type: ignore[list-item]
-        for i in range(len(model.weights) - 1, -1, -1):
-            grads_w[i] = acts[i].T @ delta
-            if weight_decay:
-                grads_w[i] += weight_decay * model.weights[i]
-            grads_b[i] = delta.sum(axis=0)
-            if i > 0:
-                delta = (delta @ model.weights[i].T) * (pre[i - 1] > 0.0)
+            grads_w[i] += weight_decay * model.weights[i]
+        grads_b[i] = delta.sum(axis=0)
+        if i > 0:
+            delta = delta @ model.weights[i].T
+            delta *= relu_masks[i - 1]
     return loss, grads_w, grads_b
 
 
@@ -401,37 +411,47 @@ def _train_single(
     n = x_all.shape[0]
     batch = min(config.batch_size, n)
 
+    events = _prune_events(schedule, config.steps) if schedule is not None else {}
     applied = -1.0  # force the first event (target 0.0 is a no-op mask)
     perm = rng.permutation(n)
     pos = n  # trigger reshuffle on first use
 
-    for step in range(config.steps):
-        if schedule is not None:
-            target = sparsity_at_step(schedule, step)
-            if target > applied:
+    # overflow/invalid values surface as a non-finite loss (DivergenceError),
+    # so numpy warnings during training are redundant noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(config.steps):
+            target = events.get(step)
+            if target is not None and target > applied:
                 _refresh_masks(model, config, target)
                 applied = target
 
-        if pos + batch > n:
-            perm = rng.permutation(n)
-            pos = 0
-        idx = perm[pos : pos + batch]
-        pos += batch
+            if pos + batch > n:
+                perm = rng.permutation(n)
+                pos = 0
+            idx = perm[pos : pos + batch]
+            pos += batch
 
-        lr = config.learning_rate
-        if config.lr_decay_steps:
-            lr *= config.lr_decay_factor ** (step // config.lr_decay_steps)
+            lr = config.learning_rate
+            if config.lr_decay_steps:
+                lr *= config.lr_decay_factor ** (step // config.lr_decay_steps)
 
-        loss, grads_w, grads_b = loss_and_gradients(
-            model, x_all[idx], y_all[idx], config.weight_decay
-        )
-        if not math.isfinite(loss):
-            raise DivergenceError(f"loss became non-finite at step {step}")
-        for i in range(len(model.weights)):
-            model.weights[i] -= lr * grads_w[i]
-            model.biases[i] -= lr * grads_b[i]
-            model.weights[i] *= model.weight_masks[i]
-            model.biases[i] *= model.bias_masks[i]
+            loss, grads_w, grads_b = loss_and_gradients(
+                model, x_all[idx], y_all[idx], config.weight_decay
+            )
+            if not math.isfinite(loss):
+                raise DivergenceError(f"loss became non-finite at step {step}")
+            # masks are all ones until the first event above 0.0, and bias
+            # masks stay all ones unless biases are pruned
+            masked = applied > 0.0
+            for i in range(len(model.weights)):
+                grads_w[i] *= lr
+                model.weights[i] -= grads_w[i]
+                grads_b[i] *= lr
+                model.biases[i] -= grads_b[i]
+                if masked:
+                    model.weights[i] *= model.weight_masks[i]
+                    if config.prune_biases:
+                        model.biases[i] *= model.bias_masks[i]
 
     if schedule is not None:
         target = sparsity_at_step(schedule, config.steps)

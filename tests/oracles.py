@@ -5,7 +5,10 @@ from mpmath's arbitrary-precision incomplete beta, binary16 rounding is done
 bit by bit, and PIE detection is a dict-based recount. The CSV readers are
 the package's former row-by-row readers (`csv` module, `int()`/`float()` per
 cell) and its former line-by-line log writer; they build the package's types
-but share none of its parsing or formatting.
+but share none of its parsing or formatting. The training step is the
+package's former out-of-place loop and gradient routine: it builds on the
+unchanged public pieces (`MLPModel.initialize`, `sparsity_at_step`,
+`apply_magnitude_mask`, `quantize_model`) but runs its own forward pass.
 """
 
 from __future__ import annotations
@@ -27,7 +30,15 @@ from compresslens.data_model import (
     _meta_path,
     read_json_object,
 )
-from compresslens.errors import ParseError, SchemaError
+from compresslens.errors import DivergenceError, ParseError, SchemaError
+from compresslens.trainer import (
+    REPRESENTATIVE_COUNT,
+    MLPModel,
+    QuantizationScheme,
+    apply_magnitude_mask,
+    quantize_model,
+    sparsity_at_step,
+)
 
 mp.mp.dps = 50
 
@@ -290,3 +301,113 @@ def read_dataset(csv_path: str | Path) -> LabeledDataset:
         layout=layout,
         class_names=class_names,
     )
+
+
+def reference_loss_and_gradients(model: MLPModel, x, y, weight_decay: float = 0.0):
+    """(loss, grads_w, grads_b) computed out of place: every step a fresh array."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    n = x.shape[0]
+    last = len(model.weights) - 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        acts = [x]
+        pre = []
+        for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+            z = acts[-1] @ w + b
+            pre.append(z)
+            acts.append(z if i == last else np.maximum(z, 0.0))
+
+        logits = acts[-1]
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        exp = np.exp(shifted)
+        probs = exp / exp.sum(axis=1, keepdims=True)
+        nll = -(shifted[np.arange(n), y] - np.log(exp.sum(axis=1)))
+        loss = float(nll.mean())
+        if weight_decay:
+            loss += 0.5 * weight_decay * sum(
+                float((w * w).sum()) for w in model.weights
+            )
+
+        delta = probs
+        delta[np.arange(n), y] -= 1.0
+        delta /= n
+
+        grads_w = [None] * len(model.weights)
+        grads_b = [None] * len(model.biases)
+        for i in range(len(model.weights) - 1, -1, -1):
+            grads_w[i] = acts[i].T @ delta
+            if weight_decay:
+                grads_w[i] += weight_decay * model.weights[i]
+            grads_b[i] = delta.sum(axis=0)
+            if i > 0:
+                delta = (delta @ model.weights[i].T) * (pre[i - 1] > 0.0)
+    return loss, grads_w, grads_b
+
+
+def reference_train_single(train_ds, config, compression, schedule, model_seed) -> MLPModel:
+    """One population member trained by the out-of-place SGD loop.
+
+    It asks `sparsity_at_step` for the target at every step, updates with
+    `w -= lr * g` and multiplies every tensor by its mask after every step.
+    """
+    rng = np.random.default_rng(model_seed)
+    dims = (train_ds.dim,) + config.hidden_dims + (train_ds.num_classes,)
+    model = MLPModel.initialize(dims, rng)
+
+    def refresh(target):
+        pairs = [(model.weights, model.weight_masks)]
+        if config.prune_biases:
+            pairs.append((model.biases, model.bias_masks))
+        for i in range(len(model.weights)):
+            for tensors, masks in pairs:
+                masks[i] = apply_magnitude_mask(tensors[i], target)
+                tensors[i] *= masks[i]
+
+    x_all = train_ds.feature_matrix
+    y_all = train_ds.labels
+    n = x_all.shape[0]
+    batch = min(config.batch_size, n)
+
+    applied = -1.0
+    perm = rng.permutation(n)
+    pos = n
+
+    for step in range(config.steps):
+        if schedule is not None:
+            target = sparsity_at_step(schedule, step)
+            if target > applied:
+                refresh(target)
+                applied = target
+
+        if pos + batch > n:
+            perm = rng.permutation(n)
+            pos = 0
+        idx = perm[pos : pos + batch]
+        pos += batch
+
+        lr = config.learning_rate
+        if config.lr_decay_steps:
+            lr *= config.lr_decay_factor ** (step // config.lr_decay_steps)
+
+        loss, grads_w, grads_b = reference_loss_and_gradients(
+            model, x_all[idx], y_all[idx], config.weight_decay
+        )
+        if not math.isfinite(loss):
+            raise DivergenceError(f"loss became non-finite at step {step}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(len(model.weights)):
+                model.weights[i] -= lr * grads_w[i]
+                model.biases[i] -= lr * grads_b[i]
+                model.weights[i] *= model.weight_masks[i]
+                model.biases[i] *= model.bias_masks[i]
+
+    if schedule is not None:
+        target = sparsity_at_step(schedule, config.steps)
+        if target > applied:
+            refresh(target)
+
+    if compression.is_quantization():
+        scheme = QuantizationScheme(kind=compression.label)
+        calibration = x_all[:REPRESENTATIVE_COUNT] if scheme.kind == "fixed_int8" else None
+        model = quantize_model(model, scheme, calibration)
+    return model

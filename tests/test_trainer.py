@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from compresslens import trainer
 from compresslens.data_model import CompressionSpec, ExampleRecord, LabeledDataset
-from compresslens.errors import ConfigError, SchemaError, ShapeError
+from compresslens.errors import ConfigError, DivergenceError, SchemaError, ShapeError
+from compresslens.synth import SynthLongTailSpec, synthesize
 from compresslens.trainer import (
     MLPModel,
     PruneSchedule,
@@ -24,7 +26,7 @@ from compresslens.trainer import (
     train_population,
 )
 
-from oracles import float16_round
+from oracles import float16_round, reference_loss_and_gradients, reference_train_single
 
 
 def tiny_dataset(seed=0, n=120, d=4, C=3):
@@ -389,12 +391,124 @@ class TestTrainPopulation:
             np.testing.assert_array_equal(getattr(got, field), getattr(log, field))
 
     def test_divergence_detected(self):
-        from compresslens.errors import DivergenceError
-
         ds = tiny_dataset()
         config = small_config(learning_rate=1e12, steps=80, population_size=1)
         with pytest.raises(DivergenceError):
             train_population(ds, ds, config)
+
+
+def bits(arrays):
+    """The raw bytes of each array, so -0.0 and NaN payloads count."""
+    return [np.asarray(a).tobytes() for a in arrays]
+
+
+class TestLeanStep:
+    """The in-place step gives the former out-of-place loop's bits."""
+
+    @staticmethod
+    def small_synth():
+        train, _ = synthesize(SynthLongTailSpec(train_count=300, test_count=50))
+        return train
+
+    @pytest.mark.parametrize(
+        "config, compression, schedule",
+        [
+            pytest.param(
+                small_config(steps=120, hidden_dims=(16, 8), prune_biases=True,
+                             lr_decay_steps=50, lr_decay_factor=0.3),
+                CompressionSpec("magnitude_prune", 0.8),
+                PruneSchedule(0.8, 10, 85, 10),
+                id="prune_biases-two-hidden",
+            ),
+            pytest.param(
+                small_config(steps=120, batch_size=37, lr_decay_steps=None),
+                CompressionSpec("magnitude_prune", 0.5),
+                PruneSchedule(0.5, 20, 100, 20),
+                id="batch37-no-decay",
+            ),
+            pytest.param(
+                small_config(steps=100),
+                CompressionSpec("magnitude_prune", 0.9),
+                PruneSchedule(0.9, 0, 80, 10),
+                id="prune_start-0",
+            ),
+            pytest.param(
+                small_config(steps=100), CompressionSpec("quant_fixed_int8"), None,
+                id="fixed_int8",
+            ),
+        ],
+    )
+    def test_matches_reference_loop(self, config, compression, schedule):
+        ds = self.small_synth()
+        got = trainer._train_single(ds, config, compression, schedule, 11)
+        want = reference_train_single(ds, config, compression, schedule, 11)
+        for field in ("weights", "biases", "weight_masks", "bias_masks"):
+            assert bits(getattr(got, field)) == bits(getattr(want, field)), field
+        assert got.activation_ranges == want.activation_ranges
+
+    def test_divergence_names_the_reference_step(self):
+        ds = self.small_synth()
+        config = small_config(steps=300, learning_rate=60.0, lr_decay_steps=None)
+        with pytest.raises(DivergenceError) as want:
+            reference_train_single(ds, config, CompressionSpec("none"), None, 0)
+        with pytest.raises(DivergenceError) as got:
+            trainer._train_single(ds, config, CompressionSpec("none"), None, 0)
+        assert str(got.value) == str(want.value)
+        assert int(str(got.value).rsplit(" ", 1)[1]) >= 10  # diverged mid-run, not at once
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-3])
+    def test_loss_and_gradients_leave_inputs_alone(self, weight_decay):
+        # at 64 rows the summation order of the loss shows in its last bits
+        rng = np.random.default_rng(8)
+        model = MLPModel.initialize((5, 9, 7, 3), rng)
+        for tensors, masks in ((model.weights, model.weight_masks), (model.biases, model.bias_masks)):
+            for i, t in enumerate(tensors):
+                t += rng.normal(size=t.shape)  # nonzero biases, so their masks bite
+                masks[i] = apply_magnitude_mask(t, 0.4)
+                t *= masks[i]
+        x = rng.normal(size=(64, 5))
+        y = rng.integers(0, 3, 64)
+        arrays = [x, y] + model.weights + model.biases + model.weight_masks + model.bias_masks
+        before = bits(arrays)
+        loss, grads_w, grads_b = loss_and_gradients(model, x, y, weight_decay)
+        assert bits(arrays) == before
+        want_loss, want_w, want_b = reference_loss_and_gradients(model, x, y, weight_decay)
+        assert bits([loss]) == bits([want_loss])
+        assert bits(grads_w + grads_b) == bits(want_w + want_b)
+
+
+class TestPruningRamp:
+    """Every event of the cubic ramp (Zhu & Gupta 2017) masks exactly round(s(t)*n)."""
+
+    @pytest.mark.parametrize("steps", [85, 120])
+    def test_sparsity_at_every_event(self, monkeypatch, steps):
+        # 85 - 10 is no multiple of 10: the event at prune_end comes off the grid
+        schedule = PruneSchedule(0.9, 10, 85, 10)
+        calls = 0
+        seen = []
+        real_step, real_refresh = trainer.loss_and_gradients, trainer._refresh_masks
+
+        def counting_step(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return real_step(*args, **kwargs)
+
+        def recording_refresh(model, config, target):
+            real_refresh(model, config, target)
+            seen.append((calls, target, [w.size - np.count_nonzero(w) for w in model.weights]))
+
+        monkeypatch.setattr(trainer, "loss_and_gradients", counting_step)
+        monkeypatch.setattr(trainer, "_refresh_masks", recording_refresh)
+        ds = tiny_dataset()
+        config = small_config(steps=steps, hidden_dims=(16, 8), population_size=1)
+        models, _ = train_population(
+            ds, ds, config, CompressionSpec("magnitude_prune", 0.9), schedule
+        )
+        assert [step for step, _, _ in seen] == list(range(10, 85, 10)) + [85]
+        sizes = [w.size for w in models[0].weights]
+        for step, target, zeros in seen:
+            assert target == 0.9 * (1.0 - (1.0 - (step - 10) / 75) ** 3), step
+            assert zeros == [round(target * n) for n in sizes], step
 
 
 class TestSnapshots:
