@@ -341,6 +341,12 @@ class PredictionLog:
             raise ConfigError(
                 f"topk {self.topk} exceeds class count {self.num_classes}"
             )
+        C = self.num_classes
+        for name, got in (("true", truth[np.newaxis, :, np.newaxis]), ("predicted", preds)):
+            bad = np.argwhere((got < 0) | (got >= C))
+            if bad.size:
+                k, i, r = bad[0]
+                raise ConfigError(f"example {ids[i]}: {name} label {got[k, i, r]} outside [0, {C})")
 
     @property
     def num_models(self) -> int:
@@ -378,6 +384,10 @@ def class_recall_matrix(log: PredictionLog) -> dict[int, np.ndarray]:
         MissingClassSupport: some class has no examples in the truth map.
     """
     C = log.num_classes
+    if C > log.num_examples:  # checked before anything C-sized is allocated
+        raise MissingClassSupport(
+            f"{C} classes but {log.num_examples} examples: some class has zero test support"
+        )
     support = np.bincount(log.truth, minlength=C)
     empty = np.flatnonzero(support == 0)
     if empty.size:
@@ -461,10 +471,10 @@ def write_prediction_log(log: PredictionLog, path: str | Path) -> None:
     atomic_write_text(path, "".join(blocks))
 
 
-# The data rows of a log or dataset CSV are parsed by one `np.loadtxt` call
-# over the file's bytes. When it, or a column-wise check, rejects a file, the
-# rows are read again one by one, only to name the first faulty line; the
-# rules below make that pass accept exactly the cells the call accepts.
+# The data rows of every CSV the toolkit reads are parsed by one `np.loadtxt`
+# call over the file's bytes. When it, or a column-wise check, rejects a file,
+# `_check_rows` reads the rows again one by one, only to name the first faulty
+# line; the rules below make it accept exactly the cells the call accepts.
 # An integer cell: what int() and np.loadtxt both accept, as ASCII text
 _INT_CELL = re.compile(r"[\t\x0b\x0c ]*[+-]?[0-9]+[\t\x0b\x0c ]*")
 # np.loadtxt reads these bytes more leniently than int()/float() do: it pads
@@ -472,6 +482,10 @@ _INT_CELL = re.compile(r"[\t\x0b\x0c ]*[+-]?[0-9]+[\t\x0b\x0c ]*")
 _ROW_BY_ROW_BYTES = (b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 _NONBLANK = re.compile(rb"[^\r\n]")
 _LOG_ROW = np.dtype([(name, np.int64) for name in LOG_HEADER[3:]])
+_LOG_COLUMNS = list(zip(LOG_HEADER, ["text", "text", "float"] + ["int"] * 5))
+# the type np.loadtxt parses each column kind as; a flag (a 0 or 1 cell) is
+# read as text of up to 2 characters, so that "01" is not "0"
+_CELL_TYPES = {"int": np.int64, "float": np.float64, "flag": "U2"}
 
 
 def _read_csv(path: Path) -> tuple[bytes, list[str], int]:
@@ -504,6 +518,8 @@ def _parse_rows(data: bytes, start: int, row: np.dtype, usecols=None) -> np.ndar
     """
     if _NONBLANK.search(data, start) is None:
         return np.empty(0, row)
+    if data.endswith(b"\r"):  # np.loadtxt takes it for a line end; the row grammar does not
+        return None
     stream = io.BytesIO(data)  # shares `data`, no copy
     stream.seek(start)
     try:
@@ -514,17 +530,35 @@ def _parse_rows(data: bytes, start: int, row: np.dtype, usecols=None) -> np.ndar
         return None
 
 
-def _body_rows(data: bytes, start: int):
-    """(line number, fields) of each non-blank line after the header.
+def _check_rows(data: bytes, start: int, columns):
+    """Yield (line number, fields) of each non-blank line after the header.
 
-    Lines end with \\n or \\r\\n; any other carriage return is a ParseError.
+    `columns` holds each field's (name, kind), a kind being "int", "float",
+    "flag" or "text". The field count, then the int, float and flag cells are
+    checked; the first line that breaks the row grammar is a ParseError.
     """
-    for lineno, line in enumerate(data[start:].decode().split("\n"), start=2):
-        line = line.removesuffix("\r")
+    ints, floats, flags = (
+        [j for j, (_, k) in enumerate(columns) if k == kind] for kind in ("int", "float", "flag")
+    )
+    for lineno, line in enumerate(re.split("\r?\n", data[start:].decode()), start=2):
         if "\r" in line:
             raise ParseError("carriage return inside a line", lineno)
-        if line:
-            yield lineno, line.split(",")
+        if not line:
+            continue
+        row = line.split(",")
+        if len(row) != len(columns):
+            raise ParseError(f"expected {len(columns)} fields, got {len(row)}", lineno)
+        try:
+            for j in ints:
+                _int_cell(row[j])
+            for j in floats:
+                _float_cell(row[j])
+        except ValueError as exc:
+            raise ParseError(str(exc), lineno) from None
+        for j in flags:
+            if row[j] not in ("0", "1"):
+                raise ParseError(f"{columns[j][0]} cells must be 0 or 1, got {row[j]!r}", lineno)
+        yield lineno, row
 
 
 def _int_cell(cell: str) -> int:
@@ -543,6 +577,36 @@ def _float_cell(cell: str) -> float:
     if not cell.isascii() or "_" in cell:
         raise ValueError(f"not an unquoted ASCII decimal number: {cell!r}")
     return value
+
+
+def _read_table(data: bytes, start: int, columns) -> dict[str, np.ndarray]:
+    """The rows after `start` as one array per entry of `columns`, parsed by np.loadtxt.
+
+    An entry is a (name, kind) pair, or (name, kind, width) for `width`
+    columns read as one (N, width) array. Flag columns come back as bool.
+    """
+    row = np.dtype([(name, _CELL_TYPES[kind], *width) for name, kind, *width in columns])
+    table = _parse_rows(data, start, row)
+    flags = [name for name, kind, *_ in columns if kind == "flag"]
+    if (
+        table is None
+        or any(byte in data for byte in _ROW_BY_ROW_BYTES)
+        or not all(np.isin(table[name], ("0", "1")).all() for name in flags)
+    ):
+        cells = [(n, k) for n, k, *width in columns for _ in range(width[0] if width else 1)]
+        for _ in _check_rows(data, start, cells):
+            pass
+        if table is None:
+            raise ParseError("malformed rows", None)  # the row pass names each fault
+    return {name: table[name] == "1" if name in flags else table[name] for name, *_ in columns}
+
+
+def read_table(path: str | Path, columns, what: str) -> dict[str, np.ndarray]:
+    """`_read_table` of a CSV whose header is the names of `columns`, else a SchemaError."""
+    data, header, start = _read_csv(Path(path))
+    if header != [name for name, *_ in columns]:
+        raise SchemaError(f"{path}: unexpected {what} header {header}")
+    return _read_table(data, start, columns)
 
 
 def read_prediction_log(path: str | Path) -> PredictionLog:
@@ -581,7 +645,7 @@ def read_prediction_log(path: str | Path) -> PredictionLog:
         prefix = data[first_row.start():end]  # the first row's "pid,method,sparsity,"
         pid, method, sparsity, _ = prefix.decode().split(",")
         try:
-            population = (pid, method, float(sparsity))
+            population = (pid, method, _float_cell(sparsity))
         except ValueError:
             pass
     if (
@@ -618,18 +682,13 @@ def read_prediction_log(path: str | Path) -> PredictionLog:
 def _check_log_rows(data: bytes, start: int) -> None:
     """Raise a ParseError for the first log row that is faulty on its own, if any."""
     population: tuple[str, str, float] | None = None
-    for lineno, row in _body_rows(data, start):
-        if len(row) != len(LOG_HEADER):
-            raise ParseError(f"expected {len(LOG_HEADER)} fields, got {len(row)}", lineno)
-        try:
-            rank = [_int_cell(cell) for cell in row[3:]][2]
-            row_population = (row[0], row[1], float(row[2]))
-        except ValueError as exc:
-            raise ParseError(str(exc), lineno) from None
+    for lineno, row in _check_rows(data, start, _LOG_COLUMNS):
+        row_population = (row[0], row[1], float(row[2]))
         if population is None:
             population = row_population
         elif row_population != population:
             raise ParseError("mixed populations in one log file", lineno)
+        rank = int(row[5])
         if rank < 1:
             raise ParseError(f"ranks are 1-based, got {rank}", lineno)
 
@@ -725,48 +784,22 @@ def read_dataset(csv_path: str | Path) -> LabeledDataset:
     if feat_cols != expected:
         raise SchemaError(f"{csv_path}: feature columns must be f0..f{{d-1}}")
 
-    row = np.dtype([
-        ("example_id", np.int64),
-        ("true_label", np.int64),
-        ("attributes", "U2", (len(attr_names),)),  # 2 characters: "01" is not "0"
-        ("features", np.float64, (len(feat_cols),)),
+    table = _read_table(data, start, [
+        ("example_id", "int"),
+        ("true_label", "int"),
+        ("attribute", "flag", len(attr_names)),
+        ("features", "float", len(feat_cols)),
     ])
-    table = _parse_rows(data, start, row)
-    if (
-        table is None
-        or any(byte in data for byte in _ROW_BY_ROW_BYTES)
-        or not np.isin(table["attributes"], ("0", "1")).all()
-    ):
-        _check_dataset_rows(data, start, len(header), col)
-        if table is None:
-            raise ParseError("malformed dataset", None)  # the row pass names each fault
     return LabeledDataset.from_arrays(
         table["example_id"],
         table["true_label"],
         table["features"],
         num_classes,
         attribute_names=attr_names,
-        attributes=table["attributes"] == "1",
+        attributes=table["attribute"],
         layout=layout,
         class_names=class_names,
     )
-
-
-def _check_dataset_rows(data: bytes, start: int, width: int, col: int) -> None:
-    """Raise a ParseError for the first faulty dataset row; features start at `col`."""
-    for lineno, row in _body_rows(data, start):
-        if len(row) != width:
-            raise ParseError(f"expected {width} fields, got {len(row)}", lineno)
-        try:
-            _int_cell(row[0])
-            _int_cell(row[1])
-            for cell in row[col:]:
-                _float_cell(cell)
-        except ValueError as exc:
-            raise ParseError(str(exc), lineno) from None
-        for cell in row[2:col]:
-            if cell not in ("0", "1"):
-                raise ParseError(f"attribute cells must be 0 or 1, got {cell!r}", lineno)
 
 
 def read_json_object(path: str | Path) -> dict:

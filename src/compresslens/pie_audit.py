@@ -13,7 +13,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .data_model import CompressionSpec, LabeledDataset, PredictionLog, atomic_write_text
+from .data_model import (
+    CompressionSpec,
+    LabeledDataset,
+    PredictionLog,
+    atomic_write_text,
+    read_table,
+)
 from .errors import EmptyPIESet, ExampleSetMismatch, RankDepthExceeded
 
 
@@ -43,10 +49,8 @@ def vote_counts(log: PredictionLog) -> np.ndarray:
 
     `.argmax(axis=1)` is each example's modal label, ties to the lowest label.
     """
-    rank1 = log.predictions[:, :, 0]
-    n = log.num_examples
-    c = max(log.num_classes, int(rank1.max()) + 1 if rank1.size else 1)
-    cells = np.arange(n) * c + rank1  # (K, N) flat (example, label) index
+    n, c = log.num_examples, log.num_classes
+    cells = np.arange(n) * c + log.predictions[:, :, 0]  # (K, N) flat (example, label) index
     return np.bincount(cells.ravel(), minlength=n * c).reshape(n, c)
 
 
@@ -114,6 +118,7 @@ def attribute_relative_representation(
 
 
 PIE_HEADER = ["example_id", "true_label", "modal_base", "modal_comp", "is_pie"]
+PIE_COLUMNS = list(zip(PIE_HEADER, ["int"] * 4 + ["flag"]))
 ATTR_HEADER = ["attribute", "share_dataset", "share_pie", "relative_representation"]
 
 
@@ -128,6 +133,11 @@ def write_pie_report(pies: PIESet, truth: np.ndarray, path) -> None:
     ):
         lines.append(f"{eid},{label},{mb},{mc},{1 if mb != mc else 0}")
     atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def read_pie_report(path) -> dict[str, np.ndarray]:
+    """The columns of a `write_pie_report` CSV, keyed by `PIE_HEADER`; `is_pie` is bool."""
+    return read_table(path, PIE_COLUMNS, "PIE")
 
 
 def write_attribute_report(pies: PIESet, dataset: LabeledDataset, path) -> None:

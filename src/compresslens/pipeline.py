@@ -7,7 +7,6 @@ are fixed.
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 from contextlib import contextmanager
@@ -26,15 +25,15 @@ from .data_model import (
     read_json_object,
     write_prediction_log,
 )
-from .errors import CompressLensError, ConfigError, ParseError, SchemaError
+from .errors import CompressLensError, ConfigError
 from .pie_audit import (
-    PIE_HEADER,
     identify_pies,
+    read_pie_report,
     subset_accuracy,
     write_attribute_report,
     write_pie_report,
 )
-from .stats_audit import AUDIT_HEADER, audit_classes, write_audit_csv
+from .stats_audit import AUDIT_HEADER, audit_classes, read_audit_csv, write_audit_csv
 from .synth import SynthLongTailSpec, synthesize
 from .trainer import (
     PruneSchedule,
@@ -55,7 +54,8 @@ def _stage(name: str):
     try:
         yield
     except CompressLensError as exc:
-        raise type(exc)(f"[stage: {name}] {exc}") from exc
+        exc.args = (f"[stage: {name}] {exc}",)  # the same error: its type and fields stay
+        raise
 
 
 @dataclass(frozen=True)
@@ -278,59 +278,6 @@ def run_pipeline(config: ExperimentConfig) -> PipelineResult:
 # report merging
 # ---------------------------------------------------------------------------
 
-def _read_audit_rows(path: str | Path) -> list[dict]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            return []
-        if header != AUDIT_HEADER:
-            raise SchemaError(f"{path}: unexpected audit header {header}")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError(f"expected {len(header)} fields", lineno)
-            try:
-                rows.append(
-                    {
-                        "class": int(row[0]),
-                        "mean_recall_base": float(row[1]),
-                        "mean_recall_comp": float(row[2]),
-                        "norm_recall_diff": float(row[3]),
-                        "t_stat": float(row[4]),
-                        "df": float(row[5]),
-                        "p_value": float(row[6]),
-                        "significant": row[7] == "1",
-                    }
-                )
-            except ValueError as exc:
-                raise ParseError(str(exc), lineno) from None
-    return rows
-
-
-def _read_pie_counts(path: str | Path) -> tuple[int, int]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            return 0, 0
-        if header != PIE_HEADER:
-            raise SchemaError(f"{path}: unexpected PIE header {header}")
-        total = pies = 0
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError(f"expected {len(header)} fields", lineno)
-            total += 1
-            if row[-1] == "1":
-                pies += 1
-    return pies, total
-
-
 def write_report(
     audit_csv: str | Path,
     out_dir: str | Path,
@@ -344,7 +291,8 @@ def write_report(
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = _read_audit_rows(audit_csv)
+    audit = read_audit_csv(audit_csv)
+    rows = [dict(zip(AUDIT_HEADER, row)) for row in zip(*(audit[c].tolist() for c in AUDIT_HEADER))]
     rows.sort(key=lambda r: (r["norm_recall_diff"], r["class"]))
 
     lines = [
@@ -367,10 +315,9 @@ def write_report(
         "rows": rows,
     }
     if pie_csv is not None:
-        pies, total = _read_pie_counts(pie_csv)
-        doc["pie_count"] = pies
-        doc["examples"] = total
-        lines.append(f"pies: {pies} / {total}")
+        is_pie = read_pie_report(pie_csv)["is_pie"]
+        doc["pie_count"], doc["examples"] = int(is_pie.sum()), len(is_pie)
+        lines.append(f"pies: {doc['pie_count']} / {doc['examples']}")
     atomic_write_text(out_dir / "report.txt", "\n".join(lines) + "\n")
     atomic_write_text(
         out_dir / "report.json", json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -24,6 +24,7 @@ from .data_model import (
     atomic_write_text,
     class_recall_matrix,
     model_accuracy,
+    read_table,
 )
 from .errors import (
     EmptySample,
@@ -305,6 +306,7 @@ AUDIT_HEADER = [
     "p_value",
     "significant",
 ]
+AUDIT_COLUMNS = list(zip(AUDIT_HEADER, ["int"] + ["float"] * 6 + ["flag"]))
 
 
 def format_audit_csv(rows: list[ClassAuditRow]) -> str:
@@ -320,3 +322,8 @@ def format_audit_csv(rows: list[ClassAuditRow]) -> str:
 
 def write_audit_csv(rows: list[ClassAuditRow], path) -> None:
     atomic_write_text(path, format_audit_csv(rows))
+
+
+def read_audit_csv(path) -> dict[str, np.ndarray]:
+    """The columns of a `write_audit_csv` CSV, keyed by `AUDIT_HEADER`; `significant` is bool."""
+    return read_table(path, AUDIT_COLUMNS, "audit")

@@ -13,9 +13,16 @@ import pytest
 import compresslens
 from compresslens import cli
 from compresslens.cli import main
-from compresslens.data_model import CompressionSpec
-from compresslens.errors import ConfigError
-from compresslens.pipeline import ExperimentConfig, _schedule_for, load_experiment_config
+from compresslens.data_model import LOG_HEADER, CompressionSpec
+from compresslens.errors import ConfigError, ParseError
+from compresslens.pie_audit import PIE_HEADER
+from compresslens.pipeline import (
+    ExperimentConfig,
+    _schedule_for,
+    load_experiment_config,
+    run_pipeline,
+)
+from compresslens.stats_audit import AUDIT_HEADER
 from compresslens.synth import SynthLongTailSpec, generate
 from compresslens.trainer import TrainConfig, prune_window
 
@@ -202,6 +209,43 @@ class TestReport:
         rc = main(["report", "--audit", str(audit), "--out", str(tmp_path / "r")])
         assert rc == 2
 
+    AUDIT_ROWS = ["0,0.5,0.4,-0.1,-1.0,3.0,0.3,0", "1,0.6,0.7,0.1,1.0,3.0,0.3,1"]
+    PIE_ROWS = ["10,0,0,0,0", "11,1,1,0,1"]
+
+    def _report(self, tmp_path, audit_rows, pie_rows) -> int:
+        for name, header, rows in (("audit", AUDIT_HEADER, audit_rows), ("pie", PIE_HEADER, pie_rows)):
+            (tmp_path / f"{name}.csv").write_text("\n".join([",".join(header), *rows]) + "\n")
+        return main(["report", "--audit", str(tmp_path / "audit.csv"),
+                     "--pie", str(tmp_path / "pie.csv"), "--out", str(tmp_path / "r")])
+
+    def test_well_formed_inputs(self, tmp_path):
+        assert self._report(tmp_path, self.AUDIT_ROWS, self.PIE_ROWS) == 0
+        doc = json.loads((tmp_path / "r" / "report.json").read_text())
+        assert (doc["significant_classes"], doc["pie_count"], doc["examples"]) == (1, 1, 2)
+
+    @pytest.mark.parametrize("which, row, message", [
+        ("audit", "1,0.6,0.7,0.1,1.0,3.0,0.3,yes", "significant cells must be 0 or 1"),
+        ("audit", '1,0.6,"0.7",0.1,1.0,3.0,0.3,1', "could not convert"),
+        ("audit", "1,0.6,0.7,0.1,1.0,3.0,0.3,1\r\r", "carriage return inside a line"),
+        ("pie", "x,y,z,w,1", "invalid literal for int()"),
+        ("pie", "11,1,1,0,yes", "is_pie cells must be 0 or 1"),
+        ("pie", '"11",1,1,0,1', "invalid literal for int()"),
+    ])
+    def test_hostile_rows_name_the_line(self, tmp_path, capsys, which, row, message):
+        rows = {"audit": list(self.AUDIT_ROWS), "pie": list(self.PIE_ROWS)}
+        rows[which][1] = row
+        assert self._report(tmp_path, rows["audit"], rows["pie"]) == 2
+        assert f"line 3: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "r" / "report.json").exists()
+
+    @pytest.mark.parametrize("which", ["audit", "pie"])
+    def test_empty_file_exits_2(self, tmp_path, capsys, which):
+        assert self._report(tmp_path, self.AUDIT_ROWS, self.PIE_ROWS) == 0
+        (tmp_path / f"{which}.csv").write_bytes(b"")
+        rc = main(["report", "--audit", str(tmp_path / "audit.csv"),
+                   "--pie", str(tmp_path / "pie.csv"), "--out", str(tmp_path / "r2")])
+        assert rc == 2 and "empty file" in capsys.readouterr().err
+
 
 @pytest.fixture(scope="module")
 def mini_config(tmp_path_factory):
@@ -305,6 +349,17 @@ class TestRun:
         cfg.write_text(json.dumps({"prune": {"every": 100}}))
         got = load_experiment_config(cfg)
         assert resolved_window(got) == resolved_window(ExperimentConfig()) == (250, 1750, 100)
+
+    def test_stage_keeps_the_parse_error_line(self, tmp_path):
+        data = tmp_path / "data"
+        generate(SynthLongTailSpec(num_classes=2, dim=2, train_count=4, test_count=4), data)
+        lines = (data / "train.csv").read_text().split("\n")
+        lines[2] = "x" + lines[2]
+        (data / "train.csv").write_text("\n".join(lines))
+        with pytest.raises(ParseError) as err:
+            run_pipeline(ExperimentConfig(dataset_path=str(data), out_dir=str(tmp_path / "o")))
+        assert err.value.line == 3
+        assert str(err.value).startswith("[stage: dataset] line 3: invalid literal")
 
     def test_failing_stage_is_named(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -448,6 +503,40 @@ class TestBadInputExits2:
         rc, err = run_cli(argv)
         assert rc == 2 and "Traceback" not in err
         assert "line 2" in err and huge in err
+
+    @staticmethod
+    def _log_pair(tmp_path, base_preds, comp_preds, truth) -> list[str]:
+        """`--base` and `--comp` flags for two 2-model logs on examples 10 and 11."""
+        flags = []
+        for name, preds in (("base", base_preds), ("comp", comp_preds)):
+            rows = [
+                f"p,none,0.0,{k},{10 + i},1,{pred},{truth[i]}"
+                for k, model in enumerate(preds) for i, pred in enumerate(model)
+            ]
+            (tmp_path / f"{name}.csv").write_text("\n".join([",".join(LOG_HEADER), *rows]) + "\n")
+            flags += [f"--{name}", str(tmp_path / f"{name}.csv")]
+        return flags
+
+    def test_negative_predicted_label(self, tmp_path):
+        pair = self._log_pair(tmp_path, [[0, 1], [0, 1]], [[0, -1], [0, -1]], [0, 1])
+        rc, err = run_cli(["audit-pie", *pair, "--out", str(tmp_path / "pie")])
+        assert rc == 2 and "Traceback" not in err
+        assert "example 11: predicted label -1 outside" in err
+        assert not (tmp_path / "pie").exists()
+
+    def test_negative_true_label(self, tmp_path):
+        pair = self._log_pair(tmp_path, [[0, 1], [0, 1]], [[0, 1], [1, 0]], [0, -1])
+        rc, err = run_cli(["audit-classes", *pair, "--out", str(tmp_path / "a.csv")])
+        assert rc == 2 and "Traceback" not in err
+        assert "example 11: true label -1 outside" in err
+
+    @pytest.mark.parametrize("label", [3 * 10**9, 2**63 - 1])
+    def test_more_classes_than_examples(self, tmp_path, label):
+        preds = [[0, label], [0, 1]]
+        pair = self._log_pair(tmp_path, preds, preds, [0, 1])
+        rc, err = run_cli(["audit-classes", *pair, "--out", str(tmp_path / "a.csv")])
+        assert rc == 2 and "Traceback" not in err
+        assert f"{label + 1} classes but 2 examples" in err
 
     def test_bad_window_fails_before_training(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -22,12 +22,15 @@ from compresslens.data_model import (
     write_prediction_log,
 )
 from compresslens.errors import (
+    CompressLensError,
     ConfigError,
     MissingClassSupport,
     ParseError,
     RankDepthExceeded,
     SchemaError,
 )
+from compresslens.pie_audit import PIESet, read_pie_report, write_pie_report
+from compresslens.stats_audit import ClassAuditRow, read_audit_csv, write_audit_csv
 
 
 def make_log(preds, truth, ids=None, topk=None, population_id="pop", spec=None):
@@ -177,6 +180,12 @@ class TestClassRecall:
         with pytest.raises(MissingClassSupport):
             class_recall_matrix(make_log(preds, truth))
 
+    @pytest.mark.parametrize("label", [5, 3 * 10**9, 2**63 - 1])
+    def test_more_classes_than_examples_raises(self, label):
+        log = make_log([[0, 1, label]], [0, 1, 2])  # C = label + 1 > 3 examples
+        with pytest.raises(MissingClassSupport, match="3 examples"):
+            class_recall_matrix(log)
+
     def test_purity(self):
         truth = [0, 1, 0, 1]
         preds = [[0, 1, 1, 0], [1, 1, 0, 1]]
@@ -248,6 +257,20 @@ class TestLogValidation:
     def test_duplicate_example_ids_rejected(self):
         with pytest.raises(ConfigError):
             make_log([[0, 1]], [0, 1], ids=[3, 3])
+
+    @pytest.mark.parametrize("preds, truth, message", [
+        ([[0, -1]], [0, 1], "example 1: predicted label -1 outside"),
+        ([[0, 1]], [0, -2], "example 1: true label -2 outside"),
+    ])
+    def test_negative_labels_rejected(self, preds, truth, message):
+        with pytest.raises(ConfigError, match=message):
+            make_log(preds, truth)
+
+    @pytest.mark.parametrize("preds, truth", [([[0, 2]], [0, 1]), ([[0, 1]], [0, 2])])
+    def test_labels_beyond_explicit_class_count_rejected(self, preds, truth):
+        with pytest.raises(ConfigError, match=r"label 2 outside \[0, 2\)"):
+            PredictionLog("p", CompressionSpec("none"), [0, 1], truth,
+                          np.array(preds)[:, :, np.newaxis], explicit_num_classes=2)
 
     def test_caller_arrays_stay_writeable(self):
         ids, truth, preds = np.array([2, 5]), np.array([0, 1]), np.array([[[0], [1]]])
@@ -459,7 +482,11 @@ def _mutate(data, lines: list[str]) -> list[str]:
         fields[0] += "x"
     elif kind == "sparsity" and len(fields) > 2:
         s = fields[2]
-        fields[2] = data.draw(st.sampled_from([s + "0", f"{float(s):.20g}", "0.5", "nan", "x"]))
+        try:
+            digits = f"{float(s):.20g}"  # the same number in other words
+        except ValueError:  # an earlier "add" or "drop" put a text cell here
+            digits = s
+        fields[2] = data.draw(st.sampled_from([s + "0", digits, "0.5", "nan", "x"]))
     elif kind == "blank":
         return lines[:i] + [data.draw(st.sampled_from(["", "\r", " "]))] + lines[i:]
     elif kind == "crlf":
@@ -600,3 +627,197 @@ class TestColumnarDatasetReader:
         np.testing.assert_array_equal(ds.feature_matrix, [[0.5, 1.5], [-1.0, 2000.0]])
         _dataset_csv(tmp_path / "e.csv", [])
         assert len(read_dataset(tmp_path / "e.csv")) == 0
+
+
+# ---------------------------------------------------------------------------
+# the table readers (datasets, class audits, PIE reports) under mutation
+# ---------------------------------------------------------------------------
+
+# cells that break the row grammar, and cells that keep it, by column kind
+BAD_CELLS = {
+    "int": ["x", "1.5", "", '"3"', "1_0", "٣", "3\x1c", "99999999999999999999"],
+    "float": ["x", "", '"0.5"', "0_5", "١", "1e", "0x1p-2"],
+    "flag": ["yes", "01", "", " 1", "true", "1\x00", '"1"', "2"],
+}
+GOOD_CELLS = {
+    "int": ["0", "7", "-1", " 2", "+3"],
+    "float": ["0.5", "-inf", "nan", "1e3", " 2"],
+    "flag": ["0", "1"],
+}
+# each mutation of a data row that breaks the row grammar; the others keep it
+ROW_FAULTS = ["drop", "add", "bad", "cr"]
+KEEPS_GRAMMAR = ["dup", "blank", "crlf", "good"]
+
+
+def _column_kind(name: str) -> str:
+    """The kind of a column of a dataset, class-audit or PIE CSV, from its name."""
+    if name in ("example_id", "true_label", "class", "modal_base", "modal_comp"):
+        return "int"
+    if name in ("significant", "is_pie") or name.startswith("attr_"):
+        return "flag"
+    return "float"
+
+
+def _mutate_table(data, lines: list[str], kind: str) -> list[str]:
+    """One mutation of a data row of a table CSV's lines (header first)."""
+    rows = [i for i, line in enumerate(lines) if i and line.strip("\r")]
+    if not rows:
+        return lines
+    i = data.draw(st.sampled_from(rows))
+    fields, header = lines[i].split(","), lines[0].rstrip("\r").split(",")
+    j = data.draw(st.integers(0, min(len(fields), len(header)) - 1))
+    cell_kind = _column_kind(header[j])
+    if kind == "drop":
+        fields.pop(j)
+    elif kind == "add":
+        fields.insert(j, data.draw(st.sampled_from(["0", "1", "", "x"])))
+    elif kind == "bad":
+        fields[j] = data.draw(st.sampled_from(BAD_CELLS[cell_kind]))
+    elif kind == "good":
+        fields[j] = data.draw(st.sampled_from(GOOD_CELLS[cell_kind]))
+    elif kind == "cr":  # a carriage return before one of the line's characters
+        k = data.draw(st.integers(0, len(lines[i]) - 1))
+        return lines[:i] + [lines[i][:k] + "\r" + lines[i][k:]] + lines[i + 1:]
+    elif kind == "dup":
+        return lines[:i] + [lines[i]] + lines[i:]
+    elif kind == "blank":
+        return lines[:i] + [data.draw(st.sampled_from(["", "\r"]))] + lines[i:]
+    elif kind == "crlf":
+        return [line if line.endswith("\r") or not line else line + "\r" for line in lines]
+    elif kind == "truncate":
+        text = "\n".join(lines)
+        return text[: data.draw(st.integers(0, len(text)))].split("\n")
+    lines[i] = ",".join(fields)
+    return lines
+
+
+def _fuzz_table(data, path, read) -> None:
+    """Mutate a table CSV the toolkit wrote once or twice, then read it.
+
+    A row fault, not undone by a later mutation, must be a ParseError naming
+    its line; a file that keeps the row grammar must not be one. The reader
+    raises no exception that is not a CompressLensError.
+    """
+    first = data.draw(st.sampled_from(ROW_FAULTS + KEEPS_GRAMMAR + ["truncate"]))
+    kinds = [first] + data.draw(st.lists(st.sampled_from(KEEPS_GRAMMAR + ["truncate"]), max_size=1))
+    lines = path.read_text().split("\n")
+    for kind in kinds:
+        lines = _mutate_table(data, lines, kind)
+    path.write_bytes("\n".join(lines).encode())
+    try:
+        read(path)
+        error = None
+    except CompressLensError as exc:  # anything else fails the test
+        error = exc
+    if first in ROW_FAULTS and set(kinds[1:]) <= {"dup", "blank", "crlf"}:
+        assert isinstance(error, ParseError) and str(error).startswith("line "), (kinds, error)
+    elif first in KEEPS_GRAMMAR and "truncate" not in kinds:
+        assert not isinstance(error, ParseError), (kinds, error)
+
+
+@st.composite
+def small_datasets(draw):
+    n, d, C = draw(st.integers(1, 5)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    names = draw(st.lists(st.sampled_from("abc"), max_size=2, unique=True))
+    return LabeledDataset.from_arrays(
+        draw(st.lists(st.integers(0, 2**63 - 1), min_size=n, max_size=n, unique=True)),
+        draw(st.lists(st.integers(0, C - 1), min_size=n, max_size=n)),
+        np.reshape(draw(st.lists(st.floats(width=64), min_size=n * d, max_size=n * d)), (n, d)),
+        C,
+        names,
+        np.reshape(draw(st.lists(st.booleans(), min_size=n * len(names), max_size=n * len(names))),
+                   (n, len(names))),
+    )
+
+
+@st.composite
+def audit_rows(draw):
+    n = draw(st.integers(1, 5))
+    return [
+        ClassAuditRow(c, *draw(st.lists(st.floats(width=64), min_size=6, max_size=6)),
+                      draw(st.booleans()))
+        for c in draw(st.permutations(range(n)))
+    ]
+
+
+@st.composite
+def pie_reports(draw):
+    n = draw(st.integers(1, 5))
+    ids = draw(st.lists(st.integers(0, 2**63 - 1), min_size=n, max_size=n, unique=True))
+    base, comp, truth = (
+        draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)) for _ in range(3)
+    )
+    return PIESet(np.array(ids), np.array(base), np.array(comp), CompressionSpec("none")), truth
+
+
+class TestTableReaders:
+    """Datasets, class audits and PIE reports are read by one table reader."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=audit_rows())
+    def test_audit_roundtrip(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("a") / "audit.csv"
+        write_audit_csv(rows, path)
+        back = read_audit_csv(path)
+        np.testing.assert_array_equal(back["class"], [r.class_id for r in rows])
+        np.testing.assert_array_equal(back["significant"], [r.significant for r in rows])
+        for name in ("mean_recall_base", "mean_recall_comp", "norm_recall_diff",
+                     "t_stat", "df", "p_value"):
+            want = [float(f"{getattr(r, name):.6f}") for r in rows]
+            np.testing.assert_array_equal(back[name], want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(report=pie_reports())
+    def test_pie_roundtrip(self, tmp_path_factory, report):
+        pies, truth = report
+        path = tmp_path_factory.mktemp("p") / "pie.csv"
+        write_pie_report(pies, truth, path)
+        back = read_pie_report(path)
+        np.testing.assert_array_equal(back["example_id"], pies.example_ids)
+        np.testing.assert_array_equal(back["true_label"], truth)
+        np.testing.assert_array_equal(back["modal_base"], pies.modal_base)
+        np.testing.assert_array_equal(back["modal_comp"], pies.modal_comp)
+        np.testing.assert_array_equal(back["is_pie"], np.isin(pies.example_ids, pies.pie_ids))
+
+    @settings(max_examples=300, deadline=None)
+    @given(dataset=small_datasets(), data=st.data())
+    def test_dataset_mutations(self, tmp_path_factory, dataset, data):
+        path = tmp_path_factory.mktemp("d") / "d.csv"
+        write_dataset(dataset, path)
+        _fuzz_table(data, path, read_dataset)
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=audit_rows(), data=st.data())
+    def test_audit_mutations(self, tmp_path_factory, rows, data):
+        path = tmp_path_factory.mktemp("a") / "audit.csv"
+        write_audit_csv(rows, path)
+        _fuzz_table(data, path, read_audit_csv)
+
+    @settings(max_examples=300, deadline=None)
+    @given(report=pie_reports(), data=st.data())
+    def test_pie_mutations(self, tmp_path_factory, report, data):
+        path = tmp_path_factory.mktemp("p") / "pie.csv"
+        write_pie_report(*report, path)
+        _fuzz_table(data, path, read_pie_report)
+
+    @pytest.mark.parametrize("read, text", [
+        (read_audit_csv, "class,x\n"),
+        (read_pie_report, "example_id,true_label,modal_base,modal_comp\n"),
+    ])
+    def test_other_header_is_a_schema_error(self, tmp_path, read, text):
+        (tmp_path / "t.csv").write_text(text)
+        with pytest.raises(SchemaError, match="unexpected .* header"):
+            read(tmp_path / "t.csv")
+
+    def test_trailing_carriage_return_names_the_line(self, tmp_path):
+        """np.loadtxt takes a carriage return that ends the file for a line end."""
+        log = make_log([[0, 1], [1, 0]], [0, 1])
+        write_prediction_log(log, tmp_path / "log.csv")
+        text = (tmp_path / "log.csv").read_text()
+        (tmp_path / "log.csv").write_text(text.rstrip("\n") + "\r")
+        with pytest.raises(ParseError, match="line 5: carriage return inside a line"):
+            read_prediction_log(tmp_path / "log.csv")
+        _dataset_csv(tmp_path / "d.csv", ["0,0,1,0.5,1.5"])
+        (tmp_path / "d.csv").write_text((tmp_path / "d.csv").read_text().rstrip("\n") + "\r")
+        with pytest.raises(ParseError, match="line 2: carriage return inside a line"):
+            read_dataset(tmp_path / "d.csv")
