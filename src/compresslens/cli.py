@@ -23,15 +23,10 @@ from .data_model import (
     write_prediction_log,
 )
 from .errors import CompressLensError, ConfigError, DataError, NumericError
-from .pie_audit import (
-    attribute_relative_representation,
-    identify_pies,
-    subset_accuracy,
-    write_attribute_report,
-    write_pie_report,
-)
+from .pie_audit import write_attribute_report, write_pie_report
 from .pipeline import (
     ExperimentConfig,
+    audit_level,
     load_experiment_config,
     run_pipeline,
     write_report,
@@ -39,14 +34,7 @@ from .pipeline import (
 from .robustness import CORRUPTION_KINDS, robustness_report, write_robustness_report
 from .stats_audit import audit_classes, write_audit_csv
 from .synth import SynthLongTailSpec, generate
-from .trainer import (
-    PruneSchedule,
-    TrainConfig,
-    load_model,
-    prune_window,
-    save_model,
-    train_population,
-)
+from .trainer import TrainConfig, load_model, prune_schedule, save_model, train_population
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -167,14 +155,14 @@ def _cmd_train(args) -> int:
     train_ds = read_dataset(Path(args.data) / "train.csv")
     test_ds = read_dataset(Path(args.data) / "test.csv")
 
-    compression, schedule = CompressionSpec("none"), None
+    compression = CompressionSpec("none")
     if args.sparsity is not None:
         compression = CompressionSpec("magnitude_prune", args.sparsity)
-        window = prune_window(config.steps, args.prune_start, args.prune_end, args.prune_every)
-        schedule = PruneSchedule(args.sparsity, *window)
     elif args.quant is not None:
         compression = CompressionSpec(QUANT_KINDS[args.quant])
-
+    schedule = prune_schedule(
+        compression, config.steps, args.prune_start, args.prune_end, args.prune_every
+    )
     models, log = train_population(
         train_ds, test_ds, config, compression, schedule, topk=args.topk
     )
@@ -202,24 +190,19 @@ def _cmd_audit_classes(args) -> int:
 def _cmd_audit_pie(args) -> int:
     base = read_prediction_log(args.base)
     comp = read_prediction_log(args.comp)
-    pies = identify_pies(base, comp)
-    out_dir = Path(args.out)
+    test_ds = None if args.data is None else read_dataset(Path(args.data) / "test.csv")
+    depth = {} if args.k is None else {"k": min(args.k, base.topk)}
+    level = audit_level(base, comp, test_ds, **depth)
+    pies, out_dir = level.pies, Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_pie_report(pies, base.truth, out_dir / "pie.csv")
 
     doc: dict = {"pie_count": len(pies), "examples": len(pies.example_ids)}
-    if pies.pie_ids:
-        depth = {} if args.k is None else {"k": min(args.k, base.topk)}
-        acc_pie, acc_non, acc_all = subset_accuracy(base, pies, **depth)
-        doc["baseline_topk_on_pies"] = acc_pie
-        doc["baseline_topk_on_non_pies"] = acc_non
-        doc["baseline_topk_on_all"] = acc_all
-        if args.data is not None:
-            test_ds = read_dataset(Path(args.data) / "test.csv")
-            write_attribute_report(pies, test_ds, out_dir / "attributes.csv")
-            doc["attribute_relative_representation"] = (
-                attribute_relative_representation(pies, test_ds)
-            )
+    if level.subset is not None:  # fractions at depth k, where `run` writes percentages
+        doc.update((f"baseline_topk_on_{name}", acc) for name, acc in level.subset.items())
+    if level.attributes is not None:  # a dataset without attributes writes a bare header
+        write_attribute_report(level.attributes, out_dir / "attributes.csv")
+        doc["attribute_relative_representation"] = {a: r for a, (*_, r) in level.attributes.items()}
     atomic_write_text(
         out_dir / "pie_summary.json", json.dumps(doc, indent=2, sort_keys=True) + "\n"
     )

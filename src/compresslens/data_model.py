@@ -372,6 +372,11 @@ class PredictionLog:
     def same_example_set(self, other: "PredictionLog") -> bool:
         return np.array_equal(self.example_ids, other.example_ids)
 
+    def check_depth(self, k: int) -> None:
+        """RankDepthExceeded unless `k` is a rank depth of the log, 1 to `topk`."""
+        if not 1 <= k <= self.topk:
+            raise RankDepthExceeded(f"rank depth {k} outside [1, {self.topk}]")
+
 
 def class_recall_matrix(log: PredictionLog) -> dict[int, np.ndarray]:
     """Per-class rank-1 recall samples across the population.
@@ -409,12 +414,9 @@ def model_accuracy(log: PredictionLog, k: int = 1) -> np.ndarray:
     """Per-model top-k accuracy: the true label appears within the first k ranks.
 
     Raises:
-        RankDepthExceeded: k exceeds the log's ranking depth.
+        RankDepthExceeded: k outside [1, log.topk].
     """
-    if k < 1:
-        raise RankDepthExceeded(f"rank depth must be >= 1, got {k}")
-    if k > log.topk:
-        raise RankDepthExceeded(f"rank depth {k} exceeds log depth {log.topk}")
+    log.check_depth(k)
     hits = log.predictions[:, :, :k] == log.truth[np.newaxis, :, np.newaxis]
     return hits.any(axis=2).mean(axis=1)
 

@@ -20,7 +20,7 @@ from .data_model import (
     atomic_write_text,
     read_table,
 )
-from .errors import EmptyPIESet, ExampleSetMismatch, RankDepthExceeded
+from .errors import EmptyPIESet, ExampleSetMismatch
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,8 +77,7 @@ def subset_accuracy(
 
     An empty subset is reported as None rather than 0.
     """
-    if k < 1 or k > eval_log.topk:
-        raise RankDepthExceeded(f"rank depth {k} outside [1, {eval_log.topk}]")
+    eval_log.check_depth(k)
     pie_mask = np.isin(eval_log.example_ids, pies.pie_ids)
     if pie_mask.sum() != len(pies):
         raise ExampleSetMismatch("PIE ids not contained in the evaluation log")
@@ -95,26 +94,27 @@ def subset_accuracy(
     return _mean(pie_mask), _mean(~pie_mask), _mean(np.ones_like(pie_mask))
 
 
-def _attribute_shares(
+def attribute_shares(
     pies: PIESet, dataset: LabeledDataset
-) -> tuple[np.ndarray, np.ndarray]:
-    """Dataset-wide and PIE shares of each of `dataset.attribute_names`."""
+) -> dict[str, tuple[float, float, float]]:
+    """Each attribute's (dataset share, PIE share, PIE share / dataset share).
+
+    Only attributes that some example carries are listed, so the ratio is
+    always defined.
+    """
     if not pies.pie_ids:
         raise EmptyPIESet("attribute analysis needs at least one PIE")
     on_pies = dataset.attributes[np.isin(dataset.example_ids, pies.pie_ids)]
-    return dataset.attributes.mean(axis=0), on_pies.sum(axis=0) / max(len(on_pies), 1)
+    share_all = dataset.attributes.mean(axis=0).tolist()
+    share_pie = (on_pies.sum(axis=0) / max(len(on_pies), 1)).tolist()
+    return {a: (s, p, p / s) for a, s, p in zip(dataset.attribute_names, share_all, share_pie)}
 
 
 def attribute_relative_representation(
     pies: PIESet, dataset: LabeledDataset
 ) -> dict[str, float]:
-    """Share of PIEs carrying each attribute, normalized by the dataset-wide share.
-
-    Only attributes that some example carries are reported, so the ratio is
-    always defined.
-    """
-    share_all, share_pie = _attribute_shares(pies, dataset)
-    return dict(zip(dataset.attribute_names, (share_pie / share_all).tolist()))
+    """Share of PIEs carrying each attribute, normalized by the dataset-wide share."""
+    return {a: r for a, (*_, r) in attribute_shares(pies, dataset).items()}
 
 
 PIE_HEADER = ["example_id", "true_label", "modal_base", "modal_comp", "is_pie"]
@@ -140,9 +140,8 @@ def read_pie_report(path) -> dict[str, np.ndarray]:
     return read_table(path, PIE_COLUMNS, "PIE")
 
 
-def write_attribute_report(pies: PIESet, dataset: LabeledDataset, path) -> None:
-    share_all, share_pie = _attribute_shares(pies, dataset)
+def write_attribute_report(shares: dict[str, tuple[float, float, float]], path) -> None:
     lines = [",".join(ATTR_HEADER)]
-    for name, a, p in zip(dataset.attribute_names, share_all, share_pie):
-        lines.append(f"{name},{a:.6f},{p:.6f},{p / a:.6f}")
+    for name, (a, p, r) in shares.items():
+        lines.append(f"{name},{a:.6f},{p:.6f},{r:.6f}")
     atomic_write_text(path, "\n".join(lines) + "\n")

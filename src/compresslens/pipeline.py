@@ -11,6 +11,7 @@ import json
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, is_dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 from .data_model import (
@@ -27,19 +28,20 @@ from .data_model import (
 )
 from .errors import CompressLensError, ConfigError
 from .pie_audit import (
+    PIESet,
+    attribute_shares,
     identify_pies,
     read_pie_report,
     subset_accuracy,
     write_attribute_report,
     write_pie_report,
 )
-from .stats_audit import AUDIT_HEADER, audit_classes, read_audit_csv, write_audit_csv
+from .stats_audit import AUDIT_HEADER, ClassAuditRow, audit_classes, read_audit_csv, write_audit_csv
 from .synth import SynthLongTailSpec, synthesize
 from .trainer import (
-    PruneSchedule,
     TrainConfig,
     check_schedule,
-    prune_window,
+    prune_schedule,
     ranking_depth,
     train_population,
 )
@@ -95,6 +97,9 @@ class ExperimentConfig:
             raise ConfigError(
                 f"sweep must include exactly one 'none' baseline, got {len(baselines)}"
             )
+        labels = [s.label for s in self.sweep]  # each names one population's files
+        if len(set(labels)) < len(labels):
+            raise ConfigError(f"sweep repeats the level {max(labels, key=labels.count)!r}")
 
 
 _TOP_KEYS = ("seed", "out_dir", "topk")  # copied to ExperimentConfig as they are
@@ -162,13 +167,45 @@ def _resolve_dataset(config: ExperimentConfig) -> tuple[LabeledDataset, LabeledD
     return synthesize(config.synth)
 
 
-def _schedule_for(config: ExperimentConfig, spec: CompressionSpec) -> PruneSchedule | None:
-    if spec.method != "magnitude_prune":
-        return None
-    window = prune_window(
-        config.train.steps, config.prune_start, config.prune_end, config.prune_every
-    )
-    return PruneSchedule(spec.sparsity, *window)
+@dataclass(frozen=True, eq=False)
+class LevelAudit:
+    """One level's audit (see `audit_level`); the Welch class rows are computed on first use."""
+
+    base_log: PredictionLog
+    comp_log: PredictionLog
+    audit: AuditConfig
+    pies: PIESet
+    subset: dict[str, float | None] | None
+    attributes: dict[str, tuple[float, float, float]] | None
+
+    @cached_property
+    def class_rows(self) -> list[ClassAuditRow] | None:
+        """`audit_classes`, or None when either population has K < 2 models."""
+        if min(self.base_log.num_models, self.comp_log.num_models) < 2:
+            return None
+        return audit_classes(self.base_log, self.comp_log, self.audit)
+
+
+def audit_level(
+    base_log: PredictionLog,
+    comp_log: PredictionLog,
+    test_ds: LabeledDataset | None,
+    audit: AuditConfig = AuditConfig(),
+    k: int = 1,
+) -> LevelAudit:
+    """The PIEs of `comp_log` against `base_log`, and the analyses built on them.
+
+    `subset` maps "pies", "non_pies" and "all" to the baseline's top-`k`
+    accuracy there, `attributes` is `attribute_shares`: both None without
+    PIEs, `attributes` also without `test_ds`. `k` is checked either way.
+    """
+    base_log.check_depth(k)
+    pies = identify_pies(base_log, comp_log)
+    if not pies.pie_ids:
+        return LevelAudit(base_log, comp_log, audit, pies, None, None)
+    subset = dict(zip(("pies", "non_pies", "all"), subset_accuracy(base_log, pies, k)))
+    attributes = None if test_ds is None else attribute_shares(pies, test_ds)
+    return LevelAudit(base_log, comp_log, audit, pies, subset, attributes)
 
 
 @dataclass(frozen=True)
@@ -183,7 +220,9 @@ def run_pipeline(config: ExperimentConfig) -> PipelineResult:
     schedules = {}  # every level's, checked before anything is trained or written
     for spec in config.sweep:
         with _stage(f"train {spec.label}"):
-            schedules[spec.label] = _schedule_for(config, spec)
+            schedules[spec.label] = prune_schedule(
+                spec, config.train.steps, config.prune_start, config.prune_end, config.prune_every
+            )
             check_schedule(config.train, spec, schedules[spec.label])
     out = Path(config.out_dir)
     (out / "logs").mkdir(parents=True, exist_ok=True)
@@ -193,31 +232,20 @@ def run_pipeline(config: ExperimentConfig) -> PipelineResult:
     with _stage("dataset"):
         train_ds, test_ds = _resolve_dataset(config)
 
-    baseline_spec = next(s for s in config.sweep if s.method == "none")
+    baseline = next(s for s in config.sweep if s.method == "none")
     comp_specs = [s for s in config.sweep if s.method != "none"]
-
-    log_paths: dict[str, Path] = {}
+    log_paths = {s.label: out / "logs" / f"{s.label}.csv" for s in config.sweep}
     logs: dict[str, PredictionLog] = {}
-
-    def _train(spec: CompressionSpec, seed: int) -> PredictionLog:
+    # the baseline first, on the experiment seed; level i on seed + stride * i
+    for i, spec in enumerate([baseline, *comp_specs]):
+        seed = config.seed + _POPULATION_SEED_STRIDE * i
         with _stage(f"train {spec.label}"):
-            _, log = train_population(
-                train_ds,
-                test_ds,
-                replace(config.train, seed=seed),
-                spec,
-                schedule=schedules[spec.label],
-                topk=config.topk,
+            _, logs[spec.label] = train_population(
+                train_ds, test_ds, replace(config.train, seed=seed), spec,
+                schedule=schedules[spec.label], topk=config.topk,
             )
-            path = out / "logs" / f"{spec.label}.csv"
-            write_prediction_log(log, path)
-        log_paths[spec.label] = path
-        logs[spec.label] = log
-        return log
-
-    base_log = _train(baseline_spec, config.seed)
-    for i, spec in enumerate(comp_specs):
-        _train(spec, config.seed + _POPULATION_SEED_STRIDE * (i + 1))
+            write_prediction_log(logs[spec.label], log_paths[spec.label])
+    base_log = logs[baseline.label]
 
     eval_k = ranking_depth(None, base_log.topk)  # five ranks, capped at the log's depth
 
@@ -228,35 +256,22 @@ def run_pipeline(config: ExperimentConfig) -> PipelineResult:
         }
 
     levels = []
-    has_attrs = bool(test_ds.attribute_names)
     for spec in comp_specs:
-        comp_log = logs[spec.label]
-        entry: dict = {
-            "label": spec.label,
-            "method": spec.method,
-            "sparsity": spec.sparsity,
-        }
-        entry.update(_population_entry(comp_log))
-        with _stage(f"audit {spec.label}"):
-            if comp_log.num_models >= 2 and base_log.num_models >= 2:
-                rows = audit_classes(base_log, comp_log, config.audit)
-                write_audit_csv(rows, out / "audits" / f"class_audit_{spec.label}.csv")
-                entry["significant_classes"] = sum(r.significant for r in rows)
-            else:
-                entry["significant_classes"] = 0
-            pies = identify_pies(base_log, comp_log)
-            pie_csv = out / "pies" / f"pie_{spec.label}.csv"
-            write_pie_report(pies, base_log.truth, pie_csv)
-            entry["pie_count"] = len(pies)
-            if pies.pie_ids:
-                acc_pie, acc_non, acc_all = subset_accuracy(base_log, pies, 1)
-                entry["baseline_top1_on_pies"] = round(100.0 * acc_pie, 4)
-                entry["baseline_top1_on_non_pies"] = round(100.0 * acc_non, 4)
-                entry["baseline_top1_on_all"] = round(100.0 * acc_all, 4)
-                if has_attrs:
-                    write_attribute_report(
-                        pies, test_ds, out / "pies" / f"attr_{spec.label}.csv"
-                    )
+        label = spec.label
+        entry: dict = {"label": label, "method": spec.method, "sparsity": spec.sparsity}
+        entry.update(_population_entry(logs[label]))
+        with _stage(f"audit {label}"):
+            level = audit_level(base_log, logs[label], test_ds, config.audit)
+            if level.class_rows is not None:
+                write_audit_csv(level.class_rows, out / "audits" / f"class_audit_{label}.csv")
+            entry["significant_classes"] = sum(r.significant for r in level.class_rows or ())
+            write_pie_report(level.pies, base_log.truth, out / "pies" / f"pie_{label}.csv")
+            entry["pie_count"] = len(level.pies)
+            if level.subset is not None:
+                for name, acc in level.subset.items():  # None: no example in the subset
+                    entry[f"baseline_top1_on_{name}"] = acc if acc is None else round(100 * acc, 4)
+            if level.attributes:  # a dataset without attributes writes no file
+                write_attribute_report(level.attributes, out / "pies" / f"attr_{label}.csv")
         levels.append(entry)
 
     summary = {

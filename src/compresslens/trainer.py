@@ -51,7 +51,10 @@ class TrainConfig:
     def __post_init__(self):
         object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
         check_field_types(self)
-        if not all(isinstance(d, numbers.Integral) and d >= 1 for d in self.hidden_dims):
+        if not all(
+            isinstance(d, numbers.Integral) and not isinstance(d, bool) and d >= 1
+            for d in self.hidden_dims
+        ):
             raise ConfigError(f"hidden_dims must be positive integers, got {self.hidden_dims}")
         if self.steps < 0:
             raise ConfigError("steps must be >= 0")
@@ -103,6 +106,15 @@ def prune_window(steps: int, start=None, end=None, every=None) -> tuple[int, int
     end = 7 * steps // 10 if end is None else end
     every = max(1, (end - start) // 15) if every is None else every
     return start, end, every
+
+
+def prune_schedule(
+    compression: CompressionSpec, steps: int, start=None, end=None, every=None
+) -> PruneSchedule | None:
+    """The ramp `compression` trains on, over `prune_window`; None unless it prunes."""
+    if compression.method != "magnitude_prune":
+        return None
+    return PruneSchedule(compression.sparsity, *prune_window(steps, start, end, every))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """End-to-end CLI tests on a miniature dataset (fast settings throughout)."""
 
+import copy
 import dataclasses
 import json
 import os
@@ -8,23 +9,32 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import compresslens
-from compresslens import cli
+from compresslens import cli, pipeline
 from compresslens.cli import main
-from compresslens.data_model import LOG_HEADER, CompressionSpec
-from compresslens.errors import ConfigError, ParseError
+from compresslens.data_model import (
+    LOG_HEADER,
+    AuditConfig,
+    CompressionSpec,
+    read_dataset,
+    read_prediction_log,
+)
+from compresslens.errors import CompressLensError, ConfigError, ParseError
 from compresslens.pie_audit import PIE_HEADER
 from compresslens.pipeline import (
     ExperimentConfig,
-    _schedule_for,
+    audit_level,
     load_experiment_config,
     run_pipeline,
 )
 from compresslens.stats_audit import AUDIT_HEADER
 from compresslens.synth import SynthLongTailSpec, generate
-from compresslens.trainer import TrainConfig, prune_window
+from compresslens.trainer import TrainConfig, prune_schedule, prune_window
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +58,10 @@ TRAIN_FAST = [
 
 def resolved_window(config: ExperimentConfig) -> tuple[int, int, int]:
     """The (start, end, every) that `run` prunes a level of `config` on."""
-    s = _schedule_for(config, CompressionSpec("magnitude_prune", 0.5))
+    s = prune_schedule(
+        CompressionSpec("magnitude_prune", 0.5),
+        config.train.steps, config.prune_start, config.prune_end, config.prune_every,
+    )
     return s.prune_start, s.prune_end, s.prune_every
 
 
@@ -162,6 +175,30 @@ class TestAudits:
         assert rc == 0
         assert (out / "pie.csv").exists()
         assert not (out / "attributes.csv").exists()
+
+    @pytest.mark.parametrize("topk", ["0", "-3"])
+    @pytest.mark.parametrize("comp", ["comp.csv", "base.csv"])  # with PIEs, and without
+    def test_audit_pie_topk_below_one(self, logs, tmp_path, comp, topk):
+        base_log, comp_log = (read_prediction_log(logs / f) for f in ("base.csv", comp))
+        assert (len(audit_level(base_log, comp_log, None).pies) > 0) == (comp == "comp.csv")
+        out = tmp_path / "pie"
+        rc = main([
+            "audit-pie", "--base", str(logs / "base.csv"), "--comp", str(logs / comp),
+            "--topk", topk, "--out", str(out),
+        ])
+        assert rc == 2
+        assert not out.exists()
+
+    def test_audit_pie_runs_no_welch_test(self, logs, data_dir, tmp_path, monkeypatch):
+        def no_welch(*args, **kwargs):
+            raise AssertionError("audit-pie writes no class audit")
+
+        monkeypatch.setattr(pipeline, "audit_classes", no_welch)
+        rc = main([
+            "audit-pie", "--base", str(logs / "base.csv"), "--comp", str(logs / "comp.csv"),
+            "--data", str(data_dir), "--out", str(tmp_path / "pie"),
+        ])
+        assert rc == 0
 
     def test_missing_log_is_data_error(self, tmp_path):
         rc = main([
@@ -379,6 +416,36 @@ def run_cli(argv: list[str]) -> tuple[int, str]:
     return proc.returncode, proc.stderr
 
 
+BAD_KEY_CASES = [
+    ({"train": {"stepz": 5}}, "stepz"),
+    ({"sweep": [{"method": "none"}, {"sparsity": 0.5}]}, "method"),
+    ({"prune": {"every": 100, "begin": 0}}, "begin"),
+    # calibration constants and options that are no longer settable
+    ({"dataset": {"synth": {"center_scale": 1.6}}}, "center_scale"),
+    ({"train": {"prune_final_layer": True}}, "prune_final_layer"),
+    ({"audit": {"topk_eval": 5}}, "topk_eval"),
+]
+WRONG_TYPE_CASES = [
+    ({"prune": {"every": "x"}}, "prune.every"),
+    ({"train": {"steps": "x"}}, "train"),
+    ({"seed": "x"}, "seed"),
+    ({"seed": -1}, "seed"),
+    ({"topk": "x"}, "topk"),
+    ({"sweep": 5}, "sweep"),
+    ({"dataset": {"path": 5}}, "path"),
+    ({"train": {"hidden_dims": ["a"], "steps": 5}}, "hidden_dims"),
+    # a value of another type is rejected, not converted
+    ({"prune": {"every": 5.7}}, "prune.every"),
+    ({"prune": {"start": "24"}}, "prune.start"),
+    ({"prune": {"end": True}}, "prune.end"),
+    ({"sweep": [{"method": "none"}, {"method": "magnitude_prune", "sparsity": "0.5"}]},
+     "sweep"),
+    ({"sweep": [{"method": "none", "sparsity": False}]}, "sweep"),
+    ({"dataset": {"path": "data", "synth": {"seed": 1}}}, "synth"),
+    ({"train": {"hidden_dims": [True], "steps": 5}}, "hidden_dims"),
+]
+
+
 class TestBadInputExits2:
     def test_negative_corruption_seed(self, logs, data_dir, tmp_path):
         rc, err = run_cli([
@@ -398,15 +465,29 @@ class TestBadInputExits2:
         assert rc == 2 and "Traceback" not in err
         assert "abc" in err
 
-    @pytest.mark.parametrize("doc, key", [
-        ({"train": {"stepz": 5}}, "stepz"),
-        ({"sweep": [{"method": "none"}, {"sparsity": 0.5}]}, "method"),
-        ({"prune": {"every": 100, "begin": 0}}, "begin"),
-        # calibration constants and options that are no longer settable
-        ({"dataset": {"synth": {"center_scale": 1.6}}}, "center_scale"),
-        ({"train": {"prune_final_layer": True}}, "prune_final_layer"),
-        ({"audit": {"topk_eval": 5}}, "topk_eval"),
+    @pytest.mark.parametrize("doc, flags, label", [
+        (None, ["--sparsity", "0.5,0.50"], "prune_0.5"),
+        (None, ["--sparsity", "0.3,0.30000000000000004"], "prune_0.3"),
+        (None, ["--quant", "float16", "--quant", "float16"], "float16"),
+        ({"sweep": [
+            {"method": "none"},
+            {"method": "magnitude_prune", "sparsity": 0.5},
+            {"method": "magnitude_prune", "sparsity": 0.9},
+            {"method": "magnitude_prune", "sparsity": 0.5},
+        ]}, [], "prune_0.5"),
     ])
+    def test_repeated_sweep_label(self, tmp_path, doc, flags, label):
+        """Two levels with one label would write one log file and count twice."""
+        if doc is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(doc))
+            flags = ["--config", str(tmp_path / "cfg.json")]
+        out = tmp_path / "o"
+        rc, err = run_cli(["run", *flags, "--out", str(out)])
+        assert rc == 2 and "Traceback" not in err
+        assert f"repeats the level {label!r}" in err
+        assert not out.exists()  # rejected before anything is trained or written
+
+    @pytest.mark.parametrize("doc, key", BAD_KEY_CASES)
     def test_bad_config_key(self, tmp_path, doc, key):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
@@ -414,24 +495,7 @@ class TestBadInputExits2:
         assert rc == 2 and "Traceback" not in err
         assert key in err
 
-    @pytest.mark.parametrize("doc, key", [
-        ({"prune": {"every": "x"}}, "prune.every"),
-        ({"train": {"steps": "x"}}, "train"),
-        ({"seed": "x"}, "seed"),
-        ({"seed": -1}, "seed"),
-        ({"topk": "x"}, "topk"),
-        ({"sweep": 5}, "sweep"),
-        ({"dataset": {"path": 5}}, "path"),
-        ({"train": {"hidden_dims": ["a"], "steps": 5}}, "hidden_dims"),
-        # a value of another type is rejected, not converted
-        ({"prune": {"every": 5.7}}, "prune.every"),
-        ({"prune": {"start": "24"}}, "prune.start"),
-        ({"prune": {"end": True}}, "prune.end"),
-        ({"sweep": [{"method": "none"}, {"method": "magnitude_prune", "sparsity": "0.5"}]},
-         "sweep"),
-        ({"sweep": [{"method": "none", "sparsity": False}]}, "sweep"),
-        ({"dataset": {"path": "data", "synth": {"seed": 1}}}, "synth"),
-    ])
+    @pytest.mark.parametrize("doc, key", WRONG_TYPE_CASES)
     def test_wrong_type_config_value(self, tmp_path, doc, key):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
@@ -662,3 +726,139 @@ class TestBundleReadBack:
             (tmp_path / "pie" / "attributes.csv", bundle / "pies" / f"attr_{label}.csv"),
         ):
             assert got.read_bytes() == want.read_bytes(), want.name
+
+    def test_commands_agree_with_run(self, tmp_path, monkeypatch):
+        """Each level of a quantized and pruned sweep, audited again from its CSV logs."""
+        data = tmp_path / "data"
+        generate(SynthLongTailSpec(num_classes=5, dim=8, train_count=500, test_count=200,
+                                   seed=1), data)
+        config = ExperimentConfig(
+            train=TrainConfig(steps=200, batch_size=32, learning_rate=0.1, lr_decay_steps=None,
+                              weight_decay=1e-4, population_size=3, hidden_dims=(16,)),
+            sweep=(CompressionSpec("none"), CompressionSpec("magnitude_prune", 0.5),
+                   CompressionSpec("quant_dynamic_int8")),
+            seed=11, prune_start=20, prune_end=140, prune_every=10,
+            dataset_path=str(data), out_dir=str(tmp_path / "bundle"),
+        )
+        in_memory = {}
+
+        def keep(base_log, comp_log, *args, **kwargs):
+            in_memory[comp_log.population_id] = audit_level(base_log, comp_log, *args, **kwargs)
+            return in_memory[comp_log.population_id]
+
+        monkeypatch.setattr(pipeline, "audit_level", keep)
+        bundle = run_pipeline(config).out_dir
+        assert sorted(in_memory) == ["dynamic_int8", "prune_0.5"]
+        test_ds = read_dataset(data / "test.csv")
+        for label, level in in_memory.items():
+            base, comp = bundle / "logs" / "baseline.csv", bundle / "logs" / f"{label}.csv"
+            pair = ["--base", str(base), "--comp", str(comp)]
+            out = tmp_path / label
+            assert main(["audit-classes", *pair, "--out", str(out / "audit.csv")]) == 0
+            assert main(["audit-pie", *pair, "--data", str(data), "--out", str(out)]) == 0
+            assert len(level.pies) > 0, label  # so that the attribute files are compared
+            for got, want in (
+                ("audit.csv", f"audits/class_audit_{label}.csv"),
+                ("pie.csv", f"pies/pie_{label}.csv"),
+                ("attributes.csv", f"pies/attr_{label}.csv"),
+            ):
+                assert (out / got).read_bytes() == (bundle / want).read_bytes(), want
+
+            again = audit_level(
+                read_prediction_log(base), read_prediction_log(comp), test_ds, AuditConfig()
+            )
+            for name in ("example_ids", "modal_base", "modal_comp"):
+                assert np.array_equal(getattr(again.pies, name), getattr(level.pies, name))
+            assert again.pies.compression == level.pies.compression
+            assert (again.subset, again.attributes) == (level.subset, level.attributes)
+            assert again.class_rows == level.class_rows
+
+
+class TestLevelAudit:
+    def test_no_pies(self, logs):
+        base = read_prediction_log(logs / "base.csv")
+        level = audit_level(base, base, None)
+        assert len(level.pies) == 0
+        assert (level.subset, level.attributes) == (None, None)
+
+    def test_one_model_has_no_class_rows(self, logs):
+        base = read_prediction_log(logs / "base.csv")
+        comp = read_prediction_log(logs / "comp.csv")
+        one = dataclasses.replace(comp, predictions=comp.predictions[:1])
+        assert audit_level(base, one, None).class_rows is None
+        assert len(audit_level(base, comp, None).class_rows) == base.num_classes
+
+    def test_every_example_a_pie(self, tmp_path):
+        """A run whose baseline scores no example outside the PIEs writes null there."""
+        config = ExperimentConfig(
+            out_dir=str(tmp_path / "o"), seed=9,
+            train=TrainConfig(steps=20, batch_size=8, population_size=2, hidden_dims=(4,),
+                              lr_decay_steps=None),
+            sweep=(CompressionSpec("none"), CompressionSpec("magnitude_prune", 0.95)),
+            synth=SynthLongTailSpec(num_classes=2, dim=2, train_count=20, test_count=2, seed=9),
+        )
+        (level,) = run_pipeline(config).summary["levels"]
+        assert level["pie_count"] == 2
+        assert level["baseline_top1_on_non_pies"] is None
+        assert level["baseline_top1_on_all"] == level["baseline_top1_on_pies"]
+
+
+def _fields(cls) -> list[str]:
+    return [f.name for f in dataclasses.fields(cls)]
+
+
+# each config block's path in the document and its keys; ("sweep", -1) is the
+# sweep's last entry
+_CONFIG_BLOCKS = [
+    ((), ["train", "sweep", "audit", "dataset", "prune", "seed", "out_dir", "topk"]),
+    (("train",), _fields(TrainConfig)),
+    (("audit",), _fields(AuditConfig)),
+    (("prune",), ["start", "end", "every"]),
+    (("dataset",), ["path", "synth"]),
+    (("dataset", "synth"), _fields(SynthLongTailSpec)),
+    (("sweep", -1), _fields(CompressionSpec)),
+]
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from(["none", "magnitude_prune", "quant_float16", "data"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner),
+    max_leaves=4,
+)
+
+
+def _block(doc: dict, path) -> dict:
+    """The block at `path` in `doc`, put there where it is missing or not an object."""
+    for part in path:
+        if part == -1:
+            if not doc or not isinstance(doc[-1], dict):
+                doc.append({})
+        elif not isinstance(doc.get(part), list if part == "sweep" else dict):
+            doc[part] = [] if part == "sweep" else {}
+        doc = doc[part]
+    return doc
+
+
+@st.composite
+def mutated_configs(draw):
+    """A seed-corpus document with one to three keys set to any JSON value, or deleted."""
+    doc = copy.deepcopy(draw(st.sampled_from(BAD_KEY_CASES + WRONG_TYPE_CASES))[0])
+    for _ in range(draw(st.integers(1, 3))):
+        path, keys = draw(st.sampled_from(_CONFIG_BLOCKS))
+        block, key = _block(doc, path), draw(st.sampled_from(keys))
+        if key in block and draw(st.booleans()):
+            del block[key]
+        else:
+            block[key] = draw(_JSON_VALUES)
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=mutated_configs())
+def test_config_fuzz_raises_only_toolkit_errors(tmp_path_factory, doc):
+    """A mutated config loads or raises a CompressLensError, which the CLI exits 2 on."""
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps(doc))
+    try:
+        load_experiment_config(path)
+    except CompressLensError:
+        pass
