@@ -26,8 +26,8 @@ from .pie_audit import (
     PIESet,
     attribute_relative_representation,
     identify_pies,
+    modal_labels,
     subset_accuracy,
-    vote_counts,
 )
 from .pipeline import ExperimentConfig, load_experiment_config, run_pipeline
 from .robustness import (
@@ -89,6 +89,7 @@ __all__ = [
     "identify_pies",
     "load_experiment_config",
     "mean_shift",
+    "modal_labels",
     "model_accuracy",
     "normalized_recall_difference",
     "prune_window",
@@ -103,7 +104,6 @@ __all__ = [
     "subset_accuracy",
     "synthesize",
     "train_population",
-    "vote_counts",
     "welch_t_test",
     "write_dataset",
     "write_prediction_log",

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
@@ -17,9 +16,9 @@ from .data_model import (
     QUANT_KINDS,
     AuditConfig,
     CompressionSpec,
-    atomic_write_text,
     read_dataset,
     read_prediction_log,
+    write_json,
     write_prediction_log,
 )
 from .errors import CompressLensError, ConfigError, DataError, NumericError
@@ -169,7 +168,6 @@ def _cmd_train(args) -> int:
     write_prediction_log(log, args.out)
     if args.save_models:
         snap_dir = Path(args.save_models)
-        snap_dir.mkdir(parents=True, exist_ok=True)
         for k, model in enumerate(models):
             save_model(model, compression, snap_dir / f"model_{k:03d}.json")
     print(f"wrote {args.out} ({log.num_models} models, {log.num_examples} examples)")
@@ -194,7 +192,6 @@ def _cmd_audit_pie(args) -> int:
     depth = {} if args.k is None else {"k": min(args.k, base.topk)}
     level = audit_level(base, comp, test_ds, **depth)
     pies, out_dir = level.pies, Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_pie_report(pies, base.truth, out_dir / "pie.csv")
 
     doc: dict = {"pie_count": len(pies), "examples": len(pies.example_ids)}
@@ -203,9 +200,7 @@ def _cmd_audit_pie(args) -> int:
     if level.attributes is not None:  # a dataset without attributes writes a bare header
         write_attribute_report(level.attributes, out_dir / "attributes.csv")
         doc["attribute_relative_representation"] = {a: r for a, (*_, r) in level.attributes.items()}
-    atomic_write_text(
-        out_dir / "pie_summary.json", json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    )
+    write_json(out_dir / "pie_summary.json", doc)
     print(f"wrote {out_dir}: {len(pies)} PIEs / {len(pies.example_ids)} examples")
     return EXIT_OK
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import numbers
 import os
 import re
@@ -66,12 +67,20 @@ def check_field_types(obj) -> None:
     """ConfigError for a dataclass field whose value its annotation does not admit.
 
     Only the annotations of `_FIELD_TYPES` are checked; a bool is admitted
-    only where the annotation says bool.
+    only where the annotation says bool, and a float must be finite.
     """
     for f in fields(obj):
         kinds, value = _FIELD_TYPES.get(f.type), getattr(obj, f.name)
         if kinds and (not isinstance(value, kinds) or isinstance(value, bool) != (bool in kinds)):
             raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
+        if f.type == "float" and not math.isfinite(value):
+            raise ConfigError(f"{f.name} must be finite, got {value!r}")
+
+
+def _check_text_cell(what: str, text) -> None:
+    """ConfigError unless `text` is a str a CSV cell holds: no comma, line break or lone surrogate."""
+    if not isinstance(text, str) or re.search("[,\r\n\ud800-\udfff]", text):
+        raise ConfigError(f"{what} must be UTF-8 text without a comma or line break, got {text!r}")
 
 
 @dataclass(frozen=True)
@@ -227,6 +236,8 @@ class LabeledDataset:
             )
         if len(set(names)) != len(names):
             raise ConfigError(f"duplicate attribute names {list(names)}")
+        for name in names:
+            _check_text_cell("an attribute name", name)
         if layout is not None and layout[0] * layout[1] != feats.shape[1]:
             raise ConfigError(f"layout {layout} does not match {feats.shape[1]} features")
         if class_names is not None and len(class_names) != num_classes:
@@ -309,6 +320,7 @@ class PredictionLog:
     explicit_num_classes: int | None = None
 
     def __post_init__(self):
+        _check_text_cell("population_id", self.population_id)
         # views, so that freezing them leaves the caller's arrays writeable
         ids = np.asarray(self.example_ids, dtype=np.int64).view()
         truth = np.asarray(self.truth, dtype=np.int64).view()
@@ -377,6 +389,11 @@ class PredictionLog:
         if not 1 <= k <= self.topk:
             raise RankDepthExceeded(f"rank depth {k} outside [1, {self.topk}]")
 
+    def hits(self, k: int) -> np.ndarray:
+        """(K, N) bool, [m, i]: model m ranks example i's true label within `k` (1 to `topk`)."""
+        self.check_depth(k)
+        return (self.predictions[:, :, :k] == self.truth[np.newaxis, :, np.newaxis]).any(axis=2)
+
 
 def class_recall_matrix(log: PredictionLog) -> dict[int, np.ndarray]:
     """Per-class rank-1 recall samples across the population.
@@ -399,8 +416,7 @@ def class_recall_matrix(log: PredictionLog) -> dict[int, np.ndarray]:
         raise MissingClassSupport(
             f"classes with zero test support: {empty.tolist()}"
         )
-    rank1 = log.predictions[:, :, 0]  # (K, N)
-    correct = rank1 == log.truth[np.newaxis, :]
+    correct = log.hits(1)
     out: dict[int, np.ndarray] = {}
     for c in range(C):
         members = log.truth == c
@@ -416,9 +432,7 @@ def model_accuracy(log: PredictionLog, k: int = 1) -> np.ndarray:
     Raises:
         RankDepthExceeded: k outside [1, log.topk].
     """
-    log.check_depth(k)
-    hits = log.predictions[:, :, :k] == log.truth[np.newaxis, :, np.newaxis]
-    return hits.any(axis=2).mean(axis=1)
+    return log.hits(k).mean(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -438,12 +452,12 @@ LOG_HEADER = [
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write through a temporary file renamed into place (single writer per path)."""
+    """Write UTF-8 through a temporary file renamed into place (single writer per path)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", newline="") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -452,25 +466,39 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         raise
 
 
+def write_table(path: str | Path, header: list[str], row_format: str, blocks: Iterable) -> None:
+    """Write a CSV: the header line, then every block of rows, each formatted by one `%` call.
+
+    `row_format` is the printf format of one row, without its line end. A
+    block is a flat sequence of cells, a whole number of rows of them. Every
+    CSV the toolkit writes goes through here, in the row grammar its readers take.
+    """
+    width = row_format.replace("%%", "").count("%")  # cells per row
+    chunks = [",".join(header) + "\n"]
+    chunks += (((row_format + "\n") * (len(cells) // width)) % tuple(cells) for cells in blocks)
+    atomic_write_text(path, "".join(chunks))
+
+
+def write_json(path: str | Path, doc) -> None:
+    """Write a JSON document with sorted keys, indented by two spaces."""
+    atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
 def write_prediction_log(log: PredictionLog, path: str | Path) -> None:
     """Serialize a log as long-format CSV, rows ordered by (model, example, rank).
 
-    Each model's rows are formatted by one `%` call over a flat tuple of cells.
+    The population's three cells are part of the row format.
     """
     spec = log.compression
     prefix = f"{log.population_id},{spec.method},{spec.sparsity!r}".replace("%", "%%")
-    block = (prefix + ",%d,%d,%d,%d,%d\n") * (log.num_examples * log.topk)
-    # the (model, example, rank, prediction, truth) cells of one model's rows
-    cells = np.empty((log.num_examples, log.topk, 5), dtype=np.int64)
-    cells[:, :, 1] = log.example_ids[:, np.newaxis]
-    cells[:, :, 2] = np.arange(1, log.topk + 1)
-    cells[:, :, 4] = log.truth[:, np.newaxis]
-    blocks = [",".join(LOG_HEADER) + "\n"]
-    for k in range(log.num_models):
-        cells[:, :, 0] = k
-        cells[:, :, 3] = log.predictions[k]
-        blocks.append(block % tuple(cells.ravel().tolist()))
-    atomic_write_text(path, "".join(blocks))
+    ids, ranks = np.broadcast_arrays(log.example_ids[:, np.newaxis], np.arange(1, log.topk + 1))
+    truth = np.broadcast_to(log.truth[:, np.newaxis], ids.shape)
+    # a block per model: the (model, example, rank, prediction, truth) cells of its rows
+    blocks = (
+        np.stack([np.full_like(ids, k), ids, ranks, preds, truth], axis=-1).ravel().tolist()
+        for k, preds in enumerate(log.predictions)
+    )
+    write_table(path, LOG_HEADER, prefix + ",%d,%d,%d,%d,%d", blocks)
 
 
 # The data rows of every CSV the toolkit reads are parsed by one `np.loadtxt`
@@ -727,18 +755,16 @@ def write_dataset(dataset: LabeledDataset, csv_path: str | Path) -> None:
     header = ["example_id", "true_label"]
     header += [f"attr_{a}" for a in dataset.attribute_names]
     header += [f"f{j}" for j in range(dataset.dim)]
-    lines = [",".join(header)]
-    for eid, label, flags, feats in zip(
-        dataset.example_ids.tolist(),
-        dataset.labels.tolist(),
-        dataset.attributes.tolist(),
-        dataset.feature_matrix.tolist(),
-    ):
-        row = [str(eid), str(label)]
-        row += ["1" if on else "0" for on in flags]
-        row += [repr(v) for v in feats]
-        lines.append(",".join(row))
-    atomic_write_text(csv_path, "\n".join(lines) + "\n")
+    row_format = ",".join(["%d"] * (2 + len(dataset.attribute_names)) + ["%r"] * dataset.dim)
+    columns = [dataset.example_ids[:, np.newaxis], dataset.labels[:, np.newaxis],
+               dataset.attributes, dataset.feature_matrix]
+    # blocks of ~16k cells, so that the Python cells of one block only are alive at a time
+    step = max(1, 2**14 // len(header))
+    blocks = (
+        np.hstack([c[i:i + step] for c in columns], dtype=object).ravel().tolist()
+        for i in range(0, len(dataset), step)
+    )
+    write_table(csv_path, header, row_format, blocks)
 
     meta: dict[str, object] = {"num_classes": dataset.num_classes}
     if dataset.layout is not None:

@@ -17,8 +17,8 @@ from .data_model import (
     CompressionSpec,
     LabeledDataset,
     PredictionLog,
-    atomic_write_text,
     read_table,
+    write_table,
 )
 from .errors import EmptyPIESet, ExampleSetMismatch
 
@@ -44,14 +44,20 @@ class PIESet:
         return len(self.pie_ids)
 
 
-def vote_counts(log: PredictionLog) -> np.ndarray:
-    """(N, C) histogram of the population's rank-1 votes on each example.
+def modal_labels(log: PredictionLog) -> np.ndarray:
+    """(N,) modal rank-1 label of the population on each example, ties to the lowest label.
 
-    `.argmax(axis=1)` is each example's modal label, ties to the lowest label.
+    Only the labels that occur are counted, so nothing scales with the class count.
     """
-    n, c = log.num_examples, log.num_classes
-    cells = np.arange(n) * c + log.predictions[:, :, 0]  # (K, N) flat (example, label) index
-    return np.bincount(cells.ravel(), minlength=n * c).reshape(n, c)
+    votes = np.sort(log.predictions[:, :, 0].T, axis=1)  # (N, K): each example's votes, ascending
+    # flat index where each run of one label begins; labels are >= 0, so -1 starts every row
+    starts = np.flatnonzero(np.diff(votes, axis=1, prepend=-1))
+    counts = np.diff(starts, append=votes.size)
+    example = starts // log.num_models
+    # runs by example, then longest first; lexsort is stable, so the lowest label leads a tie
+    order = np.lexsort((-counts, example))
+    first = order[np.searchsorted(example[order], np.arange(log.num_examples))]
+    return votes.ravel()[starts[first]]
 
 
 def identify_pies(base_log: PredictionLog, comp_log: PredictionLog) -> PIESet:
@@ -64,8 +70,8 @@ def identify_pies(base_log: PredictionLog, comp_log: PredictionLog) -> PIESet:
         raise ExampleSetMismatch("logs cover different example sets")
     return PIESet(
         example_ids=base_log.example_ids,
-        modal_base=vote_counts(base_log).argmax(axis=1),
-        modal_comp=vote_counts(comp_log).argmax(axis=1),
+        modal_base=modal_labels(base_log),
+        modal_comp=modal_labels(comp_log),
         compression=comp_log.compression,
     )
 
@@ -77,14 +83,10 @@ def subset_accuracy(
 
     An empty subset is reported as None rather than 0.
     """
-    eval_log.check_depth(k)
+    hits = eval_log.hits(k)
     pie_mask = np.isin(eval_log.example_ids, pies.pie_ids)
     if pie_mask.sum() != len(pies):
         raise ExampleSetMismatch("PIE ids not contained in the evaluation log")
-    hits = (
-        (eval_log.predictions[:, :, :k] == eval_log.truth[np.newaxis, :, np.newaxis])
-        .any(axis=2)
-    )
 
     def _mean(mask: np.ndarray) -> float | None:
         if not mask.any():
@@ -124,15 +126,9 @@ ATTR_HEADER = ["attribute", "share_dataset", "share_pie", "relative_representati
 
 def write_pie_report(pies: PIESet, truth: np.ndarray, path) -> None:
     """One row per example; `truth` holds the true labels aligned with `pies`."""
-    lines = [",".join(PIE_HEADER)]
-    for eid, label, mb, mc in zip(
-        pies.example_ids.tolist(),
-        np.asarray(truth).tolist(),
-        pies.modal_base.tolist(),
-        pies.modal_comp.tolist(),
-    ):
-        lines.append(f"{eid},{label},{mb},{mc},{1 if mb != mc else 0}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    is_pie = pies.modal_base != pies.modal_comp
+    cells = np.stack([pies.example_ids, truth, pies.modal_base, pies.modal_comp, is_pie], axis=1)
+    write_table(path, PIE_HEADER, "%d,%d,%d,%d,%d", [cells.ravel().tolist()])
 
 
 def read_pie_report(path) -> dict[str, np.ndarray]:
@@ -141,7 +137,5 @@ def read_pie_report(path) -> dict[str, np.ndarray]:
 
 
 def write_attribute_report(shares: dict[str, tuple[float, float, float]], path) -> None:
-    lines = [",".join(ATTR_HEADER)]
-    for name, (a, p, r) in shares.items():
-        lines.append(f"{name},{a:.6f},{p:.6f},{r:.6f}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    cells = [cell for name, share in shares.items() for cell in (name, *share)]
+    write_table(path, ATTR_HEADER, "%s,%.6f,%.6f,%.6f", [cells])

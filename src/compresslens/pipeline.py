@@ -7,7 +7,6 @@ are fixed.
 
 from __future__ import annotations
 
-import json
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, is_dataclass, replace
@@ -24,7 +23,9 @@ from .data_model import (
     model_accuracy,
     read_dataset,
     read_json_object,
+    write_json,
     write_prediction_log,
+    write_table,
 )
 from .errors import CompressLensError, ConfigError
 from .pie_audit import (
@@ -283,9 +284,7 @@ def run_pipeline(config: ExperimentConfig) -> PipelineResult:
         "total_significant_classes": sum(e["significant_classes"] for e in levels),
         "total_pies": sum(e["pie_count"] for e in levels),
     }
-    atomic_write_text(
-        out / "summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n"
-    )
+    write_json(out / "summary.json", summary)
     return PipelineResult(out_dir=out, summary=summary, log_paths=log_paths)
 
 
@@ -305,7 +304,6 @@ def write_report(
     (class, normalized recall difference, significance flag).
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     audit = read_audit_csv(audit_csv)
     rows = [dict(zip(AUDIT_HEADER, row)) for row in zip(*(audit[c].tolist() for c in AUDIT_HEADER))]
     rows.sort(key=lambda r: (r["norm_recall_diff"], r["class"]))
@@ -334,15 +332,9 @@ def write_report(
         doc["pie_count"], doc["examples"] = int(is_pie.sum()), len(is_pie)
         lines.append(f"pies: {doc['pie_count']} / {doc['examples']}")
     atomic_write_text(out_dir / "report.txt", "\n".join(lines) + "\n")
-    atomic_write_text(
-        out_dir / "report.json", json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    )
+    write_json(out_dir / "report.json", doc)
     if chart:
-        chart_lines = ["class,norm_recall_diff,significant"]
-        for r in rows:
-            chart_lines.append(
-                f"{r['class']},{r['norm_recall_diff']:.6f},"
-                f"{1 if r['significant'] else 0}"
-            )
-        atomic_write_text(out_dir / "chart.csv", "\n".join(chart_lines) + "\n")
+        columns = ["class", "norm_recall_diff", "significant"]
+        cells = [r[c] for r in rows for c in columns]
+        write_table(out_dir / "chart.csv", columns, "%d,%.6f,%d", [cells])
     return doc

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
@@ -18,8 +18,8 @@ from .data_model import (
     CompressionSpec,
     ExampleRecord,
     LabeledDataset,
-    atomic_write_text,
     check_field_types,
+    write_table,
 )
 from .errors import ConfigError, LayoutRequired, ShapeError, ZeroBaseline
 from .trainer import MLPModel, rank_topk, ranking_depth
@@ -62,6 +62,8 @@ class CorruptionSpec:
 
 @dataclass(frozen=True)
 class RobustnessRow:
+    """One corruption's row of the robustness CSV; the fields are its columns, in order."""
+
     kind: str
     sparsity: float
     top1_abs: float  # percent
@@ -255,10 +257,5 @@ ROBUSTNESS_HEADER = ["corruption", "sparsity", "top1_abs", "topk_abs", "top1_nor
 
 
 def write_robustness_report(rows: list[RobustnessRow], path) -> None:
-    lines = [",".join(ROBUSTNESS_HEADER)]
-    for r in rows:
-        lines.append(
-            f"{r.kind},{r.sparsity:g},{r.top1_abs:.2f},{r.topk_abs:.2f},"
-            f"{r.top1_norm:.2f},{r.topk_norm:.2f}"
-        )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    cells = [cell for r in rows for cell in astuple(r)]
+    write_table(path, ROBUSTNESS_HEADER, "%s,%g" + ",%.2f" * 4, [cells])

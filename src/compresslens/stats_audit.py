@@ -14,17 +14,17 @@ the 1e-12 absolute tolerance the audit requires).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from .data_model import (
     AuditConfig,
     PredictionLog,
-    atomic_write_text,
     class_recall_matrix,
     model_accuracy,
     read_table,
+    write_table,
 )
 from .errors import (
     EmptySample,
@@ -143,6 +143,8 @@ class ClassAccuracySample:
 
 @dataclass(frozen=True)
 class ClassAuditRow:
+    """One class's row of the audit CSV; the fields are its columns, in order."""
+
     class_id: int
     mean_recall_base: float
     mean_recall_comp: float
@@ -309,19 +311,9 @@ AUDIT_HEADER = [
 AUDIT_COLUMNS = list(zip(AUDIT_HEADER, ["int"] + ["float"] * 6 + ["flag"]))
 
 
-def format_audit_csv(rows: list[ClassAuditRow]) -> str:
-    lines = [",".join(AUDIT_HEADER)]
-    for r in rows:
-        lines.append(
-            f"{r.class_id},{r.mean_recall_base:.6f},{r.mean_recall_comp:.6f},"
-            f"{r.norm_recall_diff:.6f},{r.t_stat:.6f},{r.df:.6f},"
-            f"{r.p_value:.6f},{1 if r.significant else 0}"
-        )
-    return "\n".join(lines) + "\n"
-
-
 def write_audit_csv(rows: list[ClassAuditRow], path) -> None:
-    atomic_write_text(path, format_audit_csv(rows))
+    cells = [cell for r in rows for cell in astuple(r)]
+    write_table(path, AUDIT_HEADER, "%d" + ",%.6f" * 6 + ",%d", [cells])
 
 
 def read_audit_csv(path) -> dict[str, np.ndarray]:

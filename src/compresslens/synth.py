@@ -188,7 +188,6 @@ def synthesize(spec: SynthLongTailSpec) -> tuple[LabeledDataset, LabeledDataset]
 def generate(spec: SynthLongTailSpec, out_dir: str | Path) -> tuple[Path, Path]:
     """Synthesize and write train.csv / test.csv (plus sidecars) into out_dir."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     train, test = synthesize(spec)
     train_path = out_dir / "train.csv"
     test_path = out_dir / "test.csv"

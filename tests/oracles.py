@@ -2,10 +2,11 @@
 
 Nothing here shares code with the package: the t-distribution tail comes
 from mpmath's arbitrary-precision incomplete beta, binary16 rounding is done
-bit by bit, and PIE detection is a dict-based recount. The CSV readers are
-the package's former row-by-row readers (`csv` module, `int()`/`float()` per
-cell) and its former line-by-line log writer; they build the package's types
-but share none of its parsing or formatting. The training step is the
+bit by bit, and PIE detection is a dict-based recount; `vote_counts` is the
+package's former (N, C) vote histogram. The CSV readers are the package's
+former row-by-row readers (`csv` module, `int()`/`float()` per cell) and the
+writers its former per-row f-string writers; they build and take the
+package's types but share none of its parsing or formatting. The training step is the
 package's former out-of-place loop and gradient routine: it builds on the
 unchanged public pieces (`MLPModel.initialize`, `sparsity_at_step`,
 `apply_magnitude_mask`, `quantize_model`) but runs its own forward pass.
@@ -14,6 +15,7 @@ unchanged public pieces (`MLPModel.initialize`, `sparsity_at_step`,
 from __future__ import annotations
 
 import csv
+import json
 import math
 from array import array
 from collections import Counter
@@ -143,6 +145,21 @@ def pie_brute_force(base_rank1: dict[int, list[int]], comp_rank1: dict[int, list
     return pies
 
 
+def vote_counts(log: PredictionLog) -> np.ndarray:
+    """(N, C) histogram of the population's rank-1 votes on each example.
+
+    `.argmax(axis=1)` is each example's modal label, ties to the lowest label.
+    """
+    n, c = log.num_examples, log.num_classes
+    cells = np.arange(n) * c + log.predictions[:, :, 0]  # (K, N) flat (example, label) index
+    return np.bincount(cells.ravel(), minlength=n * c).reshape(n, c)
+
+
+def _write_lines(path: str | Path, lines: list[str]) -> None:
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
+
+
 def write_prediction_log(log: PredictionLog, path: str | Path) -> None:
     """Serialize a log as long-format CSV, rows ordered by (model, example, rank)."""
     spec = log.compression
@@ -154,7 +171,82 @@ def write_prediction_log(log: PredictionLog, path: str | Path) -> None:
             lines.extend(
                 f"{prefix},{k},{eid},{r},{p},{label}" for r, p in enumerate(ranked, 1)
             )
-    Path(path).write_text("\n".join(lines) + "\n", newline="")
+    _write_lines(path, lines)
+
+
+def write_dataset(dataset: LabeledDataset, csv_path: str | Path) -> None:
+    """Write a dataset CSV plus its `<stem>.meta.json` sidecar."""
+    csv_path = Path(csv_path)
+    header = ["example_id", "true_label"]
+    header += [f"attr_{a}" for a in dataset.attribute_names]
+    header += [f"f{j}" for j in range(dataset.dim)]
+    lines = [",".join(header)]
+    for eid, label, flags, feats in zip(
+        dataset.example_ids.tolist(),
+        dataset.labels.tolist(),
+        dataset.attributes.tolist(),
+        dataset.feature_matrix.tolist(),
+    ):
+        row = [str(eid), str(label)]
+        row += ["1" if on else "0" for on in flags]
+        row += [repr(v) for v in feats]
+        lines.append(",".join(row))
+    _write_lines(csv_path, lines)
+
+    meta: dict[str, object] = {"num_classes": dataset.num_classes}
+    if dataset.layout is not None:
+        meta["height"], meta["width"] = dataset.layout
+    if dataset.class_names is not None:
+        meta["class_names"] = list(dataset.class_names)
+    _write_lines(_meta_path(csv_path), [json.dumps(meta, sort_keys=True)])
+
+
+def write_pie_report(pies, truth, path) -> None:
+    lines = ["example_id,true_label,modal_base,modal_comp,is_pie"]
+    for eid, label, mb, mc in zip(
+        pies.example_ids.tolist(),
+        np.asarray(truth).tolist(),
+        pies.modal_base.tolist(),
+        pies.modal_comp.tolist(),
+    ):
+        lines.append(f"{eid},{label},{mb},{mc},{1 if mb != mc else 0}")
+    _write_lines(path, lines)
+
+
+def write_attribute_report(shares, path) -> None:
+    lines = ["attribute,share_dataset,share_pie,relative_representation"]
+    for name, (a, p, r) in shares.items():
+        lines.append(f"{name},{a:.6f},{p:.6f},{r:.6f}")
+    _write_lines(path, lines)
+
+
+def write_audit_csv(rows, path) -> None:
+    lines = ["class,mean_recall_base,mean_recall_comp,norm_recall_diff,t_stat,df,p_value,significant"]
+    for r in rows:
+        lines.append(
+            f"{r.class_id},{r.mean_recall_base:.6f},{r.mean_recall_comp:.6f},"
+            f"{r.norm_recall_diff:.6f},{r.t_stat:.6f},{r.df:.6f},"
+            f"{r.p_value:.6f},{1 if r.significant else 0}"
+        )
+    _write_lines(path, lines)
+
+
+def write_robustness_report(rows, path) -> None:
+    lines = ["corruption,sparsity,top1_abs,topk_abs,top1_norm,topk_norm"]
+    for r in rows:
+        lines.append(
+            f"{r.kind},{r.sparsity:g},{r.top1_abs:.2f},{r.topk_abs:.2f},"
+            f"{r.top1_norm:.2f},{r.topk_norm:.2f}"
+        )
+    _write_lines(path, lines)
+
+
+def write_chart(rows: list[dict], path) -> None:
+    """`report --chart`'s chart.csv from the rows of its report.json."""
+    lines = ["class,norm_recall_diff,significant"]
+    for r in rows:
+        lines.append(f"{r['class']},{r['norm_recall_diff']:.6f},{1 if r['significant'] else 0}")
+    _write_lines(path, lines)
 
 
 def read_prediction_log(path: str | Path) -> PredictionLog:

@@ -176,6 +176,19 @@ class TestAudits:
         assert (out / "pie.csv").exists()
         assert not (out / "attributes.csv").exists()
 
+    def test_audit_pie_huge_label(self, tmp_path):
+        """A label of 3*10**9 makes C that large; modal labels count only the labels that occur."""
+        for name, label in (("base", 3 * 10**9), ("comp", 0)):
+            rows = [f"p,none,0.0,0,{i},1,{label if i == 0 else 1},1" for i in range(2)]
+            (tmp_path / f"{name}.csv").write_text("\n".join([",".join(LOG_HEADER), *rows]) + "\n")
+        rc = main([
+            "audit-pie", "--base", str(tmp_path / "base.csv"), "--comp", str(tmp_path / "comp.csv"),
+            "--out", str(tmp_path / "pie"),
+        ])
+        assert rc == 0
+        lines = (tmp_path / "pie" / "pie.csv").read_text().split("\n")
+        assert lines[1:3] == [f"0,1,{3 * 10**9},0,1", "1,1,1,1,0"]
+
     @pytest.mark.parametrize("topk", ["0", "-3"])
     @pytest.mark.parametrize("comp", ["comp.csv", "base.csv"])  # with PIEs, and without
     def test_audit_pie_topk_below_one(self, logs, tmp_path, comp, topk):
@@ -245,6 +258,7 @@ class TestReport:
         audit.write_text("not,a,valid,audit\n1,2,3,4\n")
         rc = main(["report", "--audit", str(audit), "--out", str(tmp_path / "r")])
         assert rc == 2
+        assert not (tmp_path / "r").exists()  # nothing is written for a bad input
 
     AUDIT_ROWS = ["0,0.5,0.4,-0.1,-1.0,3.0,0.3,0", "1,0.6,0.7,0.1,1.0,3.0,0.3,1"]
     PIE_ROWS = ["10,0,0,0,0", "11,1,1,0,1"]
@@ -443,6 +457,9 @@ WRONG_TYPE_CASES = [
     ({"sweep": [{"method": "none", "sparsity": False}]}, "sweep"),
     ({"dataset": {"path": "data", "synth": {"seed": 1}}}, "synth"),
     ({"train": {"hidden_dims": [True], "steps": 5}}, "hidden_dims"),
+    # a float field must be finite
+    ({"train": {"learning_rate": float("nan")}}, "learning_rate"),
+    ({"dataset": {"synth": {"zipf_exponent": float("nan")}}}, "zipf_exponent"),
 ]
 
 
@@ -500,8 +517,9 @@ class TestBadInputExits2:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
         rc, err = run_cli(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
-        assert rc == 2 and "Traceback" not in err
+        assert rc == 2 and "Traceback" not in err and "Warning" not in err
         assert key in err
+        assert not (tmp_path / "o").exists()  # rejected before anything is written
 
     @pytest.mark.parametrize("meta, key", [
         ({}, "num_classes"),

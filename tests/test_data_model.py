@@ -1,5 +1,7 @@
 """Tests for the core types, accuracy primitives, and file formats."""
 
+import dataclasses
+import math
 import re
 
 import numpy as np
@@ -29,7 +31,14 @@ from compresslens.errors import (
     RankDepthExceeded,
     SchemaError,
 )
-from compresslens.pie_audit import PIESet, read_pie_report, write_pie_report
+from compresslens.pie_audit import (
+    PIESet,
+    read_pie_report,
+    write_attribute_report,
+    write_pie_report,
+)
+from compresslens.pipeline import write_report
+from compresslens.robustness import RobustnessRow, write_robustness_report
 from compresslens.stats_audit import ClassAuditRow, read_audit_csv, write_audit_csv
 
 
@@ -715,14 +724,27 @@ def _fuzz_table(data, path, read) -> None:
         assert not isinstance(error, ParseError), (kinds, error)
 
 
+# the floats a writer formats: any float64, and often -0.0, +-inf, nan, subnormals and 1e16
+CELL_FLOATS = st.floats(width=64) | st.sampled_from(
+    [-0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310, 1e16, -1e16]
+)
+# text a cell holds: no comma, no line break, no surrogate
+TEXT_CELLS = st.text(st.characters(blacklist_characters=",\r\n", blacklist_categories=("Cs",)),
+                     max_size=6)
+# any text, surrogates included
+ANY_TEXT = st.text(st.characters(blacklist_categories=()), max_size=6)
+NOT_IN_CELL = re.compile("[,\r\n\ud800-\udfff]")
+
+
 @st.composite
-def small_datasets(draw):
-    n, d, C = draw(st.integers(1, 5)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
-    names = draw(st.lists(st.sampled_from("abc"), max_size=2, unique=True))
+def small_datasets(draw, min_rows=1, names=st.lists(st.sampled_from("abc"), max_size=2, unique=True),
+                   floats=st.floats(width=64)):
+    n, d, C = draw(st.integers(min_rows, 5)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    names = draw(names)
     return LabeledDataset.from_arrays(
         draw(st.lists(st.integers(0, 2**63 - 1), min_size=n, max_size=n, unique=True)),
         draw(st.lists(st.integers(0, C - 1), min_size=n, max_size=n)),
-        np.reshape(draw(st.lists(st.floats(width=64), min_size=n * d, max_size=n * d)), (n, d)),
+        np.reshape(draw(st.lists(floats, min_size=n * d, max_size=n * d)), (n, d)),
         C,
         names,
         np.reshape(draw(st.lists(st.booleans(), min_size=n * len(names), max_size=n * len(names))),
@@ -731,18 +753,18 @@ def small_datasets(draw):
 
 
 @st.composite
-def audit_rows(draw):
-    n = draw(st.integers(1, 5))
+def audit_rows(draw, min_rows=1, floats=st.floats(width=64)):
+    n = draw(st.integers(min_rows, 5))
     return [
-        ClassAuditRow(c, *draw(st.lists(st.floats(width=64), min_size=6, max_size=6)),
+        ClassAuditRow(c, *draw(st.lists(floats, min_size=6, max_size=6)),
                       draw(st.booleans()))
         for c in draw(st.permutations(range(n)))
     ]
 
 
 @st.composite
-def pie_reports(draw):
-    n = draw(st.integers(1, 5))
+def pie_reports(draw, min_rows=1):
+    n = draw(st.integers(min_rows, 5))
     ids = draw(st.lists(st.integers(0, 2**63 - 1), min_size=n, max_size=n, unique=True))
     base, comp, truth = (
         draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)) for _ in range(3)
@@ -821,3 +843,124 @@ class TestTableReaders:
         (tmp_path / "d.csv").write_text((tmp_path / "d.csv").read_text().rstrip("\n") + "\r")
         with pytest.raises(ParseError, match="line 2: carriage return inside a line"):
             read_dataset(tmp_path / "d.csv")
+
+
+def _same_bytes(root, paths) -> None:
+    for path in paths:
+        assert (root / "new" / path).read_bytes() == (root / "old" / path).read_bytes(), path
+
+
+class TestTableWriters:
+    """Each `write_table` writer against its former per-row writer, byte for byte."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(dataset=small_datasets(
+        min_rows=0, names=st.lists(TEXT_CELLS, max_size=2, unique=True), floats=CELL_FLOATS
+    ))
+    def test_dataset(self, tmp_path_factory, dataset):
+        root = tmp_path_factory.mktemp("w")
+        write_dataset(dataset, root / "new" / "d.csv")
+        oracles.write_dataset(dataset, root / "old" / "d.csv")
+        _same_bytes(root, ["d.csv", "d.meta.json"])
+
+    def test_dataset_of_several_blocks(self, tmp_path):
+        rng = np.random.default_rng(5)
+        n = 2345
+        ds = LabeledDataset.from_arrays(
+            rng.permutation(10**6)[:n], rng.integers(0, 3, n), rng.normal(size=(n, 3)), 3,
+            ("a", "b"), rng.random((n, 2)) < 0.5, layout=(1, 3), class_names=("x", "y", "z"),
+        )
+        write_dataset(ds, tmp_path / "new" / "d.csv")
+        oracles.write_dataset(ds, tmp_path / "old" / "d.csv")
+        _same_bytes(tmp_path, ["d.csv", "d.meta.json"])
+
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_log_with_percent_signs(self, tmp_path, n):
+        """A `%` of the population id is part of the row format: it must stay a character."""
+        log = PredictionLog("p%s%%d", CompressionSpec("magnitude_prune", 5e-324), np.arange(n),
+                            np.zeros(n), np.zeros((2, n, 1)), explicit_num_classes=1)
+        write_prediction_log(log, tmp_path / "new" / "log.csv")
+        oracles.write_prediction_log(log, tmp_path / "old" / "log.csv")
+        _same_bytes(tmp_path, ["log.csv"])
+
+    @settings(max_examples=100, deadline=None)
+    @given(report=pie_reports(min_rows=0))
+    def test_pie_report(self, tmp_path_factory, report):
+        root = tmp_path_factory.mktemp("w")
+        write_pie_report(*report, root / "new" / "pie.csv")
+        oracles.write_pie_report(*report, root / "old" / "pie.csv")
+        _same_bytes(root, ["pie.csv"])
+
+    @settings(max_examples=100, deadline=None)
+    @given(shares=st.dictionaries(TEXT_CELLS, st.tuples(CELL_FLOATS, CELL_FLOATS, CELL_FLOATS),
+                                  max_size=4))
+    def test_attribute_report(self, tmp_path_factory, shares):
+        root = tmp_path_factory.mktemp("w")
+        write_attribute_report(shares, root / "new" / "attr.csv")
+        oracles.write_attribute_report(shares, root / "old" / "attr.csv")
+        _same_bytes(root, ["attr.csv"])
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=audit_rows(min_rows=0, floats=CELL_FLOATS))
+    def test_audit_csv_and_chart(self, tmp_path_factory, rows):
+        root = tmp_path_factory.mktemp("w")
+        write_audit_csv(rows, root / "new" / "audit.csv")
+        oracles.write_audit_csv(rows, root / "old" / "audit.csv")
+        doc = write_report(root / "new" / "audit.csv", root / "new", chart=True)
+        oracles.write_chart(doc["rows"], root / "old" / "chart.csv")
+        _same_bytes(root, ["audit.csv", "chart.csv"])
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.lists(st.builds(RobustnessRow, TEXT_CELLS, *[CELL_FLOATS] * 5), max_size=4))
+    def test_robustness_report(self, tmp_path_factory, rows):
+        root = tmp_path_factory.mktemp("w")
+        write_robustness_report(rows, root / "new" / "rob.csv")
+        oracles.write_robustness_report(rows, root / "old" / "rob.csv")
+        _same_bytes(root, ["rob.csv"])
+
+
+class TestTextCells:
+    """A text cell the constructors accept is one the readers give back as it was."""
+
+    @pytest.mark.parametrize("text", ["a,b", "a\rb", "a\nb", "\ud800"])
+    def test_population_id_rejected(self, text):
+        with pytest.raises(ConfigError, match="population_id must be UTF-8 text"):
+            make_log([[0, 1]], [0, 1], population_id=text)
+
+    @pytest.mark.parametrize("text", ["x,y", "x\ry", "x\ny", "\udfff"])
+    def test_attribute_name_rejected(self, text):
+        with pytest.raises(ConfigError, match="an attribute name must be UTF-8 text"):
+            LabeledDataset.from_arrays([0], [0], [[0.5]], 1, (text,), [[True]])
+
+    @settings(max_examples=150, deadline=None)
+    @given(log=small_logs(), pid=ANY_TEXT)
+    def test_any_accepted_log_reads_back(self, tmp_path_factory, log, pid):
+        try:
+            log = dataclasses.replace(log, population_id=pid)
+        except ConfigError:
+            assert NOT_IN_CELL.search(pid)
+            return
+        path = tmp_path_factory.mktemp("rt") / "log.csv"
+        write_prediction_log(log, path)
+        assert _outcome(read_prediction_log, path) == _outcome(lambda _: log, path)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_any_accepted_dataset_reads_back(self, tmp_path_factory, data):
+        names = data.draw(st.lists(ANY_TEXT, max_size=2, unique=True))
+        try:
+            ds = data.draw(small_datasets(min_rows=0, names=st.just(names), floats=CELL_FLOATS))
+        except ConfigError:
+            assert any(NOT_IN_CELL.search(name) for name in names)
+            return
+        path = tmp_path_factory.mktemp("rt") / "d.csv"
+        write_dataset(ds, path)
+        back = read_dataset(path)
+        assert (back.num_classes, back.attribute_names, back.layout, back.class_names) == (
+            ds.num_classes, ds.attribute_names, ds.layout, ds.class_names
+        )
+        for name in ("example_ids", "labels", "attributes", "feature_matrix"):
+            np.testing.assert_array_equal(getattr(back, name), getattr(ds, name))
+        assert (np.signbit(back.feature_matrix) == np.signbit(ds.feature_matrix))[
+            ~np.isnan(ds.feature_matrix)
+        ].all()

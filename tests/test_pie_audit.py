@@ -1,5 +1,7 @@
 """Tests for PIE detection, subset accuracy, and attribute representation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,12 +17,12 @@ from compresslens.errors import EmptyPIESet, ExampleSetMismatch
 from compresslens.pie_audit import (
     attribute_relative_representation,
     identify_pies,
+    modal_labels,
     subset_accuracy,
-    vote_counts,
     write_pie_report,
 )
 
-from oracles import pie_brute_force
+from oracles import pie_brute_force, vote_counts
 
 
 def rank1_log(preds, truth, ids=None, population_id="p"):
@@ -35,22 +37,50 @@ def rank1_log(preds, truth, ids=None, population_id="p"):
     )
 
 
-def modal_labels(*votes):
+def modal_of(*votes):
     """Modal label of each example, given each example's rank-1 votes (one per model)."""
     log = rank1_log(np.asarray(votes).T, np.zeros(len(votes)))
-    return vote_counts(log).argmax(axis=1).tolist()
+    return modal_labels(log).tolist()
 
 
 class TestModalLabel:
     def test_unanimous(self):
-        assert modal_labels([3, 3, 3, 3]) == [3]
+        assert modal_of([3, 3, 3, 3]) == [3]
 
     def test_majority(self):
-        assert modal_labels([1, 1, 2]) == [1]
+        assert modal_of([1, 1, 2]) == [1]
 
     def test_tie_goes_to_lowest(self):
-        assert modal_labels([1, 2], [2, 1]) == [1, 1]
-        assert modal_labels([4, 2, 4, 2]) == [2]
+        assert modal_of([1, 2], [2, 1]) == [1, 1]
+        assert modal_of([4, 2, 4, 2]) == [2]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_vote_histogram(self, data):
+        """The former (N, C) histogram's argmax, with C below and above N."""
+        K, N = data.draw(st.integers(1, 30)), data.draw(st.integers(0, 12))
+        C = data.draw(st.integers(1, 2 * N + 3))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        # a few labels drawn from all C, so that ties are common
+        labels = rng.choice(C, data.draw(st.integers(1, min(C, 4))), replace=False)
+        preds = labels[rng.integers(0, len(labels), (K, N))]
+        log = PredictionLog("p", CompressionSpec("none"), np.arange(N), np.zeros(N),
+                            preds[:, :, np.newaxis], explicit_num_classes=C)
+        got = modal_labels(log)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, vote_counts(log).argmax(axis=1))
+
+    def test_memory_does_not_scale_with_labels(self):
+        """Two examples, a label of 10**7: the histogram held 152.6 MiB."""
+        log = rank1_log([[10**7, 0], [3, 0], [10**7, 1]], [0, 0])
+        tracemalloc.start()
+        try:
+            pies = identify_pies(log, rank1_log([[0, 0]], [0, 0]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        np.testing.assert_array_equal(pies.modal_base, [10**7, 0])
 
 
 class TestIdentifyPies:

@@ -24,12 +24,12 @@ from compresslens.errors import (
 from compresslens.stats_audit import (
     ClassAccuracySample,
     audit_classes,
-    format_audit_csv,
     mean_shift,
     normalized_recall_difference,
     regularized_incomplete_beta,
     student_t_two_sided_p,
     welch_t_test,
+    write_audit_csv,
 )
 
 from oracles import student_t_tail_by_quadrature, welch_oracle
@@ -347,12 +347,13 @@ class TestAuditClasses:
         cfg = AuditConfig(alpha=0.05, bonferroni=True)
         assert cfg.bonferroni
 
-    def test_csv_formatting(self):
+    def test_csv_formatting(self, tmp_path):
         rows = audit_classes(
             _log_from_rank1([[0, 1], [0, 1]], [0, 1]),
             _log_from_rank1([[0, 1], [0, 1]], [0, 1]),
         )
-        text = format_audit_csv(rows)
+        write_audit_csv(rows, tmp_path / "audit.csv")
+        text = (tmp_path / "audit.csv").read_text()
         header, *lines = text.strip().split("\n")
         assert header == (
             "class,mean_recall_base,mean_recall_comp,norm_recall_diff,"
