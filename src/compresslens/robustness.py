@@ -8,9 +8,11 @@ sensitivity to that corruption.
 
 from __future__ import annotations
 
+import numbers
 import operator
 from collections.abc import Iterator
 from dataclasses import astuple, dataclass, replace
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -59,6 +61,12 @@ class CorruptionSpec:
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
+    @cached_property
+    def _key_words(self) -> tuple[int, ...]:
+        """uint32 words of the stream key's first three integers: seed, kind index, severity."""
+        key = (self.seed, _KIND_INDEX[self.kind], self.severity)
+        return tuple(w for n in key for w in _seed_words(n))
+
 
 @dataclass(frozen=True)
 class RobustnessRow:
@@ -72,29 +80,151 @@ class RobustnessRow:
     topk_norm: float
 
 
+# numpy's `SeedSequence` hash (numpy/random/bit_generator.pyx): a pool of
+# four uint32 words mixed from the key's words, stretched into PCG64's seed
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+# generate_state xors state word i with INIT_B * MULT_B**i, then multiplies
+# it by INIT_B * MULT_B**(i + 1)
+_STATE_HASH = tuple(
+    (_INIT_B * _MULT_B**i & _MASK32, _INIT_B * _MULT_B ** (i + 1) & _MASK32)
+    for i in range(2 * _POOL_SIZE)
+)
+
+
 def _seed_words(n) -> list[int]:
-    """The little-endian uint32 words numpy's `SeedSequence` makes of one integer."""
+    """The little-endian uint32 words numpy's `SeedSequence` makes of one non-negative integer."""
     n = operator.index(n)
-    if n < 0:
-        raise ConfigError(f"corruption keys must be non-negative, got {n}")
-    words = [n & 0xFFFFFFFF]
+    words = [n & _MASK32]
     while n >> 32:
         n >>= 32
-        words.append(n & 0xFFFFFFFF)
+        words.append(n & _MASK32)
     return words
 
 
+def _checked_ids(example_ids) -> np.ndarray:
+    """The ids as a uint64 array, or an object array of ints if one needs more than 64 bits.
+
+    Every id must be a non-negative integer (not a bool); anything else is a
+    ConfigError. A sequence is read element by element, never through a
+    float array.
+    """
+    if isinstance(example_ids, np.ndarray):
+        if example_ids.dtype.kind == "u":
+            return example_ids
+        if example_ids.dtype.kind == "i" and not (example_ids < 0).any():
+            return example_ids.astype(np.uint64)
+        example_ids = example_ids.tolist()
+    values = []
+    for i in example_ids:
+        if not isinstance(i, numbers.Integral) or isinstance(i, bool) or i < 0:
+            raise ConfigError(f"example ids must be non-negative integers, got {i!r}")
+        values.append(operator.index(i))
+    if values and max(values) >> 64:
+        return np.array(values, dtype=object)
+    return np.array(values, dtype=np.uint64)
+
+
+def _mix_pool(key: list[np.ndarray]) -> list[np.ndarray]:
+    """`SeedSequence(key).pool` for many keys at once; `key[j]` is the uint32 column of word j.
+
+    uint32 arithmetic wraps as numpy's C code does. Every key has
+    `len(key)` words, at least the pool size.
+    """
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const
+        return value ^ value >> 16
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ result >> 16
+
+    pool = [hashmix(w) for w in key[:_POOL_SIZE]]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for w in key[_POOL_SIZE:]:
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = mix(pool[i_dst], hashmix(w))
+    return pool
+
+
+def _pcg64_seed(pool: list) -> list:
+    """`SeedSequence.generate_state(4, np.uint64)` of a pool: four Python ints or uint64 columns.
+
+    Every product is masked to 32 bits, as numpy's uint32 arithmetic wraps.
+    """
+    state = []
+    for i, (xor, mult) in enumerate(_STATE_HASH):
+        value = (pool[i % _POOL_SIZE] ^ xor) * mult & _MASK32
+        state.append(value ^ value >> 16)
+    # uint32 words 2k and 2k + 1 make uint64 word k, little-endian as in numpy
+    return [state[2 * k] | state[2 * k + 1] << 32 for k in range(_POOL_SIZE)]
+
+
+@cache
+def _pcg64_seed_type() -> type:
+    """A seed-sequence type that hands `PCG64` a precomputed `generate_state(4, np.uint64)`.
+
+    It is built on first use: subclassing numpy's `ISeedSequence` imports
+    `numpy.random`, which would add ~14 ms to the start of every command.
+    """
+
+    class PCG64Seed(np.random.bit_generator.ISeedSequence):
+        def __init__(self, seed: np.ndarray):
+            self.seed = seed
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if (n_words, dtype) != (4, np.uint64):
+                raise ValueError("only PCG64's generate_state(4, np.uint64) is precomputed")
+            return self.seed
+
+    return PCG64Seed
+
+
 def _example_rngs(spec: CorruptionSpec, example_ids) -> Iterator[np.random.Generator]:
-    """One generator per id, each the stream of
+    """One generator object per id, each the stream of
     `np.random.default_rng([spec.seed, kind index, spec.severity, example_id])`.
 
-    `default_rng` turns that key into these uint32 words one integer at a
-    time; seeding from the words directly gives the same stream for less.
+    `default_rng` mixes the key's uint32 words into `SeedSequence`'s pool and
+    seeds `PCG64` with `generate_state(4, np.uint64)` of it. Here that state
+    is computed for every id at once and handed to `PCG64` as it is. One
+    key's pool is numpy's own; for more, the pools are mixed together as
+    uint32 columns, one group per key length (an id of 2**32 or more adds
+    words).
     """
-    key = [w for n in (spec.seed, _KIND_INDEX[spec.kind], spec.severity) for w in _seed_words(n)]
-    for example_id in example_ids:
-        words = np.array(key + _seed_words(example_id), dtype=np.uint32)
-        yield np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
+    ids = _checked_ids(example_ids)
+    prefix = spec._key_words
+    if len(ids) == 1:
+        # for one key, numpy's own mixing costs less than setting up columns
+        key = np.array([*prefix, *_seed_words(ids[0])], dtype=np.uint32)
+        seeds = [np.array(_pcg64_seed(np.random.SeedSequence(key).pool.tolist()), np.uint64)]
+    else:
+        # word j of every id (as `_seed_words` makes them) and each id's word count
+        words, lengths, rest = [ids & _MASK32], np.ones(len(ids), dtype=int), ids >> 32
+        while rest.any():
+            words.append(rest & _MASK32)
+            lengths += rest != 0
+            rest = rest >> 32
+        words = np.array(words).astype(np.uint32)
+        pool = np.empty((_POOL_SIZE, len(ids)), dtype=np.uint64)
+        for length in np.unique(lengths).tolist():
+            rows = lengths == length
+            key = [np.array([w], dtype=np.uint32) for w in prefix] + list(words[:length, rows])
+            pool[:, rows] = _mix_pool(key)
+        seeds = np.stack(_pcg64_seed(pool), axis=1)
+    seed_type = _pcg64_seed_type()
+    for seed in seeds:
+        yield np.random.Generator(np.random.PCG64(seed_type(seed)))
 
 
 def corrupt_features(
@@ -112,7 +242,8 @@ def corrupt_features(
     a matrix gives the rows that corrupting each vector alone would.
     `lo`/`hi` bound the feature domain (scalars or per-coordinate arrays);
     severity magnitudes are expressed as fractions of hi - lo, and the
-    result is clamped back into [lo, hi].
+    result is clamped back into [lo, hi]. Ids must be non-negative integers
+    and features finite, for every kind; otherwise it is a ConfigError.
     """
     x = np.asarray(features, dtype=np.float64)
     single = x.ndim == 1
@@ -122,6 +253,9 @@ def corrupt_features(
             "expected one vector and one id, or an (N, d) matrix and N ids; got "
             f"features of shape {np.shape(features)} and ids of shape {np.shape(ids)}"
         )
+    ids = _checked_ids(ids)
+    if np.count_nonzero(np.isfinite(x)) != x.size:
+        raise ConfigError("features must be finite")
     lo = np.asarray(lo, dtype=np.float64)
     hi = np.asarray(hi, dtype=np.float64)
     span = hi - lo
@@ -149,11 +283,12 @@ def corrupt_features(
         counts += lo
         x = counts
     elif spec.kind == "impulse_noise":
-        hit = np.empty(x.shape, dtype=bool)
-        extreme_high = np.empty(x.shape, dtype=bool)
-        for hit_row, high_row, rng in zip(hit, extreme_high, rngs):
-            hit_row[:] = rng.random(hit_row.shape) < _IMPULSE_FRACTION[s]
-            high_row[:] = rng.random(high_row.shape) < 0.5
+        # a row's two uniform blocks (hit, then high) are consecutive in its stream
+        u = np.empty((x.shape[0], 2 * x.shape[1]))
+        for row, rng in zip(u, rngs):
+            rng.random(out=row)
+        hit = u[:, : x.shape[1]] < _IMPULSE_FRACTION[s]
+        extreme_high = u[:, x.shape[1] :] < 0.5
         x = np.where(hit, np.where(extreme_high, hi, lo), x)
     elif spec.kind == "brightness":
         x = x + _BRIGHTNESS_SHIFT[s] * span
@@ -177,14 +312,12 @@ def corrupt_features(
                 out[:, r0 : r0 + block, c0 : c0 + block] = patch.mean(axis=(1, 2), keepdims=True)
         x = out.reshape(x.shape)
 
-    np.clip(x, lo, hi, out=x)  # every branch made x a new array
+    x.clip(lo, hi, out=x)  # every branch made x a new array
     return x[0] if single else x
 
 
 def corrupt(example: ExampleRecord, spec: CorruptionSpec, lo=0.0, hi=1.0) -> ExampleRecord:
     """Corrupted copy of an example; deterministic given (example, spec)."""
-    if not np.all(np.isfinite(example.features)):
-        raise ConfigError("features must be finite")
     feats = corrupt_features(
         example.features, spec, example.example_id, lo, hi, example.layout
     )

@@ -475,6 +475,24 @@ class TestBadInputExits2:
         assert rc == 2 and "Traceback" not in err
         assert "seed" in err
 
+    @pytest.mark.parametrize("cell", ["inf", "nan"])
+    def test_non_finite_feature(self, logs, data_dir, tmp_path, cell):
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        lines = (data / "test.csv").read_text().split("\n")
+        lines[2] = lines[2][: lines[2].rindex(",") + 1] + cell  # the second example's last feature
+        (data / "test.csv").write_text("\n".join(lines))
+        out = tmp_path / "rob.csv"
+        rc, err = run_cli([
+            "audit-robustness", "--data", str(data),
+            "--base-models", str(logs / "base_models"),
+            "--comp-models", str(logs / "comp_models"),
+            "--kinds", "gaussian_noise", "--out", str(out),
+        ])
+        assert rc == 2 and "Traceback" not in err
+        assert "features must be finite" in err
+        assert not out.exists()
+
     def test_non_numeric_sparsity(self, tmp_path):
         rc, err = run_cli(
             ["run", "--sparsity", "0.5,abc", "--out", str(tmp_path / "o")]

@@ -147,8 +147,33 @@ class TestBatchedCorruption:
                 assert rng.random(4).tobytes() == want.random(4).tobytes()
 
     def test_negative_id_is_config_error(self):
-        with pytest.raises(ConfigError):
-            corrupt_features(np.zeros(3), CorruptionSpec("gaussian_noise", 1), -1)
+        cases = [
+            (np.zeros(4), -1),
+            (np.zeros(4), 1.5),  # a float id
+            (np.zeros(4), 2.0),  # a float id, even a whole one
+            (np.zeros(4), True),
+            (np.zeros((3, 4)), [0, -1, 2]),  # a negative id mid-batch
+            (np.zeros((3, 4)), np.array([0, -1, 2])),
+            (np.zeros((3, 4)), [0, 1.0, 2]),
+            (np.zeros((3, 4)), np.array([0.0, 1.0, 2.0])),
+            (np.zeros((3, 4)), ["0", "1", "2"]),
+        ]
+        for kind in CORRUPTION_KINDS:  # every kind checks its ids, not only the noise kinds
+            for features, ids in cases:
+                with pytest.raises(ConfigError, match="example ids must be non-negative integers"):
+                    corrupt_features(features, CorruptionSpec(kind, 1), ids, layout=(2, 2))
+
+    @pytest.mark.parametrize("kind", CORRUPTION_KINDS)
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_features_are_config_error(self, kind, bad):
+        spec = CorruptionSpec(kind, 1)
+        x = np.zeros((3, 4))
+        x[1, 2] = bad
+        for features, ids in [(x[1], 1), (x, [0, 1, 2])]:
+            with pytest.raises(ConfigError, match="features must be finite"):
+                corrupt_features(features, spec, ids, layout=(2, 2))
+        with pytest.raises(ConfigError, match="features must be finite"):
+            corrupt(example(x[1], layout=(2, 2)), spec)
 
     @pytest.mark.parametrize("kind", CORRUPTION_KINDS)
     def test_id_count_must_match_rows(self, kind):
@@ -175,6 +200,52 @@ class TestBatchedCorruption:
         for kind in CORRUPTION_KINDS:
             out = corrupt_features(np.zeros((0, 4)), CorruptionSpec(kind, 1), [], layout=(2, 2))
             assert out.shape == (0, 4)
+
+
+# ids of one, two and three uint32 words, and the edges between them
+ONE_WORD = st.integers(0, 2**32 - 1)
+TWO_WORDS = st.integers(2**32, 2**64 - 1)
+THREE_WORDS = st.integers(2**64, 2**80)
+batch_ids = (
+    st.sampled_from((0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**80))
+    | ONE_WORD | TWO_WORDS | THREE_WORDS
+)
+
+
+def draws(rng) -> bytes:
+    """The bytes of one `normal`, one `poisson` and one `random` draw, in that order."""
+    return rng.normal(size=3).tobytes() + rng.poisson(7.5, 3).tobytes() + rng.random(3).tobytes()
+
+
+class TestBatchedSeeding:
+    """Batches of two or more ids seed their streams through the column hash."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=batch_ids,
+        kind=st.sampled_from(CORRUPTION_KINDS),
+        severity=st.integers(1, 5),
+        ids=st.lists(batch_ids, min_size=2, max_size=40),
+    )
+    def test_streams_equal_default_rng(self, seed, kind, severity, ids):
+        rngs = list(_example_rngs(CorruptionSpec(kind, severity, seed), ids))
+        assert len(rngs) == len(ids)
+        for example_id, rng in zip(ids, rngs):
+            want = np.random.default_rng([seed, _KIND_INDEX[kind], severity, example_id])
+            assert draws(rng) == draws(want)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=batch_ids,
+        ids=st.lists(ONE_WORD | st.integers(0, 2**63 - 1) | st.just(2**63 - 1), min_size=2,
+                     max_size=40),
+    )
+    def test_int64_array_equals_list(self, seed, ids):
+        for kind in ("gaussian_noise", "shot_noise", "impulse_noise"):
+            spec = CorruptionSpec(kind, 3, seed)
+            from_list = [draws(rng) for rng in _example_rngs(spec, ids)]
+            from_array = [draws(rng) for rng in _example_rngs(spec, np.array(ids, dtype=np.int64))]
+            assert from_array == from_list
 
 
 class TestRelativeAccuracy:
