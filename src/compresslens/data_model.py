@@ -18,7 +18,7 @@ import re
 import tempfile
 from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import compress
+from itertools import chain, compress
 from pathlib import Path
 from typing import Iterable, NoReturn
 
@@ -451,14 +451,19 @@ LOG_HEADER = [
 ]
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write UTF-8 through a temporary file renamed into place (single writer per path)."""
+def atomic_write_text(path: str | Path, text: str | Iterable[str]) -> None:
+    """Write UTF-8 through a temporary file renamed into place (single writer per path).
+
+    `text` is one str or an iterable of str chunks, written one at a time, so
+    only the chunk being written need be in memory. If the iterable raises,
+    the temporary file is removed and an existing file at `path` is kept.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -470,13 +475,14 @@ def write_table(path: str | Path, header: list[str], row_format: str, blocks: It
     """Write a CSV: the header line, then every block of rows, each formatted by one `%` call.
 
     `row_format` is the printf format of one row, without its line end. A
-    block is a flat sequence of cells, a whole number of rows of them. Every
-    CSV the toolkit writes goes through here, in the row grammar its readers take.
+    block is a flat sequence of cells, a whole number of rows of them. Blocks
+    are formatted and written one at a time, so a write holds one block's
+    text. Every CSV the toolkit writes goes through here, in the row grammar
+    its readers take.
     """
     width = row_format.replace("%%", "").count("%")  # cells per row
-    chunks = [",".join(header) + "\n"]
-    chunks += (((row_format + "\n") * (len(cells) // width)) % tuple(cells) for cells in blocks)
-    atomic_write_text(path, "".join(chunks))
+    rows = (((row_format + "\n") * (len(cells) // width)) % tuple(cells) for cells in blocks)
+    atomic_write_text(path, chain([",".join(header) + "\n"], rows))
 
 
 def write_json(path: str | Path, doc) -> None:

@@ -201,15 +201,18 @@ class MLPModel:
             raise ShapeError(
                 f"input dim {x.shape[1]} does not match model dim {self.layer_dims[0]}"
             )
-        for _, h in self._layers(x, self.activation_ranges):
+        for z in self._layers(x, self.activation_ranges):
             pass
-        return h[0] if squeeze else h
+        return z[0] if squeeze else z
 
     def _layers(self, x: np.ndarray, ranges: list[tuple[float, float]] | None = None):
-        """Yield each layer's (pre-activation, activation) on the (N, d) batch `x`.
+        """Yield each layer's pre-activation on the (N, d) batch `x`; the last is the logits.
 
-        Pre-activations are clamped to `ranges[i]` when ranges are given; the
-        last layer's activation is its pre-activation (the logits).
+        Pre-activations are clamped to `ranges[i]` when ranges are given. When
+        the caller resumes, a hidden layer's array is rectified in place and
+        becomes the next layer's input, so one hidden activation is alive at
+        a time: read a pre-activation before resuming, keep it to get the
+        activation.
         """
         h = x
         last = len(self.weights) - 1
@@ -218,8 +221,9 @@ class MLPModel:
             z += b
             if ranges is not None:
                 np.clip(z, *ranges[i], out=z)
-            h = z if i == last else np.maximum(z, 0.0)
-            yield z, h
+            yield z
+            if i < last:
+                h = np.maximum(z, 0.0, out=z)
 
 
 def rank_topk(logits: np.ndarray, k: int) -> np.ndarray:
@@ -321,7 +325,7 @@ def loss_and_gradients(
     n = x.shape[0]
     rows = np.arange(n)
     # training never clamps: activation ranges apply to inference only
-    acts = [x] + [h for _, h in model._layers(x)]
+    acts = [x, *model._layers(x)]  # each hidden array rectified once the next is asked for
     # each hidden layer's ReLU derivative as 0.0/1.0 (h > 0 exactly where z > 0)
     relu_masks = [(h > 0.0).astype(np.float64) for h in acts[1:-1]]
 
@@ -398,7 +402,7 @@ def quantize_model(
     if calibration.shape[0] < 1:
         raise ConfigError("calibration slice is empty")
     out.activation_ranges = [
-        (float(z.min()), float(z.max())) for z, _ in out._layers(calibration)
+        (float(z.min()), float(z.max())) for z in out._layers(calibration)
     ]
     return out
 
@@ -538,6 +542,12 @@ def train_population(
     missing = train_ds.missing_classes()
     if missing:
         raise ConfigError(f"training split is missing classes {missing}")
+    for split, ds in (("training", train_ds), ("test", test_ds)):
+        bad = np.flatnonzero(~np.isfinite(ds.feature_matrix).all(axis=1))
+        if bad.size:
+            raise ConfigError(
+                f"{split} split: example {ds.example_ids[bad[0]]} has a non-finite feature"
+            )
 
     models = [
         _train_single(train_ds, config, compression, schedule, config.seed + k)

@@ -493,6 +493,23 @@ class TestBadInputExits2:
         assert "features must be finite" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("split", ["train", "test"])
+    @pytest.mark.parametrize("cell", ["nan", "-inf"])
+    def test_non_finite_feature_fails_before_training(self, data_dir, tmp_path, capsys, split, cell):
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        lines = (data / f"{split}.csv").read_text().split("\n")
+        lines[3] = lines[3][: lines[3].rindex(",") + 1] + cell  # the third example's last feature
+        (data / f"{split}.csv").write_text("\n".join(lines))
+        message = f"example {lines[3].split(',')[0]} has a non-finite feature"
+        rc = main(["train", "--data", str(data), "--out", str(tmp_path / "l.csv"), *TRAIN_FAST])
+        assert rc == 2 and message in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dataset": {"path": str(data)}, "train": {"steps": 60}}))
+        rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 2 and message in capsys.readouterr().err
+        assert not any((tmp_path / "o").glob("logs/*"))
+
     def test_non_numeric_sparsity(self, tmp_path):
         rc, err = run_cli(
             ["run", "--sparsity", "0.5,abc", "--out", str(tmp_path / "o")]

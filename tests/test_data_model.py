@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import oracles
@@ -22,6 +23,7 @@ from compresslens.data_model import (
     read_prediction_log,
     write_dataset,
     write_prediction_log,
+    write_table,
 )
 from compresslens.errors import (
     CompressLensError,
@@ -917,6 +919,40 @@ class TestTableWriters:
         write_robustness_report(rows, root / "new" / "rob.csv")
         oracles.write_robustness_report(rows, root / "old" / "rob.csv")
         _same_bytes(root, ["rob.csv"])
+
+
+class TestStreamingWrites:
+    """`write_table` formats and writes one block at a time, through a renamed temporary file."""
+
+    def test_log_write_holds_one_block(self, tmp_path):
+        rng = np.random.default_rng(3)
+        K, N, topk, C = 10, 6000, 3, 10
+        log = make_log(np.argsort(rng.random((K, N, C)), axis=2)[:, :, :topk],
+                       rng.integers(0, C, N), population_id="baseline")
+        tracemalloc.start()
+        try:
+            write_prediction_log(log, tmp_path / "log.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert log.predictions.size == 180_000
+        assert (tmp_path / "log.csv").stat().st_size > 5 * 2**20
+        assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("old", [b"a\n1\n", None])
+    def test_failing_block_leaves_the_target_alone(self, tmp_path, old):
+        path = tmp_path / "t.csv"
+        if old is not None:
+            path.write_bytes(old)
+
+        def blocks():
+            yield [1, 2]
+            raise RuntimeError("no more rows")
+
+        with pytest.raises(RuntimeError, match="no more rows"):
+            write_table(path, ["a"], "%d", blocks())
+        assert (path.read_bytes() if path.exists() else None) == old
+        assert list(tmp_path.glob("*.tmp")) == []
 
 
 class TestTextCells:

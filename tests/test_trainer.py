@@ -1,6 +1,7 @@
 """Tests for training, pruning, and quantization."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -241,6 +242,36 @@ class TestSharedForwardPass:
             h = z if i == 2 else np.maximum(z, 0.0)
         assert q.activation_ranges == want
 
+    @pytest.mark.parametrize("calibrated", [False, True])
+    def test_logits_match_an_out_of_place_forward_pass(self, calibrated):
+        model, x = self.two_hidden_layers(seed=6)
+        if calibrated:  # a narrow slice, so that inference clamps on x
+            model = quantize_model(model, QuantizationScheme("fixed_int8"), x[:3])
+
+        def forward(h):
+            for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+                z = h @ w + b
+                if calibrated:
+                    z = np.clip(z, *model.activation_ranges[i])
+                h = z if i == 2 else np.maximum(z, 0.0)
+            return h
+
+        assert bits([model.logits(x)]) == bits([forward(x)])
+        assert bits([model.logits(x[4])]) == bits([forward(x[4:5])[0]])
+
+    def test_logits_hold_one_hidden_activation(self):
+        """Each hidden layer is rectified in place: no (N, hidden) copy beside it."""
+        rng = np.random.default_rng(7)
+        model = MLPModel.initialize((16, 320, 10), rng)
+        x = rng.normal(size=(2000, 16))
+        tracemalloc.start()
+        try:
+            model.logits(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * 2000 * 320 * 8
+
     def test_training_never_clamps(self):
         model, x = self.two_hidden_layers(seed=5)
         y = np.arange(len(x)) % 3
@@ -389,6 +420,18 @@ class TestTrainPopulation:
         got = evaluate_population(models, shuffled, log.compression, log.population_id)
         for field in ("example_ids", "truth", "predictions"):
             np.testing.assert_array_equal(getattr(got, field), getattr(log, field))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("split", ["training", "test"])
+    def test_non_finite_feature_rejected_before_training(self, monkeypatch, value, split):
+        ds = tiny_dataset()
+        feats = ds.feature_matrix.copy()
+        feats[[7, 9], 2] = value
+        bad = LabeledDataset.from_arrays(ds.example_ids, ds.labels, feats, ds.num_classes)
+        splits = (bad, ds) if split == "training" else (ds, bad)
+        monkeypatch.setattr(trainer, "_train_single", pytest.fail)
+        with pytest.raises(ConfigError, match=f"^{split} split: example 7 has a non-finite"):
+            train_population(*splits, small_config())
 
     def test_divergence_detected(self):
         ds = tiny_dataset()
