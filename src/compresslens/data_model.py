@@ -171,11 +171,8 @@ class LabeledDataset:
     attribute_names: tuple[str, ...]
     attributes: np.ndarray
     layout: tuple[int, int] | None
-    class_names: tuple[str, ...] | None
 
-    def __init__(
-        self, examples: Iterable[ExampleRecord], num_classes: int, class_names=None
-    ):
+    def __init__(self, examples: Iterable[ExampleRecord], num_classes: int):
         examples = tuple(examples)
         dims = sorted({ex.features.size for ex in examples})
         layouts = {ex.layout for ex in examples}
@@ -193,14 +190,13 @@ class LabeledDataset:
             names,
             [[name in ex.attributes for name in names] for ex in examples],
             layouts.pop() if layouts else None,
-            class_names,
         )
         self.__dict__.update(vars(columns))
 
     @classmethod
     def from_arrays(
         cls, example_ids, labels, feature_matrix, num_classes: int,
-        attribute_names=(), attributes=(), layout=None, class_names=None,
+        attribute_names=(), attributes=(), layout=None,
     ) -> "LabeledDataset":
         """Dataset from (N,) ids and labels, an (N, d) and an (N, A) bool matrix.
 
@@ -240,8 +236,6 @@ class LabeledDataset:
             _check_text_cell("an attribute name", name)
         if layout is not None and layout[0] * layout[1] != feats.shape[1]:
             raise ConfigError(f"layout {layout} does not match {feats.shape[1]} features")
-        if class_names is not None and len(class_names) != num_classes:
-            raise ConfigError("class_names length must equal num_classes")
         carried = sorted((name, j) for j, name in enumerate(names) if attrs[:, j].any())
         attrs = attrs[:, [j for _, j in carried]]
         for arr in (ids, labels, feats, attrs):
@@ -255,7 +249,6 @@ class LabeledDataset:
             attribute_names=tuple(name for name, _ in carried),
             attributes=attrs,
             layout=None if layout is None else tuple(layout),
-            class_names=None if class_names is None else tuple(class_names),
         )
         return ds
 
@@ -775,8 +768,6 @@ def write_dataset(dataset: LabeledDataset, csv_path: str | Path) -> None:
     meta: dict[str, object] = {"num_classes": dataset.num_classes}
     if dataset.layout is not None:
         meta["height"], meta["width"] = dataset.layout
-    if dataset.class_names is not None:
-        meta["class_names"] = list(dataset.class_names)
     atomic_write_text(_meta_path(csv_path), json.dumps(meta, sort_keys=True) + "\n")
 
 
@@ -795,13 +786,10 @@ def read_dataset(csv_path: str | Path) -> LabeledDataset:
     for key in ("num_classes", "height", "width"):
         if (key == "num_classes" or key in meta) and type(meta.get(key)) is not int:
             raise SchemaError(f"{meta_path}: {key!r} must be an integer, got {meta.get(key)!r}")
-    if not isinstance(meta.get("class_names", []), list):
-        raise SchemaError(f"{meta_path}: 'class_names' must be a list")
     num_classes = meta["num_classes"]
     layout = None
     if "height" in meta and "width" in meta:
         layout = (meta["height"], meta["width"])
-    class_names = tuple(meta["class_names"]) if "class_names" in meta else None
 
     data, header, start = _read_csv(csv_path)
     if header[:2] != ["example_id", "true_label"]:
@@ -832,7 +820,6 @@ def read_dataset(csv_path: str | Path) -> LabeledDataset:
         attribute_names=attr_names,
         attributes=table["attribute"],
         layout=layout,
-        class_names=class_names,
     )
 
 

@@ -14,7 +14,6 @@ from functools import cached_property
 import numpy as np
 
 from .data_model import (
-    CompressionSpec,
     LabeledDataset,
     PredictionLog,
     read_table,
@@ -34,7 +33,6 @@ class PIESet:
     example_ids: np.ndarray
     modal_base: np.ndarray
     modal_comp: np.ndarray
-    compression: CompressionSpec
 
     @cached_property
     def pie_ids(self) -> tuple[int, ...]:
@@ -72,7 +70,6 @@ def identify_pies(base_log: PredictionLog, comp_log: PredictionLog) -> PIESet:
         example_ids=base_log.example_ids,
         modal_base=modal_labels(base_log),
         modal_comp=modal_labels(comp_log),
-        compression=comp_log.compression,
     )
 
 

@@ -127,19 +127,17 @@ class QuantizationScheme:
 
 
 class MLPModel:
-    """ReLU MLP with per-tensor binary masks mirroring the weights and biases.
+    """ReLU MLP: the weights, biases and clamp ranges that inference reads.
 
-    Weight matrices have shape (fan_in, fan_out); a masked entry is exactly
-    0.0. `activation_ranges` holds per-layer pre-activation [min, max] pairs
-    for fixed-point inference, None otherwise.
+    Weight matrices have shape (fan_in, fan_out); a pruned entry is exactly
+    0.0, and every entry is finite. `activation_ranges` holds per-layer
+    pre-activation (lo, hi) pairs for fixed-point inference, None otherwise.
     """
 
     def __init__(
         self,
         weights: list[np.ndarray],
         biases: list[np.ndarray],
-        weight_masks: list[np.ndarray] | None = None,
-        bias_masks: list[np.ndarray] | None = None,
         activation_ranges: list[tuple[float, float]] | None = None,
     ):
         self.weights = [np.asarray(w, dtype=np.float64) for w in weights]
@@ -151,17 +149,9 @@ class MLPModel:
                 raise ShapeError(f"layer {i}: weight {w.shape} vs bias {b.shape}")
             if i > 0 and self.weights[i - 1].shape[1] != w.shape[0]:
                 raise ShapeError(f"layer {i}: fan-in mismatch")
-        self.weight_masks = (
-            [np.ones_like(w) for w in self.weights]
-            if weight_masks is None
-            else [np.asarray(m, dtype=np.float64) for m in weight_masks]
-        )
-        self.bias_masks = (
-            [np.ones_like(b) for b in self.biases]
-            if bias_masks is None
-            else [np.asarray(m, dtype=np.float64) for m in bias_masks]
-        )
-        self.activation_ranges = activation_ranges
+            if not (np.isfinite(w).all() and np.isfinite(b).all()):
+                raise ConfigError(f"layer {i}: weights and biases must be finite")
+        self.activation_ranges = _checked_ranges(activation_ranges, len(self.weights))
 
     @property
     def layer_dims(self) -> tuple[int, ...]:
@@ -181,15 +171,6 @@ class MLPModel:
             weights.append(rng.normal(0.0, math.sqrt(2.0 / fan_in), (fan_in, fan_out)))
             biases.append(np.zeros(fan_out))
         return cls(weights, biases)
-
-    def copy(self) -> "MLPModel":
-        return MLPModel(
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            [m.copy() for m in self.weight_masks],
-            [m.copy() for m in self.bias_masks],
-            list(self.activation_ranges) if self.activation_ranges else None,
-        )
 
     def logits(self, x: np.ndarray) -> np.ndarray:
         """Forward pass on a (N, d) batch, clamping pre-activations when calibrated."""
@@ -224,6 +205,22 @@ class MLPModel:
             yield z
             if i < last:
                 h = np.maximum(z, 0.0, out=z)
+
+
+def _checked_ranges(ranges, layers: int) -> list[tuple[float, float]] | None:
+    """`ranges` as one finite (lo, hi) float pair per layer with lo <= hi; None stays None."""
+    if ranges is None:
+        return None
+    try:
+        pairs = [(lo, hi) for lo, hi in ranges]
+    except (TypeError, ValueError):
+        pairs = []
+    if len(pairs) != layers or not all(
+        isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+        for pair in pairs for v in pair
+    ) or any(lo > hi for lo, hi in pairs):
+        raise ConfigError(f"activation_ranges must be {layers} finite (lo, hi) pairs, lo <= hi")
+    return [(float(lo), float(hi)) for lo, hi in pairs]
 
 
 def rank_topk(logits: np.ndarray, k: int) -> np.ndarray:
@@ -278,14 +275,6 @@ def apply_magnitude_mask(weights: np.ndarray, target_sparsity: float) -> np.ndar
     return mask.reshape(np.asarray(weights).shape)
 
 
-def _prunable_tensors(model: MLPModel, config: TrainConfig):
-    """Yield (tensor, mask_list, index) pairs subject to pruning."""
-    for i in range(len(model.weights)):
-        yield model.weights, model.weight_masks, i
-        if config.prune_biases:
-            yield model.biases, model.bias_masks, i
-
-
 def _prune_events(schedule: PruneSchedule, steps: int) -> dict[int, float]:
     """{step: target} for the steps before `steps` at which the ramp's target can change.
 
@@ -298,10 +287,12 @@ def _prune_events(schedule: PruneSchedule, steps: int) -> dict[int, float]:
     return {t: sparsity_at_step(schedule, t) for t in candidates if t < steps}
 
 
-def _refresh_masks(model: MLPModel, config: TrainConfig, target: float) -> None:
-    for tensors, masks, i in _prunable_tensors(model, config):
-        masks[i] = apply_magnitude_mask(tensors[i], target)
-        tensors[i] *= masks[i]
+def _refresh_masks(tensors: list[np.ndarray], target: float) -> list[np.ndarray]:
+    """Mask each tensor at `target` and zero its masked entries in place; return the masks."""
+    masks = [apply_magnitude_mask(t, target) for t in tensors]
+    for t, m in zip(tensors, masks):
+        t *= m
+    return masks
 
 
 # ---------------------------------------------------------------------------
@@ -385,15 +376,17 @@ def quantize_model(
     matrices. fixed_int8 additionally records each layer's pre-activation
     range over the calibration slice; inference then saturates to it.
     """
-    out = model.copy()
     if scheme.kind == "float16":
-        out.weights = [w.astype(np.float16).astype(np.float64) for w in out.weights]
-        out.biases = [b.astype(np.float16).astype(np.float64) for b in out.biases]
-        return out
+        return MLPModel(
+            [w.astype(np.float16).astype(np.float64) for w in model.weights],
+            [b.astype(np.float16).astype(np.float64) for b in model.biases],
+            model.activation_ranges,
+        )
 
-    out.weights = [_quantize_tensor_int8(w) for w in out.weights]
+    weights = [_quantize_tensor_int8(w) for w in model.weights]
+    biases = [b.copy() for b in model.biases]
     if scheme.kind == "dynamic_int8":
-        return out
+        return MLPModel(weights, biases, model.activation_ranges)
 
     # fixed_int8: calibrate activation ranges with the quantized weights
     if calibration is None:
@@ -401,10 +394,8 @@ def quantize_model(
     calibration = np.asarray(calibration, dtype=np.float64)
     if calibration.shape[0] < 1:
         raise ConfigError("calibration slice is empty")
-    out.activation_ranges = [
-        (float(z.min()), float(z.max())) for z in out._layers(calibration)
-    ]
-    return out
+    layers = MLPModel(weights, biases)._layers(calibration)
+    return MLPModel(weights, biases, [(float(z.min()), float(z.max())) for z in layers])
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +418,9 @@ def _train_single(
     n = x_all.shape[0]
     batch = min(config.batch_size, n)
 
+    # updates are in place, so these stay the model's own arrays
+    prunable = model.weights + (model.biases if config.prune_biases else [])
+    masks: list[np.ndarray] = []
     events = _prune_events(schedule, config.steps) if schedule is not None else {}
     applied = -1.0  # force the first event (target 0.0 is a no-op mask)
     perm = rng.permutation(n)
@@ -438,7 +432,7 @@ def _train_single(
         for step in range(config.steps):
             target = events.get(step)
             if target is not None and target > applied:
-                _refresh_masks(model, config, target)
+                masks = _refresh_masks(prunable, target)
                 applied = target
 
             if pos + batch > n:
@@ -456,23 +450,19 @@ def _train_single(
             )
             if not math.isfinite(loss):
                 raise DivergenceError(f"loss became non-finite at step {step}")
-            # masks are all ones until the first event above 0.0, and bias
-            # masks stay all ones unless biases are pruned
-            masked = applied > 0.0
             for i in range(len(model.weights)):
                 grads_w[i] *= lr
                 model.weights[i] -= grads_w[i]
                 grads_b[i] *= lr
                 model.biases[i] -= grads_b[i]
-                if masked:
-                    model.weights[i] *= model.weight_masks[i]
-                    if config.prune_biases:
-                        model.biases[i] *= model.bias_masks[i]
+            if applied > 0.0:  # masks are all ones until the first event above 0.0
+                for t, m in zip(prunable, masks):
+                    t *= m
 
     if schedule is not None:
         target = sparsity_at_step(schedule, config.steps)
         if target > applied:
-            _refresh_masks(model, config, target)
+            _refresh_masks(prunable, target)
 
     if compression.is_quantization():
         scheme = QuantizationScheme(kind=compression.label)
@@ -567,8 +557,6 @@ def save_model(model: MLPModel, compression: CompressionSpec, path: str | Path) 
         "layer_dims": list(model.layer_dims),
         "weights": [w.tolist() for w in model.weights],
         "biases": [b.tolist() for b in model.biases],
-        "weight_masks": [m.astype(int).tolist() for m in model.weight_masks],
-        "bias_masks": [m.astype(int).tolist() for m in model.bias_masks],
         "compression": {
             "method": compression.method,
             "sparsity": compression.sparsity,
@@ -589,13 +577,7 @@ def load_model(path: str | Path) -> tuple[MLPModel, CompressionSpec]:
         model = MLPModel(
             weights=[np.array(w, dtype=np.float64) for w in doc["weights"]],
             biases=[np.array(b, dtype=np.float64) for b in doc["biases"]],
-            weight_masks=[np.array(m, dtype=np.float64) for m in doc["weight_masks"]],
-            bias_masks=[np.array(m, dtype=np.float64) for m in doc["bias_masks"]],
-            activation_ranges=(
-                [tuple(r) for r in doc["activation_ranges"]]
-                if doc.get("activation_ranges")
-                else None
-            ),
+            activation_ranges=doc.get("activation_ranges") or None,
         )
         spec = CompressionSpec(**doc["compression"])
         layer_dims = tuple(doc["layer_dims"])
@@ -605,4 +587,6 @@ def load_model(path: str | Path) -> tuple[MLPModel, CompressionSpec]:
         raise SchemaError(f"{path}: malformed snapshot: {exc}") from None
     if layer_dims != model.layer_dims:
         raise ShapeError(f"{path}: layer_dims do not match the stored arrays")
+    if spec.method == "quant_fixed_int8" and model.activation_ranges is None:
+        raise SchemaError(f"{path}: a quant_fixed_int8 snapshot needs activation_ranges")
     return model, spec

@@ -196,8 +196,6 @@ def write_dataset(dataset: LabeledDataset, csv_path: str | Path) -> None:
     meta: dict[str, object] = {"num_classes": dataset.num_classes}
     if dataset.layout is not None:
         meta["height"], meta["width"] = dataset.layout
-    if dataset.class_names is not None:
-        meta["class_names"] = list(dataset.class_names)
     _write_lines(_meta_path(csv_path), [json.dumps(meta, sort_keys=True)])
 
 
@@ -340,13 +338,10 @@ def read_dataset(csv_path: str | Path) -> LabeledDataset:
     for key in ("num_classes", "height", "width"):
         if (key == "num_classes" or key in meta) and type(meta.get(key)) is not int:
             raise SchemaError(f"{meta_path}: {key!r} must be an integer, got {meta.get(key)!r}")
-    if not isinstance(meta.get("class_names", []), list):
-        raise SchemaError(f"{meta_path}: 'class_names' must be a list")
     num_classes = meta["num_classes"]
     layout = None
     if "height" in meta and "width" in meta:
         layout = (meta["height"], meta["width"])
-    class_names = tuple(meta["class_names"]) if "class_names" in meta else None
 
     with open(csv_path, newline="") as fh:
         reader = csv.reader(fh)
@@ -391,7 +386,6 @@ def read_dataset(csv_path: str | Path) -> LabeledDataset:
         attribute_names=attr_names,
         attributes=flags,
         layout=layout,
-        class_names=class_names,
     )
 
 
@@ -445,11 +439,13 @@ def reference_train_single(train_ds, config, compression, schedule, model_seed) 
     rng = np.random.default_rng(model_seed)
     dims = (train_ds.dim,) + config.hidden_dims + (train_ds.num_classes,)
     model = MLPModel.initialize(dims, rng)
+    weight_masks = [np.ones_like(w) for w in model.weights]
+    bias_masks = [np.ones_like(b) for b in model.biases]
 
     def refresh(target):
-        pairs = [(model.weights, model.weight_masks)]
+        pairs = [(model.weights, weight_masks)]
         if config.prune_biases:
-            pairs.append((model.biases, model.bias_masks))
+            pairs.append((model.biases, bias_masks))
         for i in range(len(model.weights)):
             for tensors, masks in pairs:
                 masks[i] = apply_magnitude_mask(tensors[i], target)
@@ -490,8 +486,8 @@ def reference_train_single(train_ds, config, compression, schedule, model_seed) 
             for i in range(len(model.weights)):
                 model.weights[i] -= lr * grads_w[i]
                 model.biases[i] -= lr * grads_b[i]
-                model.weights[i] *= model.weight_masks[i]
-                model.biases[i] *= model.bias_masks[i]
+                model.weights[i] *= weight_masks[i]
+                model.biases[i] *= bias_masks[i]
 
     if schedule is not None:
         target = sparsity_at_step(schedule, config.steps)

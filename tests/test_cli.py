@@ -463,6 +463,25 @@ WRONG_TYPE_CASES = [
 ]
 
 
+def _fixed_int8(ranges):
+    """An edit that makes a two-layer snapshot fixed-int8 with these activation ranges."""
+    return lambda doc: {
+        **doc, "compression": {"method": "quant_fixed_int8"}, "activation_ranges": ranges,
+    }
+
+
+def _set_first(key, value):
+    """An edit that sets the first entry of the snapshot's first weight or bias."""
+    def edit(doc):
+        doc = copy.deepcopy(doc)
+        first = doc[key][0]
+        while isinstance(first[0], list):
+            first = first[0]
+        first[0] = value
+        return doc
+    return edit
+
+
 class TestBadInputExits2:
     def test_negative_corruption_seed(self, logs, data_dir, tmp_path):
         rc, err = run_cli([
@@ -583,8 +602,20 @@ class TestBadInputExits2:
         lambda doc: {**doc, "weights": [], "biases": []},
         lambda doc: {**doc, "compression": {"method": "bogus"}},
         lambda doc: {**doc, "compression": {"method": "magnitude_prune", "sparsity": 2.0}},
+        _fixed_int8([[-1.0, 1.0]]),
+        _fixed_int8([[-1.0, 0.0, 1.0]] * 2),
+        _fixed_int8([["a", "b"]] * 2),
+        _fixed_int8([[1.0, -1.0]] * 2),
+        _fixed_int8([[-1.0, float("inf")]] * 2),
+        _fixed_int8(5),
+        _fixed_int8(None),
+        _set_first("weights", float("nan")),
+        _set_first("biases", float("-inf")),
+        _set_first("weights", None),
     ], ids=["empty", "no biases", "ragged weights", "weights not a list", "no layers",
-            "unknown method", "sparsity out of range"])
+            "unknown method", "sparsity out of range", "one range for two layers",
+            "three-element ranges", "string ranges", "lo above hi", "infinite range",
+            "ranges not a list", "no ranges", "nan weight", "infinite bias", "null weight"])
     def test_bad_model_snapshot(self, logs, data_dir, tmp_path, edit):
         snaps = tmp_path / "base_models"
         shutil.copytree(logs / "base_models", snaps)
@@ -597,6 +628,7 @@ class TestBadInputExits2:
         ])
         assert rc == 2 and "Traceback" not in err
         assert "model_000.json" in err
+        assert not (tmp_path / "rob.csv").exists()
 
     @pytest.mark.parametrize("kind", ["log", "dataset"])
     def test_integer_beyond_64_bits(self, logs, data_dir, tmp_path, kind):
@@ -822,7 +854,6 @@ class TestBundleReadBack:
             )
             for name in ("example_ids", "modal_base", "modal_comp"):
                 assert np.array_equal(getattr(again.pies, name), getattr(level.pies, name))
-            assert again.pies.compression == level.pies.compression
             assert (again.subset, again.attributes) == (level.subset, level.attributes)
             assert again.class_rows == level.class_rows
 

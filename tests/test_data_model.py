@@ -400,7 +400,6 @@ class TestDatasetRoundtrip:
         '{"num_classes": "x"}',
         '{"num_classes": true}',
         '{"num_classes": 1, "height": 1.5, "width": 1}',
-        '{"num_classes": 1, "class_names": 5}',
         "[1]",
         "{",
     ])
@@ -771,7 +770,7 @@ def pie_reports(draw, min_rows=1):
     base, comp, truth = (
         draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)) for _ in range(3)
     )
-    return PIESet(np.array(ids), np.array(base), np.array(comp), CompressionSpec("none")), truth
+    return PIESet(np.array(ids), np.array(base), np.array(comp)), truth
 
 
 class TestTableReaders:
@@ -870,7 +869,7 @@ class TestTableWriters:
         n = 2345
         ds = LabeledDataset.from_arrays(
             rng.permutation(10**6)[:n], rng.integers(0, 3, n), rng.normal(size=(n, 3)), 3,
-            ("a", "b"), rng.random((n, 2)) < 0.5, layout=(1, 3), class_names=("x", "y", "z"),
+            ("a", "b"), rng.random((n, 2)) < 0.5, layout=(1, 3),
         )
         write_dataset(ds, tmp_path / "new" / "d.csv")
         oracles.write_dataset(ds, tmp_path / "old" / "d.csv")
@@ -992,8 +991,8 @@ class TestTextCells:
         path = tmp_path_factory.mktemp("rt") / "d.csv"
         write_dataset(ds, path)
         back = read_dataset(path)
-        assert (back.num_classes, back.attribute_names, back.layout, back.class_names) == (
-            ds.num_classes, ds.attribute_names, ds.layout, ds.class_names
+        assert (back.num_classes, back.attribute_names, back.layout) == (
+            ds.num_classes, ds.attribute_names, ds.layout
         )
         for name in ("example_ids", "labels", "attributes", "feature_matrix"):
             np.testing.assert_array_equal(getattr(back, name), getattr(ds, name))

@@ -222,6 +222,19 @@ class TestQuantization:
         quantize_model(model, QuantizationScheme("dynamic_int8"))
         np.testing.assert_array_equal(model.weights[0], w)
 
+    @pytest.mark.parametrize("kind", ["float16", "dynamic_int8", "fixed_int8"])
+    def test_quantized_model_is_built_from_new_arrays(self, kind):
+        rng = np.random.default_rng(4)
+        ranges = [(-2.0, 2.0), (-3.0, 3.0)]
+        model = MLPModel([rng.normal(size=(3, 4)), np.zeros((4, 2))], [np.ones(4), np.ones(2)],
+                         ranges)
+        q = quantize_model(model, QuantizationScheme(kind), rng.normal(size=(5, 3)))
+        for new in q.weights + q.biases:
+            assert not any(np.shares_memory(new, old) for old in model.weights + model.biases)
+        assert model.activation_ranges == ranges
+        if kind != "fixed_int8":  # calibration replaces the ranges; the other kinds keep them
+            assert q.activation_ranges == ranges
+
 
 class TestSharedForwardPass:
     """Inference, training and fixed-int8 calibration run one forward pass."""
@@ -276,8 +289,7 @@ class TestSharedForwardPass:
         model, x = self.two_hidden_layers(seed=5)
         y = np.arange(len(x)) % 3
         calibrated = quantize_model(model, QuantizationScheme("fixed_int8"), x[:2])
-        plain = calibrated.copy()
-        plain.activation_ranges = None
+        plain = MLPModel(calibrated.weights, calibrated.biases)
         # the narrow calibration slice makes inference clamp on x
         assert not np.array_equal(calibrated.logits(x), plain.logits(x))
         loss, grads_w, grads_b = loss_and_gradients(calibrated, x, y, 1e-3)
@@ -485,7 +497,7 @@ class TestLeanStep:
         ds = self.small_synth()
         got = trainer._train_single(ds, config, compression, schedule, 11)
         want = reference_train_single(ds, config, compression, schedule, 11)
-        for field in ("weights", "biases", "weight_masks", "bias_masks"):
+        for field in ("weights", "biases"):
             assert bits(getattr(got, field)) == bits(getattr(want, field)), field
         assert got.activation_ranges == want.activation_ranges
 
@@ -504,14 +516,14 @@ class TestLeanStep:
         # at 64 rows the summation order of the loss shows in its last bits
         rng = np.random.default_rng(8)
         model = MLPModel.initialize((5, 9, 7, 3), rng)
-        for tensors, masks in ((model.weights, model.weight_masks), (model.biases, model.bias_masks)):
-            for i, t in enumerate(tensors):
-                t += rng.normal(size=t.shape)  # nonzero biases, so their masks bite
-                masks[i] = apply_magnitude_mask(t, 0.4)
-                t *= masks[i]
+        masks = []
+        for t in model.weights + model.biases:
+            t += rng.normal(size=t.shape)  # nonzero biases, so their masks bite
+            masks.append(apply_magnitude_mask(t, 0.4))
+            t *= masks[-1]
         x = rng.normal(size=(64, 5))
         y = rng.integers(0, 3, 64)
-        arrays = [x, y] + model.weights + model.biases + model.weight_masks + model.bias_masks
+        arrays = [x, y] + model.weights + model.biases + masks
         before = bits(arrays)
         loss, grads_w, grads_b = loss_and_gradients(model, x, y, weight_decay)
         assert bits(arrays) == before
@@ -536,9 +548,10 @@ class TestPruningRamp:
             calls += 1
             return real_step(*args, **kwargs)
 
-        def recording_refresh(model, config, target):
-            real_refresh(model, config, target)
-            seen.append((calls, target, [w.size - np.count_nonzero(w) for w in model.weights]))
+        def recording_refresh(tensors, target):
+            masks = real_refresh(tensors, target)
+            seen.append((calls, target, [t.size - np.count_nonzero(t) for t in tensors]))
+            return masks
 
         monkeypatch.setattr(trainer, "loss_and_gradients", counting_step)
         monkeypatch.setattr(trainer, "_refresh_masks", recording_refresh)
@@ -554,25 +567,68 @@ class TestPruningRamp:
             assert zeros == [round(target * n) for n in sizes], step
 
 
+SNAPSHOT_CASES = [
+    pytest.param(CompressionSpec("magnitude_prune", 0.5), PruneSchedule(0.5, 10, 80, 10),
+                 id="prune"),
+    pytest.param(CompressionSpec("quant_fixed_int8"), None, id="fixed_int8"),
+]
+
+
 class TestSnapshots:
-    def test_roundtrip(self, tmp_path):
+    @staticmethod
+    def trained(spec, schedule):
         ds = tiny_dataset()
-        spec = CompressionSpec("magnitude_prune", 0.5)
-        models, _ = train_population(
-            ds,
-            ds,
-            small_config(steps=100, population_size=1),
-            spec,
-            PruneSchedule(0.5, 10, 80, 10),
-        )
+        config = small_config(steps=100, population_size=1)
+        models, _ = train_population(ds, ds, config, spec, schedule)
+        return models[0]
+
+    def assert_roundtrip(self, tmp_path, spec, schedule):
+        model = self.trained(spec, schedule)
         path = tmp_path / "model.json"
-        save_model(models[0], spec, path)
+        save_model(model, spec, path)
         back, back_spec = load_model(path)
         assert back_spec == spec
-        for a, b in zip(back.weights, models[0].weights):
-            np.testing.assert_array_equal(a, b)
-        for a, b in zip(back.weight_masks, models[0].weight_masks):
-            np.testing.assert_array_equal(a, b)
+        assert bits(back.weights + back.biases) == bits(model.weights + model.biases)
+        assert back.activation_ranges == model.activation_ranges
+        return back
+
+    def test_roundtrip(self, tmp_path):
+        spec, schedule = SNAPSHOT_CASES[0].values
+        assert self.assert_roundtrip(tmp_path, spec, schedule).activation_ranges is None
+
+    def test_fixed_int8_roundtrip_keeps_ranges(self, tmp_path):
+        spec, schedule = SNAPSHOT_CASES[1].values
+        back = self.assert_roundtrip(tmp_path, spec, schedule)
+        assert len(back.activation_ranges) == len(back.weights)
+
+    def test_snapshot_holds_no_masks(self, tmp_path):
+        spec, schedule = SNAPSHOT_CASES[0].values
+        save_model(self.trained(spec, schedule), spec, tmp_path / "model.json")
+        doc = json.loads((tmp_path / "model.json").read_text())
+        assert set(doc) == {"layer_dims", "weights", "biases", "compression", "activation_ranges"}
+
+    @pytest.mark.parametrize("spec, schedule", SNAPSHOT_CASES)
+    def test_snapshot_with_masks_still_loads(self, tmp_path, spec, schedule):
+        """Older snapshots also stored the training masks; the loader ignores them."""
+        model = self.trained(spec, schedule)
+        ranges = model.activation_ranges
+        doc = {
+            "layer_dims": list(model.layer_dims),
+            "weights": [w.tolist() for w in model.weights],
+            "biases": [b.tolist() for b in model.biases],
+            "weight_masks": [(w != 0).astype(int).tolist() for w in model.weights],
+            "bias_masks": [np.ones(b.shape, dtype=int).tolist() for b in model.biases],
+            "compression": {"method": spec.method, "sparsity": spec.sparsity},
+            "activation_ranges": None if ranges is None else [list(r) for r in ranges],
+        }
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(doc) + "\n")
+        back, back_spec = load_model(path)
+        assert back_spec == spec
+        assert bits(back.weights + back.biases) == bits(model.weights + model.biases)
+        assert back.activation_ranges == ranges
+        x = tiny_dataset().feature_matrix
+        assert bits([back.logits(x)]) == bits([model.logits(x)])
 
     @pytest.mark.parametrize("doc", [
         {},
