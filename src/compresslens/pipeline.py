@@ -217,7 +217,11 @@ class PipelineResult:
 
 
 def run_pipeline(config: ExperimentConfig) -> PipelineResult:
-    """Run the full protocol: train the sweep, audit each level, write the bundle."""
+    """Run the full protocol and write the bundle.
+
+    The baseline trains first; then each compressed level in turn is trained,
+    written and audited against it before the next one trains.
+    """
     schedules = {}  # every level's, checked before anything is trained or written
     for spec in config.sweep:
         with _stage(f"train {spec.label}"):
@@ -236,18 +240,19 @@ def run_pipeline(config: ExperimentConfig) -> PipelineResult:
     baseline = next(s for s in config.sweep if s.method == "none")
     comp_specs = [s for s in config.sweep if s.method != "none"]
     log_paths = {s.label: out / "logs" / f"{s.label}.csv" for s in config.sweep}
-    logs: dict[str, PredictionLog] = {}
-    # the baseline first, on the experiment seed; level i on seed + stride * i
-    for i, spec in enumerate([baseline, *comp_specs]):
+
+    def _train_level(i: int, spec: CompressionSpec) -> PredictionLog:
+        """Train and write one population; the baseline is i = 0, on the experiment seed."""
         seed = config.seed + _POPULATION_SEED_STRIDE * i
         with _stage(f"train {spec.label}"):
-            _, logs[spec.label] = train_population(
+            _, log = train_population(
                 train_ds, test_ds, replace(config.train, seed=seed), spec,
                 schedule=schedules[spec.label], topk=config.topk,
             )
-            write_prediction_log(logs[spec.label], log_paths[spec.label])
-    base_log = logs[baseline.label]
+            write_prediction_log(log, log_paths[spec.label])
+        return log
 
+    base_log = _train_level(0, baseline)
     eval_k = ranking_depth(None, base_log.topk)  # five ranks, capped at the log's depth
 
     def _population_entry(log: PredictionLog) -> dict:
@@ -256,13 +261,13 @@ def run_pipeline(config: ExperimentConfig) -> PipelineResult:
             f"top{eval_k}": round(100.0 * float(model_accuracy(log, eval_k).mean()), 4),
         }
 
-    levels = []
-    for spec in comp_specs:
+    def _audit_entry(spec: CompressionSpec, log: PredictionLog) -> dict:
+        """Audit one level against the baseline, write its files, return its summary entry."""
         label = spec.label
         entry: dict = {"label": label, "method": spec.method, "sparsity": spec.sparsity}
-        entry.update(_population_entry(logs[label]))
+        entry.update(_population_entry(log))
         with _stage(f"audit {label}"):
-            level = audit_level(base_log, logs[label], test_ds, config.audit)
+            level = audit_level(base_log, log, test_ds, config.audit)
             if level.class_rows is not None:
                 write_audit_csv(level.class_rows, out / "audits" / f"class_audit_{label}.csv")
             entry["significant_classes"] = sum(r.significant for r in level.class_rows or ())
@@ -273,7 +278,13 @@ def run_pipeline(config: ExperimentConfig) -> PipelineResult:
                     entry[f"baseline_top1_on_{name}"] = acc if acc is None else round(100 * acc, 4)
             if level.attributes:  # a dataset without attributes writes no file
                 write_attribute_report(level.attributes, out / "pies" / f"attr_{label}.csv")
-        levels.append(entry)
+        return entry
+
+    # level i trains on seed + stride * i, and its log is released once it is
+    # audited: only the baseline's log and one level's are alive at a time
+    levels = [
+        _audit_entry(spec, _train_level(i, spec)) for i, spec in enumerate(comp_specs, 1)
+    ]
 
     summary = {
         "seed": config.seed,

@@ -357,8 +357,15 @@ def robustness_report(
     normalization divides by the baseline population's mean accuracy on the
     same corruption. Each example's corruption and hits depend only on its
     own features and id, so the rows do not depend on the split's row order.
+    A `topk` outside 1..C is a ConfigError, and a model with other than the
+    split's C outputs a ShapeError, both before anything is drawn.
     """
     topk = ranking_depth(topk, test_ds.num_classes)
+    for model in (*base_models, *comp_models):
+        if model.num_classes != test_ds.num_classes:
+            raise ShapeError(
+                f"a model has {model.num_classes} outputs, the split {test_ds.num_classes} classes"
+            )
     feats, y, ids = test_ds.feature_matrix, test_ds.labels, test_ds.example_ids
     lo, hi = feats.min(axis=0), feats.max(axis=0)
     layout = test_ds.layout

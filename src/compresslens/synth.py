@@ -136,41 +136,38 @@ def _sample_split(
 ) -> LabeledDataset:
     counts = zipf_allocate(total, spec.num_classes, spec.zipf_exponent)
     median = float(np.median(counts))
-    minority = {c for c in range(spec.num_classes) if counts[c] < median}
 
-    labels: list[int] = []
-    rows: list[np.ndarray] = []
-    flags: list[tuple[bool, bool, bool]] = []  # atypical, minority, noisy
-    for c in range(spec.num_classes):
-        for _ in range(counts[c]):
-            u = rng.random()
-            noisy = u < spec.noisy_fraction
-            atypical = not noisy and u < spec.noisy_fraction + spec.atypical_fraction
-            if noisy:
-                other = int(rng.integers(spec.num_classes - 1))
-                if other >= c:
-                    other += 1
-                gamma = rng.uniform(*_NOISY_GAMMA)
-                base = (1.0 - gamma) * centers[other] + gamma * centers[c]
-                feats = base + spreads[c] * rng.standard_normal(spec.dim)
-            elif atypical:
-                feats = centers[c] + (
-                    _ATYPICAL_SCALE * spreads[c]
-                ) * rng.standard_normal(spec.dim)
-            else:
-                feats = centers[c] + spreads[c] * rng.standard_normal(spec.dim)
-            labels.append(c)
-            rows.append(feats)
-            flags.append((atypical, c in minority, noisy))
+    # each example is drawn straight into its row, in class order
+    labels = np.repeat(np.arange(spec.num_classes), counts)
+    feats = np.empty((total, spec.dim))
+    flags = np.zeros((total, 3), dtype=bool)  # atypical, minority, noisy
+    flags[:, 1] = np.repeat(np.array(counts) < median, counts)
+    for c, row, flag in zip(labels.tolist(), feats, flags):
+        u = rng.random()
+        if u < spec.noisy_fraction:
+            other = int(rng.integers(spec.num_classes - 1))
+            if other >= c:
+                other += 1
+            gamma = rng.uniform(*_NOISY_GAMMA)
+            center = (1.0 - gamma) * centers[other] + gamma * centers[c]
+            scale = spreads[c]
+            flag[2] = True
+        else:
+            center = centers[c]
+            flag[0] = u < spec.noisy_fraction + spec.atypical_fraction
+            scale = _ATYPICAL_SCALE * spreads[c] if flag[0] else spreads[c]
+        rng.standard_normal(out=row)
+        row *= scale
+        row += center
 
-    order = rng.permutation(len(labels))
+    order = rng.permutation(total)
     return LabeledDataset.from_arrays(
-        example_ids=id_offset + np.arange(len(labels)),
-        labels=np.array(labels, dtype=np.int64)[order],
-        feature_matrix=np.array(rows)[order],
+        example_ids=id_offset + np.arange(total),
+        labels=labels[order],
+        feature_matrix=feats[order],
         num_classes=spec.num_classes,
         attribute_names=("atypical", "minority", "noisy"),
-        attributes=np.array(flags)[order],
+        attributes=flags[order],
     )
 
 

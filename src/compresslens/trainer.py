@@ -229,8 +229,15 @@ def rank_topk(logits: np.ndarray, k: int) -> np.ndarray:
 
 
 def ranking_depth(topk: int | None, num_classes: int) -> int:
-    """`topk`, or by default five ranks capped at the class count."""
-    return min(5, num_classes) if topk is None else topk
+    """`topk`, or by default five ranks capped at the class count.
+
+    A depth outside 1..`num_classes` is a ConfigError.
+    """
+    if topk is None:
+        return min(5, num_classes)
+    if not 1 <= topk <= num_classes:
+        raise ConfigError(f"topk must be in 1..{num_classes}, got {topk}")
+    return topk
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +491,10 @@ def evaluate_population(
 ) -> PredictionLog:
     """Record each model's top-k ranked predictions on the test split."""
     topk = ranking_depth(topk, test_ds.num_classes)
-    preds = np.stack([rank_topk(m.logits(test_ds.feature_matrix), topk) for m in models])
+    # filled model by model: a stacked `rank_topk` view would pin its model's (N, C) argsort
+    preds = np.empty((len(models), len(test_ds), topk), dtype=np.int64)
+    for model, out in zip(models, preds):
+        out[:] = rank_topk(model.logits(test_ds.feature_matrix), topk)
     return PredictionLog(  # orders the rows by example id
         population_id=population_id,
         compression=compression,
@@ -529,6 +539,7 @@ def train_population(
     check_schedule(config, compression, schedule)
     if train_ds.dim != test_ds.dim or train_ds.num_classes != test_ds.num_classes:
         raise ConfigError("train/test splits disagree on dimensions or classes")
+    topk = ranking_depth(topk, test_ds.num_classes)
     missing = train_ds.missing_classes()
     if missing:
         raise ConfigError(f"training split is missing classes {missing}")

@@ -10,6 +10,8 @@ package's types but share none of its parsing or formatting. The training step i
 package's former out-of-place loop and gradient routine: it builds on the
 unchanged public pieces (`MLPModel.initialize`, `sparsity_at_step`,
 `apply_magnitude_mask`, `quantize_model`) but runs its own forward pass.
+The synthetic split is the package's former per-example sampler, which
+builds one feature array and one flag tuple per example.
 """
 
 from __future__ import annotations
@@ -33,6 +35,13 @@ from compresslens.data_model import (
     read_json_object,
 )
 from compresslens.errors import DivergenceError, ParseError, SchemaError
+from compresslens.synth import (
+    _ATYPICAL_SCALE,
+    _NOISY_GAMMA,
+    SynthLongTailSpec,
+    _cluster_geometry,
+    zipf_allocate,
+)
 from compresslens.trainer import (
     REPRESENTATIVE_COUNT,
     MLPModel,
@@ -499,3 +508,58 @@ def reference_train_single(train_ds, config, compression, schedule, model_seed) 
         calibration = x_all[:REPRESENTATIVE_COUNT] if scheme.kind == "fixed_int8" else None
         model = quantize_model(model, scheme, calibration)
     return model
+
+
+def reference_sample_split(
+    spec: SynthLongTailSpec, centers, spreads, total: int, rng, id_offset: int
+) -> LabeledDataset:
+    """One synthetic split, drawn example by example into lists of arrays and tuples."""
+    counts = zipf_allocate(total, spec.num_classes, spec.zipf_exponent)
+    median = float(np.median(counts))
+    minority = {c for c in range(spec.num_classes) if counts[c] < median}
+
+    labels: list[int] = []
+    rows: list[np.ndarray] = []
+    flags: list[tuple[bool, bool, bool]] = []  # atypical, minority, noisy
+    for c in range(spec.num_classes):
+        for _ in range(counts[c]):
+            u = rng.random()
+            noisy = u < spec.noisy_fraction
+            atypical = not noisy and u < spec.noisy_fraction + spec.atypical_fraction
+            if noisy:
+                other = int(rng.integers(spec.num_classes - 1))
+                if other >= c:
+                    other += 1
+                gamma = rng.uniform(*_NOISY_GAMMA)
+                base = (1.0 - gamma) * centers[other] + gamma * centers[c]
+                feats = base + spreads[c] * rng.standard_normal(spec.dim)
+            elif atypical:
+                feats = centers[c] + (
+                    _ATYPICAL_SCALE * spreads[c]
+                ) * rng.standard_normal(spec.dim)
+            else:
+                feats = centers[c] + spreads[c] * rng.standard_normal(spec.dim)
+            labels.append(c)
+            rows.append(feats)
+            flags.append((atypical, c in minority, noisy))
+
+    order = rng.permutation(len(labels))
+    return LabeledDataset.from_arrays(
+        example_ids=id_offset + np.arange(len(labels)),
+        labels=np.array(labels, dtype=np.int64)[order],
+        feature_matrix=np.array(rows)[order],
+        num_classes=spec.num_classes,
+        attribute_names=("atypical", "minority", "noisy"),
+        attributes=np.array(flags)[order],
+    )
+
+
+def reference_synthesize(spec: SynthLongTailSpec) -> tuple[LabeledDataset, LabeledDataset]:
+    """`synthesize` with both splits drawn by `reference_sample_split`."""
+    rng = np.random.default_rng(spec.seed)
+    centers, spreads = _cluster_geometry(spec, rng)
+    train = reference_sample_split(spec, centers, spreads, spec.train_count, rng, 0)
+    test = reference_sample_split(
+        spec, centers, spreads, spec.test_count, rng, spec.train_count
+    )
+    return train, test

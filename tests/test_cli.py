@@ -2,11 +2,13 @@
 
 import copy
 import dataclasses
+import gc
 import json
 import os
 import shutil
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import compresslens
-from compresslens import cli, pipeline
+from compresslens import cli, pipeline, robustness, trainer
 from compresslens.cli import main
 from compresslens.data_model import (
     LOG_HEADER,
@@ -34,7 +36,13 @@ from compresslens.pipeline import (
 )
 from compresslens.stats_audit import AUDIT_HEADER
 from compresslens.synth import SynthLongTailSpec, generate
-from compresslens.trainer import TrainConfig, prune_schedule, prune_window
+from compresslens.trainer import (
+    MLPModel,
+    TrainConfig,
+    prune_schedule,
+    prune_window,
+    save_model,
+)
 
 
 @pytest.fixture(scope="module")
@@ -381,6 +389,37 @@ class TestRun:
         assert summary["total_pies"] == 0
         assert summary["total_significant_classes"] == 0
 
+    def test_each_level_log_is_released_before_the_next_trains(self, tmp_path, monkeypatch):
+        """Only the baseline's log and one level's are alive at a time (freed by refcount)."""
+        train = pipeline.train_population
+        released = []  # a weak reference to each compressed level's log
+
+        def tracked(train_ds, test_ds, config, compression, **kwargs):
+            assert all(ref() is None for ref in released), f"before {compression.label}"
+            models, log = train(train_ds, test_ds, config, compression, **kwargs)
+            if compression.method != "none":
+                released.append(weakref.ref(log))
+            return models, log
+
+        monkeypatch.setattr(pipeline, "train_population", tracked)
+        config = ExperimentConfig(
+            train=TrainConfig(steps=30, batch_size=32, population_size=2, hidden_dims=(8,)),
+            sweep=(
+                CompressionSpec("none"),
+                CompressionSpec("magnitude_prune", 0.5),
+                CompressionSpec("magnitude_prune", 0.9),
+                CompressionSpec("quant_float16"),
+            ),
+            synth=SynthLongTailSpec(num_classes=4, dim=6, train_count=200, test_count=80),
+            out_dir=str(tmp_path / "o"),
+        )
+        gc.disable()  # only reference counting frees a log: one held by a cycle fails the test
+        try:
+            run_pipeline(config)
+        finally:
+            gc.enable()
+        assert len(released) == 3 and all(ref() is None for ref in released)
+
     def test_usage_error_exit_1(self, capsys):
         rc = None
         try:
@@ -629,6 +668,51 @@ class TestBadInputExits2:
         assert rc == 2 and "Traceback" not in err
         assert "model_000.json" in err
         assert not (tmp_path / "rob.csv").exists()
+
+    @pytest.mark.parametrize("topk", ["-2", "0", "5"])  # the split has 4 classes
+    def test_train_topk_outside_classes(self, data_dir, tmp_path, monkeypatch, capsys, topk):
+        def no_training(*args):
+            raise AssertionError("a rank depth outside 1..C is refused before training")
+
+        monkeypatch.setattr(trainer, "_train_single", no_training)
+        out = tmp_path / "l.csv"
+        rc = main(["train", "--data", str(data_dir), "--out", str(out), "--topk", topk,
+                   *TRAIN_FAST])
+        assert rc == 2 and "topk must be in 1..4" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("topk", ["-1", "0", "5"])
+    def test_audit_robustness_topk_outside_classes(
+        self, logs, data_dir, tmp_path, monkeypatch, capsys, topk
+    ):
+        def no_corruption(*args):
+            raise AssertionError("a rank depth outside 1..C is refused before any draw")
+
+        monkeypatch.setattr(robustness, "corrupt_features", no_corruption)
+        out = tmp_path / "rob.csv"
+        rc = main([
+            "audit-robustness", "--data", str(data_dir),
+            "--base-models", str(logs / "base_models"),
+            "--comp-models", str(logs / "comp_models"),
+            "--kinds", "gaussian_noise", "--topk", topk, "--out", str(out),
+        ])
+        assert rc == 2 and "topk must be in 1..4" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_audit_robustness_class_count_mismatch(self, logs, data_dir, tmp_path, capsys):
+        snaps = tmp_path / "three_class_models"
+        rng = np.random.default_rng(0)
+        for k in range(2):
+            model = MLPModel.initialize((6, 8, 3), rng)  # the split has 6 features, 4 classes
+            save_model(model, CompressionSpec("none"), snaps / f"model_{k:03d}.json")
+        out = tmp_path / "rob.csv"
+        rc = main([
+            "audit-robustness", "--data", str(data_dir),
+            "--base-models", str(logs / "base_models"), "--comp-models", str(snaps),
+            "--kinds", "brightness", "--out", str(out),
+        ])
+        assert rc == 2 and "a model has 3 outputs, the split 4 classes" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("kind", ["log", "dataset"])
     def test_integer_beyond_64_bits(self, logs, data_dir, tmp_path, kind):

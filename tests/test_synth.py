@@ -7,6 +7,8 @@ from compresslens.data_model import read_dataset
 from compresslens.errors import ConfigError
 from compresslens.synth import SynthLongTailSpec, generate, synthesize, zipf_allocate
 
+from oracles import reference_synthesize
+
 
 class TestZipfAllocate:
     def test_balanced_counts_equal_within_one(self):
@@ -73,6 +75,31 @@ class TestSynthesize:
         train, test = synthesize(spec)
         assert train.missing_classes() == []
         assert test.missing_classes() == []
+
+    @pytest.mark.parametrize("spec", [
+        SynthLongTailSpec(train_count=700, test_count=300, seed=0),
+        SynthLongTailSpec(train_count=500, test_count=200, seed=11),
+        SynthLongTailSpec(num_classes=7, dim=3, train_count=300, test_count=90, seed=4),
+        SynthLongTailSpec(num_classes=2, dim=1, train_count=40, test_count=20, seed=6),
+        SynthLongTailSpec(train_count=400, test_count=100, zipf_exponent=0.0, seed=2),
+        SynthLongTailSpec(
+            train_count=400, test_count=100, noisy_fraction=0.0, atypical_fraction=0.0, seed=8
+        ),
+        SynthLongTailSpec(
+            train_count=400, test_count=100, noisy_fraction=0.0, atypical_fraction=0.3, seed=9
+        ),
+        SynthLongTailSpec(
+            num_classes=5, train_count=400, test_count=100, noisy_fraction=0.4,
+            atypical_fraction=0.0, seed=10,
+        ),
+    ])
+    def test_matches_per_example_oracle(self, spec):
+        """Every column equals the per-example sampler's, bit for bit."""
+        for got, want in zip(synthesize(spec), reference_synthesize(spec)):
+            for column in ("example_ids", "labels", "feature_matrix", "attributes"):
+                np.testing.assert_array_equal(getattr(got, column), getattr(want, column))
+            assert got.attribute_names == want.attribute_names
+            assert got.num_classes == want.num_classes
 
     def test_validation(self):
         with pytest.raises(ConfigError):
