@@ -132,12 +132,14 @@ def _given(args, names) -> dict:
 
 
 def _load_models(path: str) -> tuple[list, CompressionSpec]:
-    """The snapshots of a directory in file order, and the last one's compression."""
+    """The snapshots of a directory in file order, and the compression they all share."""
     files = sorted(Path(path).glob("model_*.json"))
     if not files:
         raise DataError(f"no model_*.json snapshots in {path}")
-    loaded = [load_model(f) for f in files]
-    return [model for model, _ in loaded], loaded[-1][1]
+    models, specs = zip(*(load_model(f) for f in files))
+    if len(set(specs)) > 1:
+        raise DataError(f"snapshots in {path} mix compressions {sorted({s.label for s in specs})}")
+    return list(models), specs[0]
 
 
 def _cmd_generate(args) -> int:
@@ -189,8 +191,7 @@ def _cmd_audit_pie(args) -> int:
     base = read_prediction_log(args.base)
     comp = read_prediction_log(args.comp)
     test_ds = None if args.data is None else read_dataset(Path(args.data) / "test.csv")
-    depth = {} if args.k is None else {"k": min(args.k, base.topk)}
-    level = audit_level(base, comp, test_ds, **depth)
+    level = audit_level(base, comp, test_ds, **_given(args, ["k"]))
     pies, out_dir = level.pies, Path(args.out)
     write_pie_report(pies, base.truth, out_dir / "pie.csv")
 

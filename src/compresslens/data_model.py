@@ -342,10 +342,6 @@ class PredictionLog:
         object.__setattr__(self, "example_ids", ids)
         object.__setattr__(self, "truth", truth)
         object.__setattr__(self, "predictions", preds)
-        if self.topk > self.num_classes:
-            raise ConfigError(
-                f"topk {self.topk} exceeds class count {self.num_classes}"
-            )
         C = self.num_classes
         for name, got in (("true", truth[np.newaxis, :, np.newaxis]), ("predicted", preds)):
             bad = np.argwhere((got < 0) | (got >= C))

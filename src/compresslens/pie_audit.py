@@ -41,6 +41,16 @@ class PIESet:
     def __len__(self) -> int:
         return len(self.pie_ids)
 
+    def is_pie(self, example_ids) -> np.ndarray:
+        """(N,) bool: is each id a PIE; the ids must be this set's examples, in any order."""
+        ids = np.asarray(example_ids, dtype=np.int64)
+        order = np.argsort(ids, kind="stable")
+        if not np.array_equal(ids[order], self.example_ids):
+            raise ExampleSetMismatch(
+                f"{ids.size} example ids do not match the {self.example_ids.size} of the PIE set"
+            )
+        return (self.modal_base != self.modal_comp)[np.argsort(order)]
+
 
 def modal_labels(log: PredictionLog) -> np.ndarray:
     """(N,) modal rank-1 label of the population on each example, ties to the lowest label.
@@ -78,12 +88,10 @@ def subset_accuracy(
 ) -> tuple[float | None, float | None, float | None]:
     """Mean-over-models top-k accuracy on (PIE subset, non-PIE subset, all examples).
 
-    An empty subset is reported as None rather than 0.
+    `eval_log` covers exactly the PIEs' split; an empty subset is reported as None.
     """
     hits = eval_log.hits(k)
-    pie_mask = np.isin(eval_log.example_ids, pies.pie_ids)
-    if pie_mask.sum() != len(pies):
-        raise ExampleSetMismatch("PIE ids not contained in the evaluation log")
+    pie_mask = pies.is_pie(eval_log.example_ids)
 
     def _mean(mask: np.ndarray) -> float | None:
         if not mask.any():
@@ -98,14 +106,14 @@ def attribute_shares(
 ) -> dict[str, tuple[float, float, float]]:
     """Each attribute's (dataset share, PIE share, PIE share / dataset share).
 
-    Only attributes that some example carries are listed, so the ratio is
-    always defined.
+    `dataset` is exactly the PIEs' split. Only attributes that some example
+    carries are listed, so the ratio is always defined.
     """
     if not pies.pie_ids:
         raise EmptyPIESet("attribute analysis needs at least one PIE")
-    on_pies = dataset.attributes[np.isin(dataset.example_ids, pies.pie_ids)]
+    on_pies = dataset.attributes[pies.is_pie(dataset.example_ids)]
     share_all = dataset.attributes.mean(axis=0).tolist()
-    share_pie = (on_pies.sum(axis=0) / max(len(on_pies), 1)).tolist()
+    share_pie = (on_pies.sum(axis=0) / len(on_pies)).tolist()
     return {a: (s, p, p / s) for a, s, p in zip(dataset.attribute_names, share_all, share_pie)}
 
 

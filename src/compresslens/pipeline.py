@@ -198,10 +198,13 @@ def audit_level(
 
     `subset` maps "pies", "non_pies" and "all" to the baseline's top-`k`
     accuracy there, `attributes` is `attribute_shares`: both None without
-    PIEs, `attributes` also without `test_ds`. `k` is checked either way.
+    PIEs, `attributes` also without `test_ds`. `k` and the ids of `test_ds`
+    are checked either way.
     """
     base_log.check_depth(k)
     pies = identify_pies(base_log, comp_log)
+    if test_ds is not None:
+        pies.is_pie(test_ds.example_ids)
     if not pies.pie_ids:
         return LevelAudit(base_log, comp_log, audit, pies, None, None)
     subset = dict(zip(("pies", "non_pies", "all"), subset_accuracy(base_log, pies, k)))
@@ -222,20 +225,17 @@ def run_pipeline(config: ExperimentConfig) -> PipelineResult:
     The baseline trains first; then each compressed level in turn is trained,
     written and audited against it before the next one trains.
     """
+    with _stage("dataset"):
+        train_ds, test_ds = _resolve_dataset(config)
+
     schedules = {}  # every level's, checked before anything is trained or written
     for spec in config.sweep:
         with _stage(f"train {spec.label}"):
             schedules[spec.label] = prune_schedule(
                 spec, config.train.steps, config.prune_start, config.prune_end, config.prune_every
             )
-            check_schedule(config.train, spec, schedules[spec.label])
+            check_schedule(config.train, spec, schedules[spec.label], len(train_ds))
     out = Path(config.out_dir)
-    (out / "logs").mkdir(parents=True, exist_ok=True)
-    (out / "audits").mkdir(exist_ok=True)
-    (out / "pies").mkdir(exist_ok=True)
-
-    with _stage("dataset"):
-        train_ds, test_ds = _resolve_dataset(config)
 
     baseline = next(s for s in config.sweep if s.method == "none")
     comp_specs = [s for s in config.sweep if s.method != "none"]

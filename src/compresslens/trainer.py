@@ -175,16 +175,11 @@ class MLPModel:
     def logits(self, x: np.ndarray) -> np.ndarray:
         """Forward pass on a (N, d) batch, clamping pre-activations when calibrated."""
         x = np.asarray(x, dtype=np.float64)
-        squeeze = x.ndim == 1
-        if squeeze:
-            x = x[np.newaxis, :]
-        if x.shape[1] != self.layer_dims[0]:
-            raise ShapeError(
-                f"input dim {x.shape[1]} does not match model dim {self.layer_dims[0]}"
-            )
+        if x.ndim != 2 or x.shape[1] != self.layer_dims[0]:
+            raise ShapeError(f"input of shape {x.shape} is not an (N, {self.layer_dims[0]}) batch")
         for z in self._layers(x, self.activation_ranges):
             pass
-        return z[0] if squeeze else z
+        return z
 
     def _layers(self, x: np.ndarray, ranges: list[tuple[float, float]] | None = None):
         """Yield each layer's pre-activation on the (N, d) batch `x`; the last is the logits.
@@ -471,14 +466,9 @@ def _train_single(
         if target > applied:
             _refresh_masks(prunable, target)
 
-    if compression.is_quantization():
+    if compression.is_quantization():  # only fixed_int8 reads the calibration slice
         scheme = QuantizationScheme(kind=compression.label)
-        calibration = None
-        if scheme.kind == "fixed_int8":
-            if REPRESENTATIVE_COUNT > n:
-                raise ConfigError(f"fixed_int8 calibrates on {REPRESENTATIVE_COUNT} examples")
-            calibration = x_all[:REPRESENTATIVE_COUNT]
-        model = quantize_model(model, scheme, calibration)
+        model = quantize_model(model, scheme, x_all[:REPRESENTATIVE_COUNT])
     return model
 
 
@@ -506,9 +496,9 @@ def evaluate_population(
 
 
 def check_schedule(
-    config: TrainConfig, compression: CompressionSpec, schedule: PruneSchedule | None
+    config: TrainConfig, compression: CompressionSpec, schedule: PruneSchedule | None, n: int
 ) -> None:
-    """ConfigError unless `schedule` is the one `compression` needs and fits `config.steps`."""
+    """ConfigError unless `compression` trains with `schedule`, `config.steps` and `n` examples."""
     if compression.method == "magnitude_prune":
         if schedule is None:
             raise ConfigError("magnitude_prune requires a PruneSchedule")
@@ -521,6 +511,8 @@ def check_schedule(
             raise ConfigError("steps must be >= prune_end when pruning is active")
     elif schedule is not None:
         raise ConfigError("a PruneSchedule is only valid with magnitude_prune")
+    if compression.method == "quant_fixed_int8" and n < REPRESENTATIVE_COUNT:
+        raise ConfigError(f"fixed_int8 calibrates on {REPRESENTATIVE_COUNT} examples, got {n}")
 
 
 def train_population(
@@ -536,7 +528,7 @@ def train_population(
     Model k is seeded with config.seed + k. The log's population id is the
     compression's label.
     """
-    check_schedule(config, compression, schedule)
+    check_schedule(config, compression, schedule, len(train_ds))
     if train_ds.dim != test_ds.dim or train_ds.num_classes != test_ds.num_classes:
         raise ConfigError("train/test splits disagree on dimensions or classes")
     topk = ranking_depth(topk, test_ds.num_classes)

@@ -207,6 +207,7 @@ def desk_run(tmp_path_factory):
     return config, result, elapsed
 
 
+@pytest.mark.slow
 def test_criterion_7_end_to_end_desk_scale(desk_run):
     config, result, elapsed = desk_run
     assert elapsed < 180.0, f"pipeline took {elapsed:.0f}s"

@@ -23,8 +23,11 @@ from compresslens.data_model import (
     LOG_HEADER,
     AuditConfig,
     CompressionSpec,
+    LabeledDataset,
     read_dataset,
     read_prediction_log,
+    write_dataset,
+    write_prediction_log,
 )
 from compresslens.errors import CompressLensError, ConfigError, ParseError
 from compresslens.pie_audit import PIE_HEADER
@@ -388,6 +391,7 @@ class TestRun:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["total_pies"] == 0
         assert summary["total_significant_classes"] == 0
+        assert sorted(p.name for p in out.iterdir()) == ["logs", "summary.json"]
 
     def test_each_level_log_is_released_before_the_next_trains(self, tmp_path, monkeypatch):
         """Only the baseline's log and one level's are alive at a time (freed by refcount)."""
@@ -457,6 +461,7 @@ class TestRun:
         rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "stage: dataset" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 def run_cli(argv: list[str]) -> tuple[int, str]:
@@ -713,6 +718,95 @@ class TestBadInputExits2:
         ])
         assert rc == 2 and "a model has 3 outputs, the split 4 classes" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--base-models", "--comp-models"])
+    def test_mixed_snapshot_directory(self, logs, data_dir, tmp_path, capsys, flag):
+        dirs = {"--base-models": logs / "base_models", "--comp-models": logs / "comp_models"}
+        mixed = tmp_path / "mixed"
+        shutil.copytree(dirs[flag], mixed)
+        dirs[flag] = mixed
+        snap = mixed / "model_001.json"
+        snap.write_text(json.dumps({
+            **json.loads(snap.read_text()),
+            "compression": {"method": "magnitude_prune", "sparsity": 0.5},
+        }))
+        out = tmp_path / "rob.csv"
+        rc = main(["audit-robustness", "--data", str(data_dir),
+                   *(str(part) for pair in dirs.items() for part in pair),
+                   "--kinds", "brightness", "--out", str(out)])
+        assert rc == 2 and f"snapshots in {mixed} mix compressions" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("comp", ["comp.csv", "base.csv"])  # with PIEs, and without
+    @pytest.mark.parametrize("split", ["train", "superset", "subset"])
+    def test_audit_pie_data_of_another_split(self, logs, data_dir, tmp_path, capsys, comp, split):
+        test = read_dataset(data_dir / "test.csv")
+        n = len(test)
+        if split == "train":
+            ds = read_dataset(data_dir / "train.csv")
+        else:  # the superset repeats five rows under new ids
+            rows = np.r_[np.arange(n), :5] if split == "superset" else np.arange(n - 5)
+            ids = test.example_ids[rows] + np.where(np.arange(rows.size) < n, 0, 10**6)
+            ds = LabeledDataset.from_arrays(
+                ids, test.labels[rows], test.feature_matrix[rows], test.num_classes,
+                test.attribute_names, test.attributes[rows], test.layout,
+            )
+        write_dataset(ds, tmp_path / "data" / "test.csv")
+        out = tmp_path / "pie"
+        rc = main([
+            "audit-pie", "--base", str(logs / "base.csv"), "--comp", str(logs / comp),
+            "--data", str(tmp_path / "data"), "--out", str(out),
+        ])
+        assert rc == 2
+        assert f"{len(ds)} example ids do not match the {n} of the PIE set" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("comp", ["comp.csv", "base.csv"])  # with PIEs, and without
+    def test_audit_pie_topk_beyond_log_depth(self, logs, tmp_path, capsys, comp):
+        pair = []
+        for flag, name in (("--base", "base.csv"), ("--comp", comp)):
+            log = read_prediction_log(logs / name)
+            write_prediction_log(
+                dataclasses.replace(log, predictions=log.predictions[:, :, :3]),
+                tmp_path / f"top3_{name}",
+            )
+            pair += [flag, str(tmp_path / f"top3_{name}")]
+        out = tmp_path / "pie"
+        rc = main(["audit-pie", *pair, "--topk", "4", "--out", str(out)])
+        assert rc == 2 and "rank depth 4 outside [1, 3]" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["audit-pie", *pair, "--topk", "3", "--out", str(out)]) == 0
+
+    def test_fixed_int8_on_too_few_examples_fails_before_training(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        data = tmp_path / "data"
+        generate(SynthLongTailSpec(num_classes=3, dim=4, train_count=60, test_count=30), data)
+
+        def no_training(*args):
+            raise AssertionError("the calibration size is checked before any model trains")
+
+        monkeypatch.setattr(trainer, "_train_single", no_training)
+        log = tmp_path / "l.csv"
+        message = "fixed_int8 calibrates on 100 examples, got 60"
+        rc = main(["train", "--data", str(data), "--out", str(log),
+                   "--quant", "fixed_int8", "--steps", "400"])
+        assert rc == 2 and message in capsys.readouterr().err
+        assert not log.exists()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "dataset": {"path": str(data)}, "train": {"steps": 400},
+            "sweep": [{"method": "none"}, {"method": "quant_fixed_int8"}],
+        }))
+        out = tmp_path / "o"
+        rc = main(["run", "--config", str(cfg), "--out", str(out)])
+        assert rc == 2 and f"[stage: train fixed_int8] {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+        monkeypatch.undo()  # 100 examples are enough
+        generate(SynthLongTailSpec(num_classes=3, dim=4, train_count=100, test_count=30), data)
+        assert main(["train", "--data", str(data), "--out", str(log), "--quant", "fixed_int8",
+                     "--steps", "20", "--models", "1", "--hidden", "4"]) == 0
 
     @pytest.mark.parametrize("kind", ["log", "dataset"])
     def test_integer_beyond_64_bits(self, logs, data_dir, tmp_path, kind):

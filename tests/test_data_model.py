@@ -283,6 +283,15 @@ class TestLogValidation:
             PredictionLog("p", CompressionSpec("none"), [0, 1], truth,
                           np.array(preds)[:, :, np.newaxis], explicit_num_classes=2)
 
+    @pytest.mark.parametrize("labels, explicit", [
+        ([0, 1, 2], 2), ([1, 0, -1], 2), ([0, 1, -1], None),
+    ])
+    def test_topk_beyond_class_count_rejected(self, labels, explicit):
+        """Three distinct ranked labels never all lie in [0, 2): the range check refuses them."""
+        with pytest.raises(ConfigError):
+            PredictionLog("p", CompressionSpec("none"), [0], [0], np.array([[labels]]),
+                          explicit_num_classes=explicit)
+
     def test_caller_arrays_stay_writeable(self):
         ids, truth, preds = np.array([2, 5]), np.array([0, 1]), np.array([[[0], [1]]])
         log = PredictionLog("pop", CompressionSpec("none"), ids, truth, preds)

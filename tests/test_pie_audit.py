@@ -16,6 +16,7 @@ from compresslens.data_model import (
 from compresslens.errors import EmptyPIESet, ExampleSetMismatch
 from compresslens.pie_audit import (
     attribute_relative_representation,
+    attribute_shares,
     identify_pies,
     modal_labels,
     subset_accuracy,
@@ -180,6 +181,15 @@ class TestSubsetAccuracy:
             with pytest.raises(ExampleSetMismatch):
                 subset_accuracy(eval_log, pies, 1)
 
+    @pytest.mark.parametrize("ids", [[0, 1, 2], [1], [0, 2]], ids=["superset", "subset", "other"])
+    def test_eval_log_must_cover_exactly_the_pie_set(self, ids):
+        """A log holding every PIE and more examples is refused too, not scored on a subset."""
+        pies = identify_pies(rank1_log([[0, 1]], [0, 1]), rank1_log([[1, 1]], [0, 1]))
+        assert pies.pie_ids == (0,)
+        eval_log = rank1_log([[0] * len(ids)], [0] * len(ids), ids=ids)
+        with pytest.raises(ExampleSetMismatch, match="do not match the 2 of the PIE set"):
+            subset_accuracy(eval_log, pies, 1)
+
 
 def attr_dataset(flags_per_example, num_classes=2):
     examples = tuple(
@@ -199,6 +209,20 @@ def pies_with_ids(ids, all_ids):
     comp_preds = [[1 if i in ids else 0 for i in all_ids]]
     comp = rank1_log(comp_preds, [0] * len(all_ids), ids=all_ids)
     return identify_pies(base, comp)
+
+
+class TestIsPie:
+    def test_flags_follow_the_given_order(self):
+        pies = pies_with_ids({3, 8}, [1, 3, 5, 8])
+        np.testing.assert_array_equal(pies.is_pie([8, 1, 5, 3]), [True, False, False, True])
+        np.testing.assert_array_equal(pies.is_pie(np.array([1, 3, 5, 8])), [0, 1, 0, 1])
+
+    @pytest.mark.parametrize("ids", [
+        [1, 3, 5], [1, 3, 5, 8, 9], [1, 3, 5, 9], [1, 3, 3, 5, 8], [8, 5, 3, 1, 1], [],
+    ])
+    def test_anything_but_the_set_is_a_mismatch(self, ids):
+        with pytest.raises(ExampleSetMismatch):
+            pies_with_ids({3, 8}, [1, 3, 5, 8]).is_pie(ids)
 
 
 class TestAttributeRepresentation:
@@ -231,6 +255,26 @@ class TestAttributeRepresentation:
         log = rank1_log([[0, 0]], [0, 1])
         with pytest.raises(EmptyPIESet):
             attribute_relative_representation(identify_pies(log, log), ds)
+
+    @pytest.mark.parametrize("flags", [
+        [["a"], [], ["a"]],  # examples 0-2: a superset
+        [["a"]],  # example 0: a subset
+    ])
+    def test_dataset_must_hold_exactly_the_pie_set(self, flags):
+        pies = pies_with_ids({0}, [0, 1])
+        with pytest.raises(ExampleSetMismatch):
+            attribute_shares(pies, attr_dataset(flags))
+
+    def test_dataset_row_order_does_not_matter(self):
+        ds = attr_dataset([["x"] if i % 3 == 0 else [] for i in range(9)])
+        reverse = slice(None, None, -1)
+        backwards = LabeledDataset.from_arrays(
+            ds.example_ids[reverse], ds.labels[reverse], ds.feature_matrix[reverse],
+            ds.num_classes, ds.attribute_names, ds.attributes[reverse],
+        )
+        pies = pies_with_ids({0, 1, 4}, list(range(9)))
+        assert attribute_shares(pies, backwards) == attribute_shares(pies, ds)
+        assert attribute_shares(pies, ds)["x"] == (1 / 3, 1 / 3, 1.0)
 
 
 class TestPieReport:

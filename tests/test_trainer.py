@@ -147,6 +147,12 @@ class TestRankTopk:
         with pytest.raises(ShapeError):
             model.logits(np.ones(2))
 
+    @pytest.mark.parametrize("shape", [(3,), (2, 3, 3), ()])
+    def test_batches_only(self, shape):
+        model = MLPModel([np.zeros((3, 4))], [np.zeros(4)])
+        with pytest.raises(ShapeError, match=r"is not an \(N, 3\) batch"):
+            model.logits(np.ones(shape))
+
 
 class TestQuantization:
     def test_zero_weight_fixed_point(self):
@@ -213,7 +219,7 @@ class TestQuantization:
         lo, hi = q.activation_ranges[0]
         assert (lo, hi) == (0.0, 1.0)
         # an input far outside the calibrated range saturates
-        logits = q.logits(np.array([10.0, -10.0]))
+        (logits,) = q.logits(np.array([[10.0, -10.0]]))
         assert logits[0] == 1.0 and logits[1] == 0.0
 
     def test_quantization_does_not_mutate_input(self):
@@ -270,7 +276,8 @@ class TestSharedForwardPass:
             return h
 
         assert bits([model.logits(x)]) == bits([forward(x)])
-        assert bits([model.logits(x[4])]) == bits([forward(x[4:5])[0]])
+        with pytest.raises(ShapeError, match=r"shape \(5,\) is not an \(N, 5\) batch"):
+            model.logits(x[4])  # a batch only: one row is x[4:5]
 
     def test_logits_hold_one_hidden_activation(self):
         """Each hidden layer is rectified in place: no (N, hidden) copy beside it."""
