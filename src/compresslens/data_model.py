@@ -77,6 +77,28 @@ def check_field_types(obj) -> None:
             raise ConfigError(f"{f.name} must be finite, got {value!r}")
 
 
+def int64_array(values, what: str, non_negative: bool = False) -> np.ndarray:
+    """`values` as an int64 array, or a ConfigError naming the first value that is not an int64.
+
+    A float (even a whole one), a bool or a str is refused, never cast. An
+    integer array is checked as a whole; anything else value by value, as
+    numpy would read `[0, True]` as `[0, 1]`. With `non_negative`, a value
+    below 0 is refused too. An int64 array comes back as it is, not copied.
+    """
+    low = 0 if non_negative else -(2**63)
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        # a signed value can fall below `low`, an unsigned one exceed the int64 range
+        bad = values[values < low if values.dtype.kind == "i" else values > 2**63 - 1].tolist()
+    else:
+        values = np.array(values, dtype=object)  # each value as it was given
+        bad = [v for v in values.flat if isinstance(v, bool)
+               or not isinstance(v, numbers.Integral) or not low <= v <= 2**63 - 1]
+    if bad:
+        kind = "non-negative integers" if non_negative else "integers"
+        raise ConfigError(f"{what} must be {kind} in the int64 range, got {bad[0]!r}")
+    return values.astype(np.int64, copy=False)
+
+
 def _check_text_cell(what: str, text) -> None:
     """ConfigError unless `text` is a str a CSV cell holds: no comma, line break or lone surrogate."""
     if not isinstance(text, str) or re.search("[,\r\n\ud800-\udfff]", text):
@@ -141,8 +163,7 @@ class ExampleRecord:
             feats = feats.view()
             feats.flags.writeable = False
         object.__setattr__(self, "features", feats)
-        if self.example_id < 0:
-            raise ConfigError(f"example_id must be non-negative, got {self.example_id}")
+        int64_array([self.example_id], "example ids", non_negative=True)
         if feats.ndim != 1:
             raise ConfigError("features must be a 1D vector")
         if self.layout is not None:
@@ -203,8 +224,8 @@ class LabeledDataset:
         The arrays are copied. As for records, attribute columns that no
         example carries are dropped and the rest ordered by name.
         """
-        ids = np.array(example_ids, dtype=np.int64)
-        labels = np.array(labels, dtype=np.int64)
+        ids = np.array(int64_array(example_ids, "example ids", non_negative=True))
+        labels = np.array(int64_array(labels, "labels"))
         feats = np.array(feature_matrix, dtype=np.float64)
         names = tuple(attribute_names)
         attrs = np.array(attributes, dtype=bool)
@@ -220,8 +241,6 @@ class LabeledDataset:
                 "want (N,) ids and labels, (N, d) features and (N, A) attributes, got "
                 f"{ids.shape}, {labels.shape}, {feats.shape}, {attrs.shape}"
             )
-        if ids.size and ids.min() < 0:
-            raise ConfigError(f"example_ids must be non-negative, got {ids.min()}")
         if np.unique(ids).size != ids.size:
             raise ConfigError("duplicate example_ids in dataset")
         bad = np.flatnonzero((labels < 0) | (labels >= num_classes))
@@ -315,9 +334,9 @@ class PredictionLog:
     def __post_init__(self):
         _check_text_cell("population_id", self.population_id)
         # views, so that freezing them leaves the caller's arrays writeable
-        ids = np.asarray(self.example_ids, dtype=np.int64).view()
-        truth = np.asarray(self.truth, dtype=np.int64).view()
-        preds = np.asarray(self.predictions, dtype=np.int64).view()
+        ids = int64_array(self.example_ids, "example ids", non_negative=True).view()
+        truth = int64_array(self.truth, "true labels").view()
+        preds = int64_array(self.predictions, "predicted labels").view()
         if preds.ndim != 3:
             raise ConfigError("predictions must have shape (K, N, topk)")
         if ids.shape != (preds.shape[1],) or truth.shape != ids.shape:

@@ -16,6 +16,7 @@ import numpy as np
 from .data_model import (
     LabeledDataset,
     PredictionLog,
+    int64_array,
     read_table,
     write_table,
 )
@@ -43,7 +44,7 @@ class PIESet:
 
     def is_pie(self, example_ids) -> np.ndarray:
         """(N,) bool: is each id a PIE; the ids must be this set's examples, in any order."""
-        ids = np.asarray(example_ids, dtype=np.int64)
+        ids = int64_array(example_ids, "example ids", non_negative=True)
         order = np.argsort(ids, kind="stable")
         if not np.array_equal(ids[order], self.example_ids):
             raise ExampleSetMismatch(

@@ -8,7 +8,6 @@ sensitivity to that corruption.
 
 from __future__ import annotations
 
-import numbers
 import operator
 from collections.abc import Iterator
 from dataclasses import astuple, dataclass, replace
@@ -21,6 +20,7 @@ from .data_model import (
     ExampleRecord,
     LabeledDataset,
     check_field_types,
+    int64_array,
     write_table,
 )
 from .errors import ConfigError, LayoutRequired, ShapeError, ZeroBaseline
@@ -105,29 +105,6 @@ def _seed_words(n) -> list[int]:
     return words
 
 
-def _checked_ids(example_ids) -> np.ndarray:
-    """The ids as a uint64 array, or an object array of ints if one needs more than 64 bits.
-
-    Every id must be a non-negative integer (not a bool); anything else is a
-    ConfigError. A sequence is read element by element, never through a
-    float array.
-    """
-    if isinstance(example_ids, np.ndarray):
-        if example_ids.dtype.kind == "u":
-            return example_ids
-        if example_ids.dtype.kind == "i" and not (example_ids < 0).any():
-            return example_ids.astype(np.uint64)
-        example_ids = example_ids.tolist()
-    values = []
-    for i in example_ids:
-        if not isinstance(i, numbers.Integral) or isinstance(i, bool) or i < 0:
-            raise ConfigError(f"example ids must be non-negative integers, got {i!r}")
-        values.append(operator.index(i))
-    if values and max(values) >> 64:
-        return np.array(values, dtype=object)
-    return np.array(values, dtype=np.uint64)
-
-
 def _mix_pool(key: list[np.ndarray]) -> list[np.ndarray]:
     """`SeedSequence(key).pool` for many keys at once; `key[j]` is the uint32 column of word j.
 
@@ -199,23 +176,19 @@ def _example_rngs(spec: CorruptionSpec, example_ids) -> Iterator[np.random.Gener
     seeds `PCG64` with `generate_state(4, np.uint64)` of it. Here that state
     is computed for every id at once and handed to `PCG64` as it is. One
     key's pool is numpy's own; for more, the pools are mixed together as
-    uint32 columns, one group per key length (an id of 2**32 or more adds
-    words).
+    uint32 columns, one group per key length (an id of 2**32 or more adds a
+    word).
     """
-    ids = _checked_ids(example_ids)
+    ids = int64_array(example_ids, "example ids", non_negative=True)
     prefix = spec._key_words
     if len(ids) == 1:
         # for one key, numpy's own mixing costs less than setting up columns
         key = np.array([*prefix, *_seed_words(ids[0])], dtype=np.uint32)
         seeds = [np.array(_pcg64_seed(np.random.SeedSequence(key).pool.tolist()), np.uint64)]
     else:
-        # word j of every id (as `_seed_words` makes them) and each id's word count
-        words, lengths, rest = [ids & _MASK32], np.ones(len(ids), dtype=int), ids >> 32
-        while rest.any():
-            words.append(rest & _MASK32)
-            lengths += rest != 0
-            rest = rest >> 32
-        words = np.array(words).astype(np.uint32)
+        # the one or two words `_seed_words` makes of an id below 2**63
+        words = np.stack([ids & _MASK32, ids >> 32]).astype(np.uint32)
+        lengths = 1 + (words[1] != 0)
         pool = np.empty((_POOL_SIZE, len(ids)), dtype=np.uint64)
         for length in np.unique(lengths).tolist():
             rows = lengths == length
@@ -230,30 +203,28 @@ def _example_rngs(spec: CorruptionSpec, example_ids) -> Iterator[np.random.Gener
 def corrupt_features(
     features: np.ndarray,
     spec: CorruptionSpec,
-    example_id,
+    example_ids,
     lo=0.0,
     hi=1.0,
     layout: tuple[int, int] | None = None,
 ) -> np.ndarray:
-    """Apply one corruption to a feature vector, or to each row of an (N, d) matrix.
+    """Apply one corruption to each row of an (N, d) matrix; row i belongs to `example_ids[i]`.
 
-    A vector takes one `example_id`, a matrix one id per row. Row i of the
-    result depends only on (features[i], spec, example_id[i]), so corrupting
-    a matrix gives the rows that corrupting each vector alone would.
-    `lo`/`hi` bound the feature domain (scalars or per-coordinate arrays);
-    severity magnitudes are expressed as fractions of hi - lo, and the
-    result is clamped back into [lo, hi]. Ids must be non-negative integers
-    and features finite, for every kind; otherwise it is a ConfigError.
+    Row i of the result depends only on (features[i], spec, example_ids[i]),
+    so corrupting a matrix gives the rows that corrupting each row alone
+    would (`corrupt` does that for one record). `lo`/`hi` bound the feature
+    domain (scalars or per-coordinate arrays); severity magnitudes are
+    expressed as fractions of hi - lo, and the result is clamped back into
+    [lo, hi]. Ids must be non-negative integers (`int64_array`) and features
+    finite, for every kind; otherwise it is a ConfigError.
     """
     x = np.asarray(features, dtype=np.float64)
-    single = x.ndim == 1
-    x, ids = (x[None, :], [example_id]) if single else (x, example_id)
-    if x.ndim != 2 or np.ndim(ids) != 1 or len(ids) != x.shape[0]:
+    if x.ndim != 2 or np.ndim(example_ids) != 1 or len(example_ids) != x.shape[0]:
         raise ShapeError(
-            "expected one vector and one id, or an (N, d) matrix and N ids; got "
-            f"features of shape {np.shape(features)} and ids of shape {np.shape(ids)}"
+            "expected an (N, d) matrix and N ids; got "
+            f"features of shape {x.shape} and ids of shape {np.shape(example_ids)}"
         )
-    ids = _checked_ids(ids)
+    ids = int64_array(example_ids, "example ids", non_negative=True)
     if np.count_nonzero(np.isfinite(x)) != x.size:
         raise ConfigError("features must be finite")
     lo = np.asarray(lo, dtype=np.float64)
@@ -313,15 +284,15 @@ def corrupt_features(
         x = out.reshape(x.shape)
 
     x.clip(lo, hi, out=x)  # every branch made x a new array
-    return x[0] if single else x
+    return x
 
 
 def corrupt(example: ExampleRecord, spec: CorruptionSpec, lo=0.0, hi=1.0) -> ExampleRecord:
-    """Corrupted copy of an example; deterministic given (example, spec)."""
+    """Corrupted copy of an example (a one-row batch); deterministic given (example, spec)."""
     feats = corrupt_features(
-        example.features, spec, example.example_id, lo, hi, example.layout
+        example.features[None, :], spec, [example.example_id], lo, hi, example.layout
     )
-    return replace(example, features=feats)
+    return replace(example, features=feats[0])
 
 
 def relative_accuracy(acc_comp: float, acc_base: float) -> float:
@@ -357,9 +328,10 @@ def robustness_report(
     normalization divides by the baseline population's mean accuracy on the
     same corruption. Each example's corruption and hits depend only on its
     own features and id, so the rows do not depend on the split's row order.
-    A `topk` outside 1..C is a ConfigError, and a model with other than the
-    split's C outputs a ShapeError, both before anything is drawn.
+    An unknown kind or a `topk` outside 1..C is a ConfigError, a model with
+    other than the split's C outputs a ShapeError; all before anything is drawn.
     """
+    specs = [[CorruptionSpec(kind, severity, seed) for severity in range(1, 6)] for kind in kinds]
     topk = ranking_depth(topk, test_ds.num_classes)
     for model in (*base_models, *comp_models):
         if model.num_classes != test_ds.num_classes:
@@ -371,10 +343,9 @@ def robustness_report(
     layout = test_ds.layout
 
     rows = []
-    for kind in kinds:
+    for kind, severities in zip(kinds, specs):
         rates = np.zeros((2, 2))  # (base, comp) x (top-1, top-k), mean over severities
-        for severity in range(1, 6):
-            spec = CorruptionSpec(kind=kind, severity=severity, seed=seed)
+        for spec in severities:
             xc = corrupt_features(feats, spec, ids, lo, hi, layout)
             rates += np.array(
                 [_hit_rates(models, xc, y, topk) for models in (base_models, comp_models)]

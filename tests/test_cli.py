@@ -686,6 +686,26 @@ class TestBadInputExits2:
         assert rc == 2 and "topk must be in 1..4" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_save_models_into_a_directory_with_snapshots(
+        self, data_dir, tmp_path, monkeypatch, capsys
+    ):
+        snaps = tmp_path / "snaps"
+        train = ["train", "--data", str(data_dir), "--save-models", str(snaps),
+                 "--steps", "20", "--hidden", "4"]
+        assert main([*train, "--models", "3", "--out", str(tmp_path / "a.csv")]) == 0
+        before = {p.name: p.read_bytes() for p in snaps.iterdir()}
+
+        def no_training(*args):
+            raise AssertionError("a directory with snapshots is refused before training")
+
+        monkeypatch.setattr(trainer, "_train_single", no_training)
+        out = tmp_path / "b.csv"
+        rc = main([*train, "--models", "2", "--seed", "50", "--out", str(out)])
+        assert rc == 2
+        assert f"{snaps} already holds model_*.json snapshots" in capsys.readouterr().err
+        assert not out.exists()
+        assert {p.name: p.read_bytes() for p in snaps.iterdir()} == before
+
     @pytest.mark.parametrize("topk", ["-1", "0", "5"])
     def test_audit_robustness_topk_outside_classes(
         self, logs, data_dir, tmp_path, monkeypatch, capsys, topk
@@ -856,6 +876,17 @@ class TestBadInputExits2:
         rc, err = run_cli(["audit-classes", *pair, "--out", str(tmp_path / "a.csv")])
         assert rc == 2 and "Traceback" not in err
         assert "example 11: true label -1 outside" in err
+
+    @pytest.mark.parametrize("command", ["audit-classes", "audit-pie"])
+    def test_negative_example_id(self, tmp_path, command):
+        pair = self._log_pair(tmp_path, [[0, 1], [0, 1]], [[0, 1], [1, 0]], [0, 1])
+        for log in map(Path, pair[1::2]):  # example 10 becomes -5
+            log.write_text(log.read_text().replace(",10,1,", ",-5,1,"))
+        out = tmp_path / "out"
+        rc, err = run_cli([command, *pair, "--out", str(out)])
+        assert rc == 2 and "Traceback" not in err
+        assert "example ids must be non-negative integers in the int64 range, got -5" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("label", [3 * 10**9, 2**63 - 1])
     def test_more_classes_than_examples(self, tmp_path, label):

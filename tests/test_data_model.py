@@ -40,7 +40,12 @@ from compresslens.pie_audit import (
     write_pie_report,
 )
 from compresslens.pipeline import write_report
-from compresslens.robustness import RobustnessRow, write_robustness_report
+from compresslens.robustness import (
+    CorruptionSpec,
+    RobustnessRow,
+    corrupt_features,
+    write_robustness_report,
+)
 from compresslens.stats_audit import ClassAuditRow, read_audit_csv, write_audit_csv
 
 
@@ -299,6 +304,53 @@ class TestLogValidation:
         assert not any(
             a.flags.writeable for a in (log.example_ids, log.truth, log.predictions)
         )
+
+
+# where each entry point takes the ids or labels `seq`, two of them, the second bad
+INTEGER_ENTRY_POINTS = {
+    "from_arrays ids": lambda seq: LabeledDataset.from_arrays(seq, [0, 0], np.zeros((2, 1)), 1),
+    "from_arrays labels": lambda seq: LabeledDataset.from_arrays([0, 1], seq, np.zeros((2, 1)), 9),
+    "log ids": lambda seq: PredictionLog("p", CompressionSpec("none"), seq, [0, 0],
+                                         [[[0], [0]]], explicit_num_classes=9),
+    "log truth": lambda seq: PredictionLog("p", CompressionSpec("none"), [0, 1], seq,
+                                           [[[0], [0]]], explicit_num_classes=9),
+    "log predictions": lambda seq: PredictionLog(
+        "p", CompressionSpec("none"), [0, 1], [0, 0],
+        seq.reshape(1, 2, 1) if isinstance(seq, np.ndarray) else [[[v] for v in seq]],
+        explicit_num_classes=9,
+    ),
+    "ExampleRecord": lambda seq: ExampleRecord(seq[1], np.zeros(1), 0),
+    "is_pie": lambda seq: PIESet(np.array([0, 1]), np.zeros(2, int), np.ones(2, int)).is_pie(seq),
+    "corrupt_features": lambda seq: corrupt_features(
+        np.zeros((2, 4)), CorruptionSpec("gaussian_noise", 1), seq
+    ),
+}
+NOT_INT64 = [
+    [0, 0.5], [0, 2.0], [0, True], [0, "3"], [0, -1], [0, 2**63],
+    np.array([0.0, 2.0]), np.array([False, True]), np.array(["0", "3"]), np.array([0, -1]),
+    np.array([0, 2**63], dtype=np.uint64),
+]
+
+
+def _seq_id(seq) -> str:
+    return f"{seq.dtype}{seq.tolist()}" if isinstance(seq, np.ndarray) else repr(seq)
+
+
+class TestIntegerRule:
+    """Every entry point reads ids and labels by `int64_array`: nothing is cast or wrapped."""
+
+    @pytest.mark.parametrize("entry", INTEGER_ENTRY_POINTS)
+    @pytest.mark.parametrize("seq", NOT_INT64, ids=_seq_id)
+    def test_entry_points_refuse(self, entry, seq):
+        with pytest.raises(ConfigError):
+            INTEGER_ENTRY_POINTS[entry](seq)
+
+    @pytest.mark.parametrize("entry", INTEGER_ENTRY_POINTS)
+    @pytest.mark.parametrize(
+        "seq", [[1, 0], [np.int32(1), 0], np.array([1, 0], dtype=np.uint8)], ids=_seq_id
+    )
+    def test_entry_points_take_integers(self, entry, seq):
+        INTEGER_ENTRY_POINTS[entry](seq)
 
 
 class TestLogRoundtrip:
@@ -888,7 +940,7 @@ class TestTableWriters:
     def test_log_with_percent_signs(self, tmp_path, n):
         """A `%` of the population id is part of the row format: it must stay a character."""
         log = PredictionLog("p%s%%d", CompressionSpec("magnitude_prune", 5e-324), np.arange(n),
-                            np.zeros(n), np.zeros((2, n, 1)), explicit_num_classes=1)
+                            np.zeros(n, int), np.zeros((2, n, 1), int), explicit_num_classes=1)
         write_prediction_log(log, tmp_path / "new" / "log.csv")
         oracles.write_prediction_log(log, tmp_path / "old" / "log.csv")
         _same_bytes(tmp_path, ["log.csv"])

@@ -65,7 +65,7 @@ class TestModalLabel:
         # a few labels drawn from all C, so that ties are common
         labels = rng.choice(C, data.draw(st.integers(1, min(C, 4))), replace=False)
         preds = labels[rng.integers(0, len(labels), (K, N))]
-        log = PredictionLog("p", CompressionSpec("none"), np.arange(N), np.zeros(N),
+        log = PredictionLog("p", CompressionSpec("none"), np.arange(N), np.zeros(N, int),
                             preds[:, :, np.newaxis], explicit_num_classes=C)
         got = modal_labels(log)
         assert got.dtype == np.int64

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from compresslens import robustness
 from compresslens.data_model import CompressionSpec, ExampleRecord, LabeledDataset
 from compresslens.errors import ConfigError, LayoutRequired, ShapeError, ZeroBaseline
 from compresslens.robustness import (
@@ -69,9 +70,9 @@ class TestCorruptions:
         assert not np.array_equal(a, b)
 
     def test_example_id_changes_noise(self):
-        feats = np.linspace(0.2, 0.8, 32)
-        a = corrupt_features(feats, CorruptionSpec("gaussian_noise", 3), 0)
-        b = corrupt_features(feats, CorruptionSpec("gaussian_noise", 3), 1)
+        feats = np.linspace(0.2, 0.8, 32)[None, :]
+        a = corrupt_features(feats, CorruptionSpec("gaussian_noise", 3), [0])
+        b = corrupt_features(feats, CorruptionSpec("gaussian_noise", 3), [1])
         assert not np.array_equal(a, b)
 
     def test_clamped_to_range(self):
@@ -83,8 +84,8 @@ class TestCorruptions:
                 assert out.features.max() <= 1.0
 
     def test_impulse_sets_extremes(self):
-        feats = np.full(4000, 0.5)
-        out = corrupt_features(feats, CorruptionSpec("impulse_noise", 5, seed=0), 0)
+        feats = np.full((1, 4000), 0.5)
+        out = corrupt_features(feats, CorruptionSpec("impulse_noise", 5, seed=0), [0])
         changed = out != 0.5
         assert set(np.unique(out[changed])) <= {0.0, 1.0}
         # severity 5 hits about 17% of coordinates
@@ -107,14 +108,17 @@ class TestCorruptions:
 
     def test_shot_noise_zero_floor(self):
         # features at the lower bound map to rate 0 and stay there
-        feats = np.zeros(8)
-        out = corrupt_features(feats, CorruptionSpec("shot_noise", 3, seed=1), 0)
+        feats = np.zeros((1, 8))
+        out = corrupt_features(feats, CorruptionSpec("shot_noise", 3, seed=1), [0])
         np.testing.assert_array_equal(out, 0.0)
 
 
 # keys whose uint32 encoding has one word, the largest one-word value, and two and three words
 EDGE_KEYS = (0, 2**32 - 1, 2**32, 2**70)
 keys = st.sampled_from(EDGE_KEYS) | st.integers(0, 2**80)
+# the same edges for example ids, which stop below 2**63 (two words)
+ID_EDGES = (0, 2**32 - 1, 2**32, 2**63 - 1)
+id_keys = st.sampled_from(ID_EDGES) | st.integers(0, 2**63 - 1)
 
 
 class TestBatchedCorruption:
@@ -123,7 +127,7 @@ class TestBatchedCorruption:
     @settings(max_examples=8, deadline=None)
     @given(
         seed=keys,
-        ids=st.lists(keys, min_size=1, max_size=5, unique=True),
+        ids=st.lists(id_keys, min_size=1, max_size=5, unique=True),
         per_coordinate=st.booleans(),
         data_seed=st.integers(0, 2**32 - 1),
     )
@@ -134,11 +138,11 @@ class TestBatchedCorruption:
         batch = corrupt_features(x, spec, ids, lo, hi, (8, 8))
         assert batch.shape == x.shape
         for i, example_id in enumerate(ids):
-            single = corrupt_features(x[i], spec, example_id, lo, hi, (8, 8))
-            assert batch[i].tobytes() == single.tobytes()
+            single = corrupt_features(x[i : i + 1], spec, [example_id], lo, hi, (8, 8))
+            assert batch[i].tobytes() == single[0].tobytes()
 
     @pytest.mark.parametrize("seed", EDGE_KEYS)
-    @pytest.mark.parametrize("example_id", EDGE_KEYS)
+    @pytest.mark.parametrize("example_id", ID_EDGES)
     def test_stream_equals_default_rng(self, seed, example_id):
         for kind in CORRUPTION_KINDS:
             for severity in range(1, 6):
@@ -148,15 +152,19 @@ class TestBatchedCorruption:
 
     def test_negative_id_is_config_error(self):
         cases = [
-            (np.zeros(4), -1),
-            (np.zeros(4), 1.5),  # a float id
-            (np.zeros(4), 2.0),  # a float id, even a whole one
-            (np.zeros(4), True),
+            (np.zeros((1, 4)), [-1]),
+            (np.zeros((1, 4)), [1.5]),  # a float id
+            (np.zeros((1, 4)), [2.0]),  # a float id, even a whole one
+            (np.zeros((1, 4)), [True]),
             (np.zeros((3, 4)), [0, -1, 2]),  # a negative id mid-batch
             (np.zeros((3, 4)), np.array([0, -1, 2])),
             (np.zeros((3, 4)), [0, 1.0, 2]),
             (np.zeros((3, 4)), np.array([0.0, 1.0, 2.0])),
             (np.zeros((3, 4)), ["0", "1", "2"]),
+            # no id is 2**63 or more: no dataset, log or CSV can hold one
+            (np.zeros((2, 4)), [0, 2**63]),
+            (np.zeros((2, 4)), [2**64, 0]),
+            (np.zeros((2, 4)), np.array([0, 2**63], dtype=np.uint64)),
         ]
         for kind in CORRUPTION_KINDS:  # every kind checks its ids, not only the noise kinds
             for features, ids in cases:
@@ -169,7 +177,7 @@ class TestBatchedCorruption:
         spec = CorruptionSpec(kind, 1)
         x = np.zeros((3, 4))
         x[1, 2] = bad
-        for features, ids in [(x[1], 1), (x, [0, 1, 2])]:
+        for features, ids in [(x[1:2], [1]), (x, [0, 1, 2])]:
             with pytest.raises(ConfigError, match="features must be finite"):
                 corrupt_features(features, spec, ids, layout=(2, 2))
         with pytest.raises(ConfigError, match="features must be finite"):
@@ -202,14 +210,16 @@ class TestBatchedCorruption:
             assert out.shape == (0, 4)
 
 
-# ids of one, two and three uint32 words, and the edges between them
+# seeds of one, two and three uint32 words, and the edges between them
 ONE_WORD = st.integers(0, 2**32 - 1)
 TWO_WORDS = st.integers(2**32, 2**64 - 1)
 THREE_WORDS = st.integers(2**64, 2**80)
-batch_ids = (
+batch_seeds = (
     st.sampled_from((0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**80))
     | ONE_WORD | TWO_WORDS | THREE_WORDS
 )
+# ids of one and two words, which stop below 2**63
+batch_ids = st.sampled_from(ID_EDGES) | ONE_WORD | st.integers(2**32, 2**63 - 1)
 
 
 def draws(rng) -> bytes:
@@ -222,7 +232,7 @@ class TestBatchedSeeding:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        seed=batch_ids,
+        seed=batch_seeds,
         kind=st.sampled_from(CORRUPTION_KINDS),
         severity=st.integers(1, 5),
         ids=st.lists(batch_ids, min_size=2, max_size=40),
@@ -236,7 +246,7 @@ class TestBatchedSeeding:
 
     @settings(max_examples=30, deadline=None)
     @given(
-        seed=batch_ids,
+        seed=batch_seeds,
         ids=st.lists(ONE_WORD | st.integers(0, 2**63 - 1) | st.just(2**63 - 1), min_size=2,
                      max_size=40),
     )
@@ -319,8 +329,7 @@ class TestRobustnessReport:
         for sev in range(1, 6):
             spec = CorruptionSpec("contrast", sev)
             xs = np.stack([
-                corrupt_features(ex.features, spec, ex.example_id,
-                                 ds.feature_matrix.min(0), ds.feature_matrix.max(0))
+                corrupt(ex, spec, ds.feature_matrix.min(0), ds.feature_matrix.max(0)).features
                 for ex in examples
             ])
             y = np.array([ex.true_label for ex in examples])
@@ -347,14 +356,22 @@ class TestRobustnessReport:
             accs = []
             for seed in range(3):
                 spec = CorruptionSpec("gaussian_noise", sev, seed=seed)
-                xs = np.stack([
-                    corrupt_features(ex.features, spec, ex.example_id, lo, hi)
-                    for ex in ds.examples
-                ])
+                xs = np.stack([corrupt(ex, spec, lo, hi).features for ex in ds.examples])
                 for m in models:
                     accs.append((np.argmax(m.logits(xs), 1) == y).mean())
             means.append(np.mean(accs))
         assert all(a >= b - 1e-9 for a, b in zip(means, means[1:]))
+
+    def test_every_kind_is_checked_before_drawing(self, monkeypatch):
+        def no_corruption(*args):
+            raise AssertionError("an unknown kind is refused before anything is drawn")
+
+        monkeypatch.setattr(robustness, "corrupt_features", no_corruption)
+        ds = cluster_dataset(n=30)
+        model = MLPModel([np.zeros((8, 3))], [np.zeros(3)])
+        with pytest.raises(ConfigError, match="unknown corruption kind 'brightnes'"):
+            robustness_report(ds, ["gaussian_noise", "brightnes"], [model], [model],
+                              CompressionSpec("none"))
 
     def test_model_order_invariance(self):
         ds = cluster_dataset(seed=2, n=200)
