@@ -99,6 +99,13 @@ def int64_array(values, what: str, non_negative: bool = False) -> np.ndarray:
     return values.astype(np.int64, copy=False)
 
 
+def positive_int(value, what: str) -> int:
+    """`value` as an int, or a ConfigError unless it is an integer >= 1; a bool is refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ConfigError(f"{what} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
 def _check_text_cell(what: str, text) -> None:
     """ConfigError unless `text` is a str a CSV cell holds: no comma, line break or lone surrogate."""
     if not isinstance(text, str) or re.search("[,\r\n\ud800-\udfff]", text):
@@ -231,8 +238,7 @@ class LabeledDataset:
         attrs = np.array(attributes, dtype=bool)
         if attrs.size == 0:  # no rows or no attributes: nothing is carried
             attrs = np.zeros((ids.size, len(names)), dtype=bool)
-        if num_classes < 1:
-            raise ConfigError("num_classes must be positive")
+        num_classes = positive_int(num_classes, "num_classes")
         n = ids.shape[:1]
         if (ids.ndim, labels.shape, feats.ndim, feats.shape[:1], attrs.shape) != (
             1, n, 2, n, n + (len(names),)
@@ -333,6 +339,9 @@ class PredictionLog:
 
     def __post_init__(self):
         _check_text_cell("population_id", self.population_id)
+        if self.explicit_num_classes is not None:
+            count = positive_int(self.explicit_num_classes, "explicit_num_classes")
+            object.__setattr__(self, "explicit_num_classes", count)
         # views, so that freezing them leaves the caller's arrays writeable
         ids = int64_array(self.example_ids, "example ids", non_negative=True).view()
         truth = int64_array(self.truth, "true labels").view()
@@ -479,6 +488,11 @@ def atomic_write_text(path: str | Path, text: str | Iterable[str]) -> None:
         raise
 
 
+# cells per block a CSV writer hands `write_table`: the Python objects of one
+# block only (~16k cells, a few hundred KB of text) are alive at a time
+TABLE_BLOCK_CELLS = 2**14
+
+
 def write_table(path: str | Path, header: list[str], row_format: str, blocks: Iterable) -> None:
     """Write a CSV: the header line, then every block of rows, each formatted by one `%` call.
 
@@ -501,16 +515,20 @@ def write_json(path: str | Path, doc) -> None:
 def write_prediction_log(log: PredictionLog, path: str | Path) -> None:
     """Serialize a log as long-format CSV, rows ordered by (model, example, rank).
 
-    The population's three cells are part of the row format.
+    The population's three cells are part of the row format. A block holds
+    the (model, example, rank, prediction, truth) cells of one model's rows
+    on up to `TABLE_BLOCK_CELLS` cells' worth of examples.
     """
     spec = log.compression
     prefix = f"{log.population_id},{spec.method},{spec.sparsity!r}".replace("%", "%%")
     ids, ranks = np.broadcast_arrays(log.example_ids[:, np.newaxis], np.arange(1, log.topk + 1))
     truth = np.broadcast_to(log.truth[:, np.newaxis], ids.shape)
-    # a block per model: the (model, example, rank, prediction, truth) cells of its rows
+    step = max(1, TABLE_BLOCK_CELLS // (5 * log.topk))  # examples per block
+    rows = [slice(i, i + step) for i in range(0, log.num_examples, step)]
     blocks = (
-        np.stack([np.full_like(ids, k), ids, ranks, preds, truth], axis=-1).ravel().tolist()
-        for k, preds in enumerate(log.predictions)
+        np.stack([np.full_like(ids[s], k), ids[s], ranks[s], preds[s], truth[s]], axis=-1)
+        .ravel().tolist()
+        for k, preds in enumerate(log.predictions) for s in rows
     )
     write_table(path, LOG_HEADER, prefix + ",%d,%d,%d,%d,%d", blocks)
 
@@ -772,8 +790,7 @@ def write_dataset(dataset: LabeledDataset, csv_path: str | Path) -> None:
     row_format = ",".join(["%d"] * (2 + len(dataset.attribute_names)) + ["%r"] * dataset.dim)
     columns = [dataset.example_ids[:, np.newaxis], dataset.labels[:, np.newaxis],
                dataset.attributes, dataset.feature_matrix]
-    # blocks of ~16k cells, so that the Python cells of one block only are alive at a time
-    step = max(1, 2**14 // len(header))
+    step = max(1, TABLE_BLOCK_CELLS // len(header))  # rows per block
     blocks = (
         np.hstack([c[i:i + step] for c in columns], dtype=object).ravel().tolist()
         for i in range(0, len(dataset), step)

@@ -135,6 +135,11 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
     _block(doc, "top level", ("train", "sweep", "audit", "dataset", "prune", *_TOP_KEYS))
     kwargs: dict = {}
     if "train" in doc:
+        if isinstance(doc["train"], dict) and "seed" in doc["train"]:
+            raise ConfigError(
+                "'seed' in config block 'train' is not used: population i trains on the "
+                f"top-level 'seed' + {_POPULATION_SEED_STRIDE} * i, so set the top-level 'seed'"
+            )
         kwargs["train"] = _make(TrainConfig, doc["train"], "train")
     if "sweep" in doc:
         if not isinstance(doc["sweep"], list):

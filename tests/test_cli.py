@@ -610,6 +610,15 @@ class TestBadInputExits2:
         assert rc == 2 and "Traceback" not in err
         assert key in err
 
+    def test_train_seed_is_refused(self, tmp_path):
+        """`run` seeds population i from the top-level seed, so a train.seed would go unread."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"train": {"seed": 99, "steps": 5}}))
+        rc, err = run_cli(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 2 and "Traceback" not in err
+        assert "'seed' in config block 'train'" in err and "top-level 'seed'" in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("doc, key", WRONG_TYPE_CASES)
     def test_wrong_type_config_value(self, tmp_path, doc, key):
         cfg = tmp_path / "cfg.json"

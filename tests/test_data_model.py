@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from compresslens.data_model import (
     LOG_HEADER,
+    TABLE_BLOCK_CELLS,
     CompressionSpec,
     ExampleRecord,
     LabeledDataset,
@@ -304,6 +305,30 @@ class TestLogValidation:
         assert not any(
             a.flags.writeable for a in (log.example_ids, log.truth, log.predictions)
         )
+
+
+# where each entry point takes a class count
+CLASS_COUNT_ENTRY_POINTS = {
+    "from_arrays": lambda c: LabeledDataset.from_arrays([0], [0], np.zeros((1, 1)), c),
+    "PredictionLog": lambda c: PredictionLog("p", CompressionSpec("none"), [0], [0],
+                                             [[[0]]], explicit_num_classes=c),
+}
+
+
+class TestClassCountRule:
+    """A class count is an int >= 1 at every entry point: never a float, a bool or below 1."""
+
+    @pytest.mark.parametrize("entry", CLASS_COUNT_ENTRY_POINTS)
+    @pytest.mark.parametrize("count", [2.5, True, 0, -1, 1.0, "2"])
+    def test_refused(self, entry, count):
+        with pytest.raises(ConfigError, match=re.escape(f"must be an integer >= 1, got {count!r}")):
+            CLASS_COUNT_ENTRY_POINTS[entry](count)
+
+    @pytest.mark.parametrize("entry", CLASS_COUNT_ENTRY_POINTS)
+    @pytest.mark.parametrize("count", [1, 3, np.int64(3)])
+    def test_taken_as_int(self, entry, count):
+        made = CLASS_COUNT_ENTRY_POINTS[entry](count)
+        assert made.num_classes == count and type(made.num_classes) is int
 
 
 # where each entry point takes the ids or labels `seq`, two of them, the second bad
@@ -936,6 +961,18 @@ class TestTableWriters:
         oracles.write_dataset(ds, tmp_path / "old" / "d.csv")
         _same_bytes(tmp_path, ["d.csv", "d.meta.json"])
 
+    def test_log_of_several_blocks(self, tmp_path):
+        """Each model's rows span several blocks, the last one short."""
+        rng = np.random.default_rng(6)
+        K, topk, C = 2, 3, 7
+        n = 2 * TABLE_BLOCK_CELLS // (5 * topk) + 10
+        log = make_log(np.argsort(rng.random((K, n, C)), axis=2)[:, :, :topk],
+                       rng.integers(0, C, n), ids=rng.permutation(10**6)[:n],
+                       spec=CompressionSpec("magnitude_prune", 0.9))
+        write_prediction_log(log, tmp_path / "new" / "log.csv")
+        oracles.write_prediction_log(log, tmp_path / "old" / "log.csv")
+        _same_bytes(tmp_path, ["log.csv"])
+
     @pytest.mark.parametrize("n", [0, 3])
     def test_log_with_percent_signs(self, tmp_path, n):
         """A `%` of the population id is part of the row format: it must stay a character."""
@@ -997,7 +1034,7 @@ class TestStreamingWrites:
             tracemalloc.stop()
         assert log.predictions.size == 180_000
         assert (tmp_path / "log.csv").stat().st_size > 5 * 2**20
-        assert peak < 4 * 2**20
+        assert peak < 1.5 * 2**20  # blocks of TABLE_BLOCK_CELLS cells, not of one model's rows
 
     @pytest.mark.parametrize("old", [b"a\n1\n", None])
     def test_failing_block_leaves_the_target_alone(self, tmp_path, old):

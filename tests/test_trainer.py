@@ -280,17 +280,31 @@ class TestSharedForwardPass:
             model.logits(x[4])  # a batch only: one row is x[4:5]
 
     def test_logits_hold_one_hidden_activation(self):
-        """Each hidden layer is rectified in place: no (N, hidden) copy beside it."""
+        """Rows go through in blocks, and each block's hidden layer is rectified in place."""
         rng = np.random.default_rng(7)
         model = MLPModel.initialize((16, 320, 10), rng)
-        x = rng.normal(size=(2000, 16))
+        x = rng.normal(size=(20000, 16))
         tracemalloc.start()
         try:
-            model.logits(x)
+            out = model.logits(x)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.2 * 2000 * 320 * 8
+        # beside the (N, C) result, one (block, 320) array: 1.3 MB, where one
+        # (20000, 320) hidden activation would take 51 MB
+        assert peak < out.nbytes + 1.5 * trainer.LOGITS_BLOCK_ROWS * 320 * 8
+
+    @pytest.mark.parametrize("calibrated", [False, True])
+    def test_logits_of_a_batch_are_those_of_its_blocks(self, calibrated):
+        rng = np.random.default_rng(9)
+        model = MLPModel.initialize((16, 320, 10), rng)
+        b = trainer.LOGITS_BLOCK_ROWS
+        x = rng.normal(size=(2 * b + 100, 16))
+        if calibrated:  # a narrow slice, so that inference clamps on x
+            model = quantize_model(model, QuantizationScheme("fixed_int8"), x[:3])
+        blocks = [model.logits(x[i:i + b]) for i in range(0, len(x), b)]
+        assert bits([model.logits(x)]) == bits([np.concatenate(blocks)])
+        assert model.logits(x[:0]).shape == (0, 10)
 
     def test_training_never_clamps(self):
         model, x = self.two_hidden_layers(seed=5)
@@ -331,6 +345,31 @@ class TestGradients:
                     assert grad.ravel()[i] == pytest.approx(
                         numeric, rel=1e-4, abs=1e-8
                     )
+
+
+class TestLabelRule:
+    """`loss_and_gradients` trains on integer labels in [0, C) only."""
+
+    @staticmethod
+    def model():
+        return MLPModel.initialize((2, 4, 3), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("y, message", [
+        ([0.7, 1.9], "integers"), (np.array([0.0, 1.0]), "integers"), ([0, True], "integers"),
+        (np.array([True, False]), "integers"), ([0, -1], r"label -1 outside \[0, 3\)"),
+        ([0, 3], r"label 3 outside \[0, 3\)"), (np.array([2, -(2**63)]), "outside"),
+        (np.array([0, -5], dtype=np.int32), "label -5 outside"),
+    ])
+    def test_refused(self, y, message):
+        with pytest.raises(ConfigError, match=message):
+            loss_and_gradients(self.model(), np.ones((2, 2)), y)
+
+    @pytest.mark.parametrize("y", [[0, 2], np.array([2, 0], dtype=np.int32),
+                                   np.array([1, 2], dtype=np.uint8)])
+    def test_taken(self, y):
+        got = loss_and_gradients(self.model(), np.ones((2, 2)), y)
+        want = loss_and_gradients(self.model(), np.ones((2, 2)), np.array(y, dtype=np.int64))
+        assert got[0] == want[0]
 
 
 class TestTrainPopulation:
