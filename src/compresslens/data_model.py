@@ -85,11 +85,13 @@ def int64_array(values, what: str, non_negative: bool = False) -> np.ndarray:
     numpy would read `[0, True]` as `[0, 1]`. With `non_negative`, a value
     below 0 is refused too. An int64 array comes back as it is, not copied.
     """
-    low = 0 if non_negative else -(2**63)
-    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
-        # a signed value can fall below `low`, an unsigned one exceed the int64 range
-        bad = values[values < low if values.dtype.kind == "i" else values > 2**63 - 1].tolist()
+    if isinstance(values, np.ndarray) and values.dtype.kind == "u":
+        bad = values[values > 2**63 - 1].tolist()
+    elif isinstance(values, np.ndarray) and values.dtype.kind == "i":
+        # every signed value is in the int64 range; only 0 can bound it from below
+        bad = values[values < 0].tolist() if non_negative else []
     else:
+        low = 0 if non_negative else -(2**63)
         values = np.array(values, dtype=object)  # each value as it was given
         bad = [v for v in values.flat if isinstance(v, bool)
                or not isinstance(v, numbers.Integral) or not low <= v <= 2**63 - 1]

@@ -23,8 +23,8 @@ from .data_model import (
     int64_array,
     write_table,
 )
-from .errors import ConfigError, LayoutRequired, ShapeError, ZeroBaseline
-from .trainer import MLPModel, rank_topk, ranking_depth
+from .errors import ConfigError, EmptySample, LayoutRequired, ShapeError, ZeroBaseline
+from .trainer import MLPModel, label_ranks, ranking_depth
 
 CORRUPTION_KINDS = (
     "gaussian_noise",
@@ -305,11 +305,11 @@ def relative_accuracy(acc_comp: float, acc_base: float) -> float:
 def _hit_rates(
     models: list[MLPModel], x: np.ndarray, y: np.ndarray, k: int
 ) -> tuple[float, float]:
-    """(top-1, top-k) accuracy averaged over models, ranked by `rank_topk`."""
-    hits = [rank_topk(m.logits(x), k) == y[:, None] for m in models]
+    """(top-1, top-k) accuracy averaged over models, in `rank_topk`'s order (`label_ranks`)."""
+    ranks = [label_ranks(m.logits(x), y) for m in models]
     return (
-        float(np.mean([h[:, 0].mean() for h in hits])),
-        float(np.mean([h.any(axis=1).mean() for h in hits])),
+        float(np.mean([(r == 0).mean() for r in ranks])),
+        float(np.mean([(r < k).mean() for r in ranks])),
     )
 
 
@@ -328,17 +328,24 @@ def robustness_report(
     normalization divides by the baseline population's mean accuracy on the
     same corruption. Each example's corruption and hits depend only on its
     own features and id, so the rows do not depend on the split's row order.
-    An unknown kind or a `topk` outside 1..C is a ConfigError, a model with
-    other than the split's C outputs a ShapeError; all before anything is drawn.
+    An unknown kind or a `topk` outside 1..C is a ConfigError, an empty split
+    an EmptySample, a model with other than the split's d inputs or C outputs
+    a ShapeError; all before anything is drawn.
     """
     specs = [[CorruptionSpec(kind, severity, seed) for severity in range(1, 6)] for kind in kinds]
     topk = ranking_depth(topk, test_ds.num_classes)
+    feats, y, ids = test_ds.feature_matrix, test_ds.labels, test_ds.example_ids
+    if len(ids) == 0:
+        raise EmptySample("the robustness audit needs a split with at least one example")
     for model in (*base_models, *comp_models):
+        if model.layer_dims[0] != feats.shape[1]:
+            raise ShapeError(
+                f"a model has {model.layer_dims[0]} inputs, the split {feats.shape[1]} features"
+            )
         if model.num_classes != test_ds.num_classes:
             raise ShapeError(
                 f"a model has {model.num_classes} outputs, the split {test_ds.num_classes} classes"
             )
-    feats, y, ids = test_ds.feature_matrix, test_ds.labels, test_ds.example_ids
     lo, hi = feats.min(axis=0), feats.max(axis=0)
     layout = test_ds.layout
 

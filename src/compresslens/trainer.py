@@ -235,6 +235,27 @@ def rank_topk(logits: np.ndarray, k: int) -> np.ndarray:
     return np.argsort(-logits, axis=1, kind="stable")[:, :k]
 
 
+def label_ranks(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Each row's 0-based position of its label (in [0, C)) in `rank_topk`'s order.
+
+    Counted, not sorted: the labels ahead are those with a larger logit and
+    those with an equal logit and a lower index. A NaN logit ranks after
+    every number, and NaNs among themselves go by label, as `argsort` orders
+    them. So `label_ranks(z, y) < k` is "y is in the top k" of each row.
+    """
+    own = logits[np.arange(len(labels)), labels]
+    # label-major (C, N), so that each comparison and the count run along N
+    # examples rather than along one example's few labels: ~2x faster
+    z = logits.T.copy()
+    lower = np.arange(len(z))[:, None] < labels
+    ahead = z > own
+    ahead |= (z == own) & lower
+    nan = np.isnan(own)
+    if nan.any():  # a NaN compares false with everything, itself included
+        ahead[:, nan] = ~np.isnan(z[:, nan]) | lower[:, nan]
+    return np.count_nonzero(ahead, axis=0)
+
+
 def ranking_depth(topk: int | None, num_classes: int) -> int:
     """`topk`, or by default five ranks capped at the class count.
 
@@ -327,10 +348,7 @@ def loss_and_gradients(
     A label that is not an integer in [0, C) is a ConfigError.
     """
     x = np.asarray(x, dtype=np.float64)
-    # a split's labels are int64 already; any others are checked, and a float,
-    # bool or str label is refused
-    if not (isinstance(y, np.ndarray) and y.dtype == np.int64):
-        y = int64_array(y, "labels")
+    y = int64_array(y, "labels")  # a split's int64 labels as they are; a float, bool or str refused
     # one pass for both ends: a negative label, viewed unsigned, lies above every class
     outside = y.view(np.uint64) >= model.num_classes
     if np.count_nonzero(outside):

@@ -11,7 +11,8 @@ package's former out-of-place loop and gradient routine: it builds on the
 unchanged public pieces (`MLPModel.initialize`, `sparsity_at_step`,
 `apply_magnitude_mask`, `quantize_model`) but runs its own forward pass.
 The synthetic split is the package's former per-example sampler, which
-builds one feature array and one flag tuple per example.
+builds one feature array and one flag tuple per example. The robustness
+audit's hit rates are its former scoring: one `rank_topk` sort per model.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from compresslens.trainer import (
     QuantizationScheme,
     apply_magnitude_mask,
     quantize_model,
+    rank_topk,
     sparsity_at_step,
 )
 
@@ -563,3 +565,16 @@ def reference_synthesize(spec: SynthLongTailSpec) -> tuple[LabeledDataset, Label
         spec, centers, spreads, spec.test_count, rng, spec.train_count
     )
     return train, test
+
+
+def reference_hit_rates(models, x, y, k: int) -> tuple[float, float]:
+    """(top-1, top-k) accuracy averaged over models, from each model's `rank_topk` rows.
+
+    The robustness audit's former `_hit_rates`: the same per-model means and
+    the same mean over models, so its floats are comparable with `==`.
+    """
+    hits = [rank_topk(m.logits(x), k) == y[:, None] for m in models]
+    return (
+        float(np.mean([h[:, 0].mean() for h in hits])),
+        float(np.mean([h.any(axis=1).mean() for h in hits])),
+    )

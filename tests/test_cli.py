@@ -556,6 +556,22 @@ class TestBadInputExits2:
         assert "features must be finite" in err
         assert not out.exists()
 
+    def test_audit_robustness_empty_split(self, logs, data_dir, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        header = (data / "test.csv").read_text().split("\n")[0]
+        (data / "test.csv").write_text(header + "\n")
+        out = tmp_path / "rob.csv"
+        rc, err = run_cli([
+            "audit-robustness", "--data", str(data),
+            "--base-models", str(logs / "base_models"),
+            "--comp-models", str(logs / "comp_models"),
+            "--kinds", "brightness", "--out", str(out),
+        ])
+        assert rc == 2 and "Traceback" not in err
+        assert "at least one example" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("split", ["train", "test"])
     @pytest.mark.parametrize("cell", ["nan", "-inf"])
     def test_non_finite_feature_fails_before_training(self, data_dir, tmp_path, capsys, split, cell):

@@ -19,6 +19,7 @@ from compresslens.data_model import (
     LabeledDataset,
     PredictionLog,
     class_recall_matrix,
+    int64_array,
     model_accuracy,
     read_dataset,
     read_prediction_log,
@@ -376,6 +377,12 @@ class TestIntegerRule:
     )
     def test_entry_points_take_integers(self, entry, seq):
         INTEGER_ENTRY_POINTS[entry](seq)
+
+    def test_signed_array_is_taken_as_it_is(self):
+        # every signed value is an int64, so none is compared with a lower bound
+        extremes = np.array([np.iinfo(np.int64).min, -1, np.iinfo(np.int64).max])
+        assert int64_array(extremes, "labels") is extremes
+        assert int64_array(np.array([-128], dtype=np.int8), "labels").tolist() == [-128]
 
 
 class TestLogRoundtrip:

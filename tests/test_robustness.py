@@ -23,6 +23,8 @@ from compresslens.robustness import (
 )
 from compresslens.trainer import MLPModel, TrainConfig, train_population
 
+from oracles import reference_hit_rates
+
 
 def example(features, layout=None, eid=0):
     return ExampleRecord(
@@ -373,6 +375,17 @@ class TestRobustnessReport:
             robustness_report(ds, ["gaussian_noise", "brightnes"], [model], [model],
                               CompressionSpec("none"))
 
+    def test_input_width_is_checked_before_drawing(self, monkeypatch):
+        def no_corruption(*args):
+            raise AssertionError("a model of another input width is refused before anything is drawn")
+
+        monkeypatch.setattr(robustness, "corrupt_features", no_corruption)
+        ds = cluster_dataset(n=30)  # 8 features, 3 classes
+        model = MLPModel([np.zeros((8, 3))], [np.zeros(3)])
+        wide = MLPModel([np.zeros((16, 3))], [np.zeros(3)])
+        with pytest.raises(ShapeError, match="a model has 16 inputs, the split 8 features"):
+            robustness_report(ds, ["brightness"], [model], [model, wide], CompressionSpec("none"))
+
     def test_model_order_invariance(self):
         ds = cluster_dataset(seed=2, n=200)
         config = TrainConfig(
@@ -408,6 +421,29 @@ class TestRobustnessReport:
 
         shuffled = np.random.default_rng(1).permutation(len(ds))
         assert report(shuffled) == report(np.arange(len(ds)))
+
+    @pytest.mark.parametrize("topk", [1, 2, 3])
+    def test_rows_equal_the_sorting_reference(self, monkeypatch, topk):
+        # a 3x3 layout so that pixelate runs; the zero model ties every logit
+        ds = cluster_dataset(seed=5, n=120, d=9)
+        ds = LabeledDataset.from_arrays(
+            ds.example_ids, ds.labels, ds.feature_matrix, ds.num_classes, layout=(3, 3)
+        )
+        config = TrainConfig(
+            steps=60, batch_size=32, learning_rate=0.1, lr_decay_steps=None,
+            weight_decay=0.0, seed=0, population_size=2, hidden_dims=(8,),
+        )
+        base, _ = train_population(ds, ds, config)
+        comp, _ = train_population(ds, ds, replace(config, seed=7))
+        comp.append(MLPModel([np.zeros((9, 3))], [np.zeros(3)]))
+
+        def report():
+            return robustness_report(ds, list(CORRUPTION_KINDS), base, comp,
+                                     CompressionSpec("magnitude_prune", 0.5), topk=topk, seed=2)
+
+        rows = report()
+        monkeypatch.setattr(robustness, "_hit_rates", reference_hit_rates)
+        assert rows == report()
 
     def test_csv_format(self, tmp_path):
         ds = cluster_dataset(seed=3, n=150)

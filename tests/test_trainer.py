@@ -5,6 +5,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from compresslens import trainer
 from compresslens.data_model import CompressionSpec, ExampleRecord, LabeledDataset
@@ -17,6 +20,7 @@ from compresslens.trainer import (
     TrainConfig,
     apply_magnitude_mask,
     evaluate_population,
+    label_ranks,
     load_model,
     loss_and_gradients,
     prune_window,
@@ -152,6 +156,18 @@ class TestRankTopk:
         model = MLPModel([np.zeros((3, 4))], [np.zeros(4)])
         with pytest.raises(ShapeError, match=r"is not an \(N, 3\) batch"):
             model.logits(np.ones(shape))
+
+    # logits that tie, straddle zero's two signs, or are inf or NaN, among any floats
+    LOGITS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan]), st.floats())
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), num_classes=st.integers(1, 12), n=st.integers(0, 20))
+    def test_label_ranks_are_positions_in_rank_topk(self, data, num_classes, n):
+        z = data.draw(hnp.arrays(np.float64, (n, num_classes), elements=self.LOGITS))
+        y = data.draw(hnp.arrays(np.int64, n, elements=st.integers(0, num_classes - 1)))
+        np.testing.assert_array_equal(
+            label_ranks(z, y), np.argmax(rank_topk(z, num_classes) == y[:, None], axis=1)
+        )
 
 
 class TestQuantization:
