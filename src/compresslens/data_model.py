@@ -108,6 +108,20 @@ def positive_int(value, what: str) -> int:
     return int(value)
 
 
+def _checked_layout(layout, dim: int) -> tuple[int, int] | None:
+    """`layout` as a (height, width) pair of integers >= 1 with product `dim`; None stays None."""
+    if layout is None:
+        return None
+    try:
+        h, w = layout
+    except (TypeError, ValueError):
+        raise ConfigError(f"layout must be a (height, width) pair, got {layout!r}") from None
+    h, w = positive_int(h, "layout height"), positive_int(w, "layout width")
+    if h * w != dim:
+        raise ConfigError(f"layout {h}x{w} does not match {dim} features")
+    return h, w
+
+
 def _check_text_cell(what: str, text) -> None:
     """ConfigError unless `text` is a str a CSV cell holds: no comma, line break or lone surrogate."""
     if not isinstance(text, str) or re.search("[,\r\n\ud800-\udfff]", text):
@@ -154,7 +168,7 @@ class ExampleRecord:
     """One example: an id, a feature vector, a label, optional boolean attributes.
 
     `layout` is an optional (height, width) pair for image-like feature
-    vectors; height * width must equal the feature length when present.
+    vectors: two integers >= 1 whose product is the feature length.
     """
 
     example_id: int
@@ -175,12 +189,7 @@ class ExampleRecord:
         int64_array([self.example_id], "example ids", non_negative=True)
         if feats.ndim != 1:
             raise ConfigError("features must be a 1D vector")
-        if self.layout is not None:
-            h, w = self.layout
-            if h * w != feats.size:
-                raise ConfigError(
-                    f"layout {h}x{w} does not match feature length {feats.size}"
-                )
+        object.__setattr__(self, "layout", _checked_layout(self.layout, feats.size))
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -261,8 +270,7 @@ class LabeledDataset:
             raise ConfigError(f"duplicate attribute names {list(names)}")
         for name in names:
             _check_text_cell("an attribute name", name)
-        if layout is not None and layout[0] * layout[1] != feats.shape[1]:
-            raise ConfigError(f"layout {layout} does not match {feats.shape[1]} features")
+        layout = _checked_layout(layout, feats.shape[1])
         carried = sorted((name, j) for j, name in enumerate(names) if attrs[:, j].any())
         attrs = attrs[:, [j for _, j in carried]]
         for arr in (ids, labels, feats, attrs):
@@ -275,7 +283,7 @@ class LabeledDataset:
             num_classes=num_classes,
             attribute_names=tuple(name for name, _ in carried),
             attributes=attrs,
-            layout=None if layout is None else tuple(layout),
+            layout=layout,
         )
         return ds
 
@@ -414,6 +422,17 @@ class PredictionLog:
         return (self.predictions[:, :, :k] == self.truth[np.newaxis, :, np.newaxis]).any(axis=2)
 
 
+def check_test_support(truth: np.ndarray, num_classes: int) -> None:
+    """MissingClassSupport unless each class in {0..C-1} labels some test example."""
+    if num_classes > truth.size:  # checked before anything C-sized is allocated
+        raise MissingClassSupport(
+            f"{num_classes} classes but {truth.size} examples: some class has zero test support"
+        )
+    empty = np.flatnonzero(np.bincount(truth, minlength=num_classes) == 0)
+    if empty.size:
+        raise MissingClassSupport(f"classes with zero test support: {empty.tolist()}")
+
+
 def class_recall_matrix(log: PredictionLog) -> dict[int, np.ndarray]:
     """Per-class rank-1 recall samples across the population.
 
@@ -425,16 +444,7 @@ def class_recall_matrix(log: PredictionLog) -> dict[int, np.ndarray]:
         MissingClassSupport: some class has no examples in the truth map.
     """
     C = log.num_classes
-    if C > log.num_examples:  # checked before anything C-sized is allocated
-        raise MissingClassSupport(
-            f"{C} classes but {log.num_examples} examples: some class has zero test support"
-        )
-    support = np.bincount(log.truth, minlength=C)
-    empty = np.flatnonzero(support == 0)
-    if empty.size:
-        raise MissingClassSupport(
-            f"classes with zero test support: {empty.tolist()}"
-        )
+    check_test_support(log.truth, C)
     correct = log.hits(1)
     out: dict[int, np.ndarray] = {}
     for c in range(C):
@@ -817,13 +827,14 @@ def read_dataset(csv_path: str | Path) -> LabeledDataset:
     if not meta_path.exists():
         raise SchemaError(f"missing sidecar metadata {meta_path}")
     meta = read_json_object(meta_path)
+    if ("height" in meta) != ("width" in meta):
+        raise SchemaError(f"{meta_path}: 'height' and 'width' must be given together or not at all")
     for key in ("num_classes", "height", "width"):
-        if (key == "num_classes" or key in meta) and type(meta.get(key)) is not int:
-            raise SchemaError(f"{meta_path}: {key!r} must be an integer, got {meta.get(key)!r}")
+        value = meta.get(key)
+        if (key == "num_classes" or key in meta) and (type(value) is not int or value < 1):
+            raise SchemaError(f"{meta_path}: {key!r} must be an integer >= 1, got {value!r}")
     num_classes = meta["num_classes"]
-    layout = None
-    if "height" in meta and "width" in meta:
-        layout = (meta["height"], meta["width"])
+    layout = (meta["height"], meta["width"]) if "height" in meta else None
 
     data, header, start = _read_csv(csv_path)
     if header[:2] != ["example_id", "true_label"]:

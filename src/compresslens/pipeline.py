@@ -20,6 +20,7 @@ from .data_model import (
     PredictionLog,
     atomic_write_text,
     check_field_types,
+    check_test_support,
     model_accuracy,
     read_dataset,
     read_json_object,
@@ -27,7 +28,7 @@ from .data_model import (
     write_prediction_log,
     write_table,
 )
-from .errors import CompressLensError, ConfigError
+from .errors import CompressLensError, ConfigError, DataError
 from .pie_audit import (
     PIESet,
     attribute_shares,
@@ -228,8 +229,13 @@ def run_pipeline(config: ExperimentConfig) -> PipelineResult:
     """Run the full protocol and write the bundle.
 
     The baseline trains first; then each compressed level in turn is trained,
-    written and audited against it before the next one trains.
+    written and audited against it before the next one trains. `out_dir`
+    must be absent or an empty directory, so that the bundle holds this
+    run's files only.
     """
+    out = Path(config.out_dir)
+    if out.exists() and not (out.is_dir() and not any(out.iterdir())):
+        raise DataError(f"{out} exists and is not an empty directory")
     with _stage("dataset"):
         train_ds, test_ds = _resolve_dataset(config)
 
@@ -240,10 +246,12 @@ def run_pipeline(config: ExperimentConfig) -> PipelineResult:
                 spec, config.train.steps, config.prune_start, config.prune_end, config.prune_every
             )
             check_schedule(config.train, spec, schedules[spec.label], len(train_ds))
-    out = Path(config.out_dir)
 
     baseline = next(s for s in config.sweep if s.method == "none")
     comp_specs = [s for s in config.sweep if s.method != "none"]
+    if comp_specs and config.train.population_size >= 2:  # `LevelAudit.class_rows` will run
+        with _stage("dataset"):
+            check_test_support(test_ds.labels, test_ds.num_classes)
     log_paths = {s.label: out / "logs" / f"{s.label}.csv" for s in config.sweep}
 
     def _train_level(i: int, spec: CompressionSpec) -> PredictionLog:

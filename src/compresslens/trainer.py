@@ -311,7 +311,7 @@ def apply_magnitude_mask(weights: np.ndarray, target_sparsity: float) -> np.ndar
 
 
 def _prune_events(schedule: PruneSchedule, steps: int) -> dict[int, float]:
-    """{step: target} for the steps before `steps` at which the ramp's target can change.
+    """{step: target} for the steps up to `steps` at which the ramp's target can change.
 
     `sparsity_at_step` is constant between these steps: the events
     start, start + every, ... before prune_end, and prune_end itself, where
@@ -319,7 +319,7 @@ def _prune_events(schedule: PruneSchedule, steps: int) -> dict[int, float]:
     """
     candidates = list(range(schedule.prune_start, schedule.prune_end, schedule.prune_every))
     candidates.append(schedule.prune_end)
-    return {t: sparsity_at_step(schedule, t) for t in candidates if t < steps}
+    return {t: sparsity_at_step(schedule, t) for t in candidates if t <= steps}
 
 
 def _refresh_masks(tensors: list[np.ndarray], target: float) -> list[np.ndarray]:
@@ -445,7 +445,6 @@ def quantize_model(
 def _train_single(
     train_ds: LabeledDataset,
     config: TrainConfig,
-    compression: CompressionSpec,
     schedule: PruneSchedule | None,
     model_seed: int,
 ) -> MLPModel:
@@ -462,7 +461,6 @@ def _train_single(
     prunable = model.weights + (model.biases if config.prune_biases else [])
     masks: list[np.ndarray] = []
     events = _prune_events(schedule, config.steps) if schedule is not None else {}
-    applied = -1.0  # force the first event (target 0.0 is a no-op mask)
     perm = rng.permutation(n)
     pos = n  # trigger reshuffle on first use
 
@@ -470,10 +468,8 @@ def _train_single(
     # so numpy warnings during training are redundant noise
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(config.steps):
-            target = events.get(step)
-            if target is not None and target > applied:
-                masks = _refresh_masks(prunable, target)
-                applied = target
+            if step in events:
+                masks = _refresh_masks(prunable, events[step])
 
             if pos + batch > n:
                 perm = rng.permutation(n)
@@ -495,18 +491,11 @@ def _train_single(
                 model.weights[i] -= grads_w[i]
                 grads_b[i] *= lr
                 model.biases[i] -= grads_b[i]
-            if applied > 0.0:  # masks are all ones until the first event above 0.0
-                for t, m in zip(prunable, masks):
-                    t *= m
+            for t, m in zip(prunable, masks):
+                t *= m
 
-    if schedule is not None:
-        target = sparsity_at_step(schedule, config.steps)
-        if target > applied:
-            _refresh_masks(prunable, target)
-
-    if compression.is_quantization():  # only fixed_int8 reads the calibration slice
-        scheme = QuantizationScheme(kind=compression.label)
-        model = quantize_model(model, scheme, x_all[:REPRESENTATIVE_COUNT])
+    if config.steps in events:  # a ramp that ends on the last step
+        _refresh_masks(prunable, events[config.steps])
     return model
 
 
@@ -570,6 +559,10 @@ def train_population(
     if train_ds.dim != test_ds.dim or train_ds.num_classes != test_ds.num_classes:
         raise ConfigError("train/test splits disagree on dimensions or classes")
     topk = ranking_depth(topk, test_ds.num_classes)
+    if train_ds.num_classes > len(train_ds):  # checked before anything C-sized is allocated
+        raise ConfigError(
+            f"training split has {len(train_ds)} examples, too few for {train_ds.num_classes} classes"
+        )
     missing = train_ds.missing_classes()
     if missing:
         raise ConfigError(f"training split is missing classes {missing}")
@@ -581,9 +574,13 @@ def train_population(
             )
 
     models = [
-        _train_single(train_ds, config, compression, schedule, config.seed + k)
+        _train_single(train_ds, config, schedule, config.seed + k)
         for k in range(config.population_size)
     ]
+    if compression.is_quantization():  # only fixed_int8 reads the calibration slice
+        scheme = QuantizationScheme(kind=compression.label)
+        calibration = train_ds.feature_matrix[:REPRESENTATIVE_COUNT]
+        models = [quantize_model(model, scheme, calibration) for model in models]
 
     log = evaluate_population(models, test_ds, compression, compression.label, topk)
     return models, log

@@ -393,6 +393,46 @@ class TestRun:
         assert summary["total_significant_classes"] == 0
         assert sorted(p.name for p in out.iterdir()) == ["logs", "summary.json"]
 
+    @staticmethod
+    def _tiny_config(tmp_path) -> Path:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "dataset": {"synth": {
+                "num_classes": 3, "dim": 4, "train_count": 150, "test_count": 60, "seed": 2,
+            }},
+            "train": {"steps": 60, "batch_size": 32, "population_size": 2, "hidden_dims": [8]},
+        }))
+        return cfg
+
+    def test_rerun_into_a_bundle_is_refused(self, tmp_path, monkeypatch, capsys):
+        out, cfg = tmp_path / "o", self._tiny_config(tmp_path)
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--sparsity", "0.5,0.9"]) == 0
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        assert out / "pies" / "pie_prune_0.9.csv" in before
+
+        def no_training(*args):
+            raise AssertionError("a non-empty --out is refused before training")
+
+        monkeypatch.setattr(trainer, "_train_single", no_training)
+        rc = main(["run", "--config", str(cfg), "--out", str(out), "--sparsity", "0.5"])
+        assert rc == 2
+        assert f"{out} exists and is not an empty directory" in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
+    def test_run_into_an_empty_directory(self, tmp_path):
+        out = tmp_path / "o"
+        out.mkdir()
+        assert main(["run", "--config", str(self._tiny_config(tmp_path)), "--out", str(out),
+                     "--sparsity", "0.5"]) == 0
+        assert (out / "summary.json").exists()
+
+    def test_run_onto_a_file_is_refused(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        out.write_text("keep\n")
+        rc = main(["run", "--config", str(self._tiny_config(tmp_path)), "--out", str(out)])
+        assert rc == 2 and f"{out} exists and is not an empty directory" in capsys.readouterr().err
+        assert out.read_text() == "keep\n"
+
     def test_each_level_log_is_released_before_the_next_trains(self, tmp_path, monkeypatch):
         """Only the baseline's log and one level's are alive at a time (freed by refcount)."""
         train = pipeline.train_population
@@ -663,6 +703,22 @@ class TestBadInputExits2:
         assert rc == 2 and "Traceback" not in err
         assert "test.meta.json" in err and key in err
 
+    @pytest.mark.parametrize("layout", [{"height": -4, "width": -4}, {"height": 4}])
+    def test_bad_layout_sidecar(self, tmp_path, layout):
+        data, snaps = tmp_path / "data", tmp_path / "snaps"
+        assert main(["generate", "--out", str(data), "--classes", "3", "--dim", "16",
+                     "--train-count", "100", "--test-count", "40"]) == 0
+        assert main(["train", "--data", str(data), "--out", str(tmp_path / "l.csv"),
+                     "--models", "1", "--steps", "5", "--hidden", "4",
+                     "--save-models", str(snaps)]) == 0
+        (data / "test.meta.json").write_text(json.dumps({"num_classes": 3, **layout}))
+        out = tmp_path / "rob.csv"
+        rc, err = run_cli(["audit-robustness", "--data", str(data), "--base-models", str(snaps),
+                           "--comp-models", str(snaps), "--kinds", "pixelate", "--out", str(out)])
+        assert rc == 2 and "Traceback" not in err
+        assert "test.meta.json" in err and "'height'" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("edit", [
         lambda doc: {},
         lambda doc: {k: v for k, v in doc.items() if k != "biases"},
@@ -920,6 +976,52 @@ class TestBadInputExits2:
         rc, err = run_cli(["audit-classes", *pair, "--out", str(tmp_path / "a.csv")])
         assert rc == 2 and "Traceback" not in err
         assert f"{label + 1} classes but 2 examples" in err
+
+    def test_more_classes_than_training_examples(self, data_dir, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        for split in ("train", "test"):
+            (data / f"{split}.meta.json").write_text(json.dumps({"num_classes": 3 * 10**9}))
+        # a C-sized allocation (24 GB of class counts) fails under the limit instead of
+        # taking the machine's memory
+        code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+                "from compresslens.cli import main; sys.exit(main(sys.argv[1:]))")
+        env = dict(os.environ, PYTHONPATH=str(Path(compresslens.__file__).parents[1]),
+                   OPENBLAS_NUM_THREADS="1")
+        out = tmp_path / "l.csv"
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "train", "--data", str(data), "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2 and "Traceback" not in proc.stderr
+        assert "training split has 400 examples, too few for 3000000000 classes" in proc.stderr
+        assert not out.exists()
+
+    def test_test_split_without_a_class_fails_before_training(self, tmp_path, monkeypatch, capsys):
+        data = tmp_path / "data"
+        generate(SynthLongTailSpec(num_classes=3, dim=4, train_count=150, test_count=60), data)
+        test = read_dataset(data / "test.csv")
+        keep = test.labels != 2
+        write_dataset(LabeledDataset.from_arrays(
+            test.example_ids[keep], test.labels[keep], test.feature_matrix[keep], 3,
+        ), data / "test.csv")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "dataset": {"path": str(data)}, "sweep": [{"method": "none"}],
+            "train": {"steps": 60, "batch_size": 32, "population_size": 2, "hidden_dims": [8]},
+        }))
+
+        def no_training(*args):
+            raise AssertionError("a test split without a class is refused before training")
+
+        monkeypatch.setattr(trainer, "_train_single", no_training)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--sparsity", "0.5", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "[stage: dataset] classes with zero test support: [2]" in err
+        assert not out.exists()
+        monkeypatch.undo()  # a sweep without a Welch audit runs
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "solo")]) == 0
 
     def test_bad_window_fails_before_training(self, tmp_path):
         cfg = tmp_path / "cfg.json"

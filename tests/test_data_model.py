@@ -127,6 +127,13 @@ class TestDatasetValidation:
         with pytest.raises(ConfigError):
             ExampleRecord(0, np.zeros(5), 0, layout=(2, 2))
 
+    @pytest.mark.parametrize("layout", [(-4, -4), (0, 16), (2.0, 8), (True, 16), (4, 4, 1)])
+    def test_layout_is_two_integers_from_one(self, layout):
+        with pytest.raises(ConfigError, match="layout"):
+            LabeledDataset.from_arrays(np.arange(2), [0, 1], np.zeros((2, 16)), 2, layout=layout)
+        with pytest.raises(ConfigError, match="layout"):
+            ExampleRecord(0, np.zeros(16), 0, layout=layout)
+
     def test_missing_classes_reported(self):
         ds = LabeledDataset(
             examples=(ExampleRecord(0, np.zeros(2), 0),), num_classes=3
@@ -493,6 +500,9 @@ class TestDatasetRoundtrip:
         '{"num_classes": "x"}',
         '{"num_classes": true}',
         '{"num_classes": 1, "height": 1.5, "width": 1}',
+        '{"num_classes": 1, "height": -1, "width": -1}',
+        '{"num_classes": 1, "height": 1}',
+        '{"num_classes": 1, "width": 1}',
         "[1]",
         "{",
     ])

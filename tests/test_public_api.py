@@ -132,3 +132,75 @@ def test_all_names_exist():
     missing = [name for name in compresslens.__all__ if not hasattr(compresslens, name)]
     assert missing == []
     assert len(set(compresslens.__all__)) == len(compresslens.__all__)
+
+
+def package_calls(tree: ast.Module) -> list[tuple[ast.Call, object]]:
+    """Each call of a callable that the file takes from the package, with that callable.
+
+    A name bound by `from compresslens.m import x [as y]` and an attribute of
+    an `import compresslens[.m] as alias` are followed; a call that unpacks
+    `*args` or `**kwargs` is left out, since its arguments are not known.
+    """
+    names, aliases = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "compresslens":
+            for a in node.names:
+                names[a.asname or a.name] = getattr(importlib.import_module(node.module), a.name)
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.split(".")[0] == "compresslens" and a.asname:
+                    aliases[a.asname] = importlib.import_module(a.name)
+    calls = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        if any(isinstance(a, ast.Starred) for a in node.args) or any(
+            k.arg is None for k in node.keywords
+        ):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in names:
+            calls.append((node, names[func.id]))
+        elif (
+            isinstance(func, ast.Attribute)
+            and isinstance(func.value, ast.Name)
+            and func.value.id in aliases
+        ):
+            calls.append((node, getattr(aliases[func.value.id], func.attr)))
+    return calls
+
+
+def test_bench_calls_bind():
+    """Every call in `bench/` binds to the current signature of what it calls.
+
+    Binding checks the count of positional arguments and the keyword names.
+    A parameter removed before a positional argument shifts that argument
+    onto the next parameter, and the call still binds when that parameter
+    has a default. So a bare name that lands on a parameter with a default
+    must also be a prefix of the parameter's name, or the other way round
+    (`sched` lands on `schedule`, not on `topk`).
+    """
+    called = set()
+    for path in BENCH_FILES:
+        for call, obj in package_calls(_parse(path)):
+            where = f"{path.name}:{call.lineno}: {obj.__name__}"
+            signature = inspect.signature(obj)
+            args = [None] * len(call.args)
+            kwargs = {k.arg: None for k in call.keywords}
+            try:
+                bound = signature.bind(*args, **kwargs)
+            except TypeError as exc:
+                pytest.fail(f"{where}: {exc}")
+            for arg, name in zip(call.args, bound.arguments):
+                if (
+                    isinstance(arg, ast.Name)
+                    and signature.parameters[name].default is not inspect.Parameter.empty
+                ):
+                    assert name.startswith(arg.id) or arg.id.startswith(name), (
+                        f"{where}: argument {arg.id!r} lands on parameter {name!r}"
+                    )
+            called.add(obj.__name__)
+    assert {
+        "train_population", "LabeledDataset", "ExampleRecord", "PredictionLog",
+        "PruneSchedule", "save_model", "corrupt",
+    } <= called

@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from compresslens import trainer
-from compresslens.data_model import CompressionSpec, ExampleRecord, LabeledDataset
+from compresslens.data_model import QUANT_KINDS, CompressionSpec, ExampleRecord, LabeledDataset
 from compresslens.errors import ConfigError, DivergenceError, SchemaError, ShapeError
 from compresslens.synth import SynthLongTailSpec, synthesize
 from compresslens.trainer import (
@@ -484,6 +485,25 @@ class TestTrainPopulation:
         assert models[0].activation_ranges is not None
         assert log.compression.method == "quant_fixed_int8"
 
+    @pytest.mark.parametrize("kind", ["float16", "dynamic_int8", "fixed_int8"])
+    def test_quantized_population_is_the_dense_one_quantized(self, tmp_path, kind):
+        from compresslens.data_model import write_prediction_log
+
+        train, test, config = tiny_dataset(), tiny_dataset(seed=1), small_config()
+        compression = CompressionSpec(QUANT_KINDS[kind])
+        got, got_log = train_population(train, test, config, compression)
+        dense, _ = train_population(train, test, config)
+        calibration = train.feature_matrix[:trainer.REPRESENTATIVE_COUNT]
+        want = [quantize_model(m, QuantizationScheme(kind), calibration) for m in dense]
+        want_log = evaluate_population(want, test, compression, compression.label)
+        assert len(got) == len(want) == config.population_size
+        for g, w in zip(got, want):
+            assert bits(g.weights + g.biases) == bits(w.weights + w.biases)
+            assert g.activation_ranges == w.activation_ranges
+        write_prediction_log(got_log, tmp_path / "got.csv")
+        write_prediction_log(want_log, tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
     def test_log_independent_of_split_row_order(self):
         ds = tiny_dataset(n=121)
         models, log = train_population(ds, ds, small_config(hidden_dims=(16, 8)))
@@ -557,7 +577,8 @@ class TestLeanStep:
     )
     def test_matches_reference_loop(self, config, compression, schedule):
         ds = self.small_synth()
-        got = trainer._train_single(ds, config, compression, schedule, 11)
+        one = replace(config, population_size=1, seed=11)
+        (got,), _ = train_population(ds, ds, one, compression, schedule)
         want = reference_train_single(ds, config, compression, schedule, 11)
         for field in ("weights", "biases"):
             assert bits(getattr(got, field)) == bits(getattr(want, field)), field
@@ -569,7 +590,7 @@ class TestLeanStep:
         with pytest.raises(DivergenceError) as want:
             reference_train_single(ds, config, CompressionSpec("none"), None, 0)
         with pytest.raises(DivergenceError) as got:
-            trainer._train_single(ds, config, CompressionSpec("none"), None, 0)
+            trainer._train_single(ds, config, None, 0)
         assert str(got.value) == str(want.value)
         assert int(str(got.value).rsplit(" ", 1)[1]) >= 10  # diverged mid-run, not at once
 
