@@ -312,11 +312,6 @@ class LabeledDataset:
             return np.zeros(len(self), dtype=bool)
         return self.attributes[:, self.attribute_names.index(name)]
 
-    def missing_classes(self) -> list[int]:
-        """Classes in {0..C-1} with no examples; reportable validation rule."""
-        support = np.bincount(self.labels, minlength=self.num_classes)
-        return np.flatnonzero(support == 0).tolist()
-
 
 @dataclass(frozen=True)
 class AuditConfig:
@@ -422,15 +417,15 @@ class PredictionLog:
         return (self.predictions[:, :, :k] == self.truth[np.newaxis, :, np.newaxis]).any(axis=2)
 
 
-def check_test_support(truth: np.ndarray, num_classes: int) -> None:
-    """MissingClassSupport unless each class in {0..C-1} labels some test example."""
-    if num_classes > truth.size:  # checked before anything C-sized is allocated
+def check_class_support(labels: np.ndarray, num_classes: int, split: str) -> None:
+    """MissingClassSupport, naming the split, unless each class in {0..C-1} labels an example."""
+    if num_classes > labels.size:  # checked before anything C-sized is allocated
         raise MissingClassSupport(
-            f"{num_classes} classes but {truth.size} examples: some class has zero test support"
+            f"{split} split has {labels.size} examples, too few for {num_classes} classes"
         )
-    empty = np.flatnonzero(np.bincount(truth, minlength=num_classes) == 0)
+    empty = np.flatnonzero(np.bincount(labels, minlength=num_classes) == 0)
     if empty.size:
-        raise MissingClassSupport(f"classes with zero test support: {empty.tolist()}")
+        raise MissingClassSupport(f"classes with zero {split} support: {empty.tolist()}")
 
 
 def class_recall_matrix(log: PredictionLog) -> dict[int, np.ndarray]:
@@ -441,10 +436,11 @@ def class_recall_matrix(log: PredictionLog) -> dict[int, np.ndarray]:
     rank 1.
 
     Raises:
-        MissingClassSupport: some class has no examples in the truth map.
+        MissingClassSupport: some class has no examples in the truth map
+            (`check_class_support`).
     """
     C = log.num_classes
-    check_test_support(log.truth, C)
+    check_class_support(log.truth, C, "test")
     correct = log.hits(1)
     out: dict[int, np.ndarray] = {}
     for c in range(C):
@@ -820,22 +816,14 @@ def read_dataset(csv_path: str | Path) -> LabeledDataset:
 
     The id, label, attribute and feature columns are parsed by one
     np.loadtxt call; attribute cells are 0 or 1. ParseError, with the line,
-    for a bad row.
+    for a bad row; SchemaError, naming the sidecar, for a class count or
+    layout that `LabeledDataset.from_arrays` refuses.
     """
     csv_path = Path(csv_path)
     meta_path = _meta_path(csv_path)
     if not meta_path.exists():
         raise SchemaError(f"missing sidecar metadata {meta_path}")
     meta = read_json_object(meta_path)
-    if ("height" in meta) != ("width" in meta):
-        raise SchemaError(f"{meta_path}: 'height' and 'width' must be given together or not at all")
-    for key in ("num_classes", "height", "width"):
-        value = meta.get(key)
-        if (key == "num_classes" or key in meta) and (type(value) is not int or value < 1):
-            raise SchemaError(f"{meta_path}: {key!r} must be an integer >= 1, got {value!r}")
-    num_classes = meta["num_classes"]
-    layout = (meta["height"], meta["width"]) if "height" in meta else None
-
     data, header, start = _read_csv(csv_path)
     if header[:2] != ["example_id", "true_label"]:
         raise SchemaError(
@@ -850,6 +838,17 @@ def read_dataset(csv_path: str | Path) -> LabeledDataset:
     expected = [f"f{j}" for j in range(len(feat_cols))]
     if feat_cols != expected:
         raise SchemaError(f"{csv_path}: feature columns must be f0..f{{d-1}}")
+    try:  # the sidecar by `from_arrays`' own rules, before any row is parsed
+        num_classes = positive_int(meta["num_classes"], "'num_classes'")
+        layout = None
+        if meta.keys() & {"height", "width"}:
+            layout = _checked_layout(
+                [positive_int(meta[key], repr(key)) for key in ("height", "width")], len(feat_cols)
+            )
+    except KeyError as exc:
+        raise SchemaError(f"{meta_path}: missing key {exc}") from None
+    except ConfigError as exc:
+        raise SchemaError(f"{meta_path}: {exc}") from None
 
     table = _read_table(data, start, [
         ("example_id", "int"),

@@ -20,7 +20,7 @@ from .data_model import (
     PredictionLog,
     atomic_write_text,
     check_field_types,
-    check_test_support,
+    check_class_support,
     model_accuracy,
     read_dataset,
     read_json_object,
@@ -251,7 +251,7 @@ def run_pipeline(config: ExperimentConfig) -> PipelineResult:
     comp_specs = [s for s in config.sweep if s.method != "none"]
     if comp_specs and config.train.population_size >= 2:  # `LevelAudit.class_rows` will run
         with _stage("dataset"):
-            check_test_support(test_ds.labels, test_ds.num_classes)
+            check_class_support(test_ds.labels, test_ds.num_classes, "test")
     log_paths = {s.label: out / "logs" / f"{s.label}.csv" for s in config.sweep}
 
     def _train_level(i: int, spec: CompressionSpec) -> PredictionLog:

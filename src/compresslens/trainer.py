@@ -24,6 +24,7 @@ from .data_model import (
     LabeledDataset,
     PredictionLog,
     atomic_write_text,
+    check_class_support,
     check_field_types,
     int64_array,
     positive_int,
@@ -559,13 +560,7 @@ def train_population(
     if train_ds.dim != test_ds.dim or train_ds.num_classes != test_ds.num_classes:
         raise ConfigError("train/test splits disagree on dimensions or classes")
     topk = ranking_depth(topk, test_ds.num_classes)
-    if train_ds.num_classes > len(train_ds):  # checked before anything C-sized is allocated
-        raise ConfigError(
-            f"training split has {len(train_ds)} examples, too few for {train_ds.num_classes} classes"
-        )
-    missing = train_ds.missing_classes()
-    if missing:
-        raise ConfigError(f"training split is missing classes {missing}")
+    check_class_support(train_ds.labels, train_ds.num_classes, "training")
     for split, ds in (("training", train_ds), ("test", test_ds)):
         bad = np.flatnonzero(~np.isfinite(ds.feature_matrix).all(axis=1))
         if bad.size:

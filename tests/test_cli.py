@@ -30,14 +30,14 @@ from compresslens.data_model import (
     write_prediction_log,
 )
 from compresslens.errors import CompressLensError, ConfigError, ParseError
-from compresslens.pie_audit import PIE_HEADER
+from compresslens.pie_audit import ATTR_HEADER, PIE_HEADER, read_pie_report
 from compresslens.pipeline import (
     ExperimentConfig,
     audit_level,
     load_experiment_config,
     run_pipeline,
 )
-from compresslens.stats_audit import AUDIT_HEADER
+from compresslens.stats_audit import AUDIT_HEADER, read_audit_csv
 from compresslens.synth import SynthLongTailSpec, generate
 from compresslens.trainer import (
     MLPModel,
@@ -703,20 +703,34 @@ class TestBadInputExits2:
         assert rc == 2 and "Traceback" not in err
         assert "test.meta.json" in err and key in err
 
-    @pytest.mark.parametrize("layout", [{"height": -4, "width": -4}, {"height": 4}])
-    def test_bad_layout_sidecar(self, tmp_path, layout):
+    @staticmethod
+    def _pixelate_with_sidecar(tmp_path, meta):
+        """`audit-robustness --kinds pixelate` on a 16-feature test split with sidecar `meta`."""
         data, snaps = tmp_path / "data", tmp_path / "snaps"
         assert main(["generate", "--out", str(data), "--classes", "3", "--dim", "16",
                      "--train-count", "100", "--test-count", "40"]) == 0
         assert main(["train", "--data", str(data), "--out", str(tmp_path / "l.csv"),
                      "--models", "1", "--steps", "5", "--hidden", "4",
                      "--save-models", str(snaps)]) == 0
-        (data / "test.meta.json").write_text(json.dumps({"num_classes": 3, **layout}))
+        (data / "test.meta.json").write_text(json.dumps(meta))
         out = tmp_path / "rob.csv"
         rc, err = run_cli(["audit-robustness", "--data", str(data), "--base-models", str(snaps),
                            "--comp-models", str(snaps), "--kinds", "pixelate", "--out", str(out)])
+        return rc, err, out
+
+    @pytest.mark.parametrize("layout", [{"height": -4, "width": -4}, {"height": 4}])
+    def test_bad_layout_sidecar(self, tmp_path, layout):
+        rc, err, out = self._pixelate_with_sidecar(tmp_path, {"num_classes": 3, **layout})
         assert rc == 2 and "Traceback" not in err
-        assert "test.meta.json" in err and "'height'" in err
+        named = "'height'" if "width" in layout else "'width'"  # the bad value, or the missing key
+        assert "test.meta.json" in err and named in err
+        assert not out.exists()
+
+    def test_layout_sidecar_off_the_feature_count(self, tmp_path):
+        meta = {"num_classes": 3, "height": 4, "width": 5}
+        rc, err, out = self._pixelate_with_sidecar(tmp_path, meta)
+        assert rc == 2 and "Traceback" not in err
+        assert "test.meta.json: layout 4x5 does not match 16 features" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("edit", [
@@ -975,7 +989,7 @@ class TestBadInputExits2:
         pair = self._log_pair(tmp_path, preds, preds, [0, 1])
         rc, err = run_cli(["audit-classes", *pair, "--out", str(tmp_path / "a.csv")])
         assert rc == 2 and "Traceback" not in err
-        assert f"{label + 1} classes but 2 examples" in err
+        assert f"test split has 2 examples, too few for {label + 1} classes" in err
 
     def test_more_classes_than_training_examples(self, data_dir, tmp_path):
         data = tmp_path / "data"
@@ -1192,6 +1206,59 @@ class TestBundleReadBack:
                 assert np.array_equal(getattr(again.pies, name), getattr(level.pies, name))
             assert (again.subset, again.attributes) == (level.subset, level.attributes)
             assert again.class_rows == level.class_rows
+
+    def test_bundle_holds_what_run_computed(self, tmp_path, monkeypatch):
+        """Each file of a bundle, read back, equals the in-memory result it was written from."""
+        config = ExperimentConfig(
+            train=TrainConfig(steps=60, batch_size=32, learning_rate=0.1, lr_decay_steps=None,
+                              weight_decay=1e-4, population_size=3, hidden_dims=(16,)),
+            sweep=(CompressionSpec("none"), CompressionSpec("magnitude_prune", 0.5),
+                   CompressionSpec("magnitude_prune", 0.9)),
+            seed=5, prune_start=10, prune_end=40, prune_every=10,
+            synth=SynthLongTailSpec(num_classes=5, dim=8, train_count=400, test_count=200, seed=2),
+            out_dir=str(tmp_path / "bundle"),
+        )
+        levels = {}
+
+        def keep(*args, **kwargs):
+            level = audit_level(*args, **kwargs)
+            levels[level.comp_log.population_id] = level
+            return level
+
+        monkeypatch.setattr(pipeline, "audit_level", keep)
+        bundle = run_pipeline(config).out_dir
+        assert sorted(levels) == ["prune_0.5", "prune_0.9"]
+
+        def six_decimals(values):  # what a "%.6f" cell reads back as
+            return [float(f"{v:.6f}") for v in values]
+
+        for label, level in levels.items():
+            for log in (level.base_log, level.comp_log):
+                back = read_prediction_log(bundle / "logs" / f"{log.population_id}.csv")
+                assert (back.population_id, back.compression, back.num_classes) == (
+                    log.population_id, log.compression, log.num_classes)
+                for name in ("example_ids", "truth", "predictions"):
+                    np.testing.assert_array_equal(getattr(back, name), getattr(log, name))
+
+            audit = read_audit_csv(bundle / "audits" / f"class_audit_{label}.csv")
+            columns = zip(*map(dataclasses.astuple, level.class_rows))
+            for name, column in zip(AUDIT_HEADER, columns, strict=True):
+                np.testing.assert_array_equal(audit[name], six_decimals(column), err_msg=name)
+
+            pies = read_pie_report(bundle / "pies" / f"pie_{label}.csv")
+            ids = level.pies.example_ids
+            np.testing.assert_array_equal(pies["example_id"], ids)
+            np.testing.assert_array_equal(pies["true_label"], level.base_log.truth)
+            np.testing.assert_array_equal(pies["modal_base"], level.pies.modal_base)
+            np.testing.assert_array_equal(pies["modal_comp"], level.pies.modal_comp)
+            np.testing.assert_array_equal(pies["is_pie"], level.pies.is_pie(ids))
+
+            assert level.attributes, label  # PIEs on a split with attributes: a file to compare
+            header, *rows = (bundle / "pies" / f"attr_{label}.csv").read_text().splitlines()
+            assert header.split(",") == ATTR_HEADER
+            cells = (row.split(",") for row in rows)
+            shares = {name: list(map(float, values)) for name, *values in cells}
+            assert shares == {name: six_decimals(v) for name, v in level.attributes.items()}
 
 
 class TestLevelAudit:

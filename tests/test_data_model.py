@@ -18,6 +18,7 @@ from compresslens.data_model import (
     ExampleRecord,
     LabeledDataset,
     PredictionLog,
+    check_class_support,
     class_recall_matrix,
     int64_array,
     model_accuracy,
@@ -136,9 +137,10 @@ class TestDatasetValidation:
 
     def test_missing_classes_reported(self):
         ds = LabeledDataset(
-            examples=(ExampleRecord(0, np.zeros(2), 0),), num_classes=3
+            examples=tuple(ExampleRecord(i, np.zeros(2), 0) for i in range(3)), num_classes=3
         )
-        assert ds.missing_classes() == [1, 2]
+        with pytest.raises(MissingClassSupport, match=r"^classes with zero test support: \[1, 2]$"):
+            check_class_support(ds.labels, ds.num_classes, "test")
 
     def test_from_arrays_rejects_bad_columns(self):
         ids, labels, feats = np.arange(3), np.zeros(3, dtype=int), np.zeros((3, 4))

@@ -1,11 +1,17 @@
-"""The package names that the benchmark under `bench/` relies on.
+"""The package's public surface: what the benchmark relies on, and every knob.
 
 `bench/` is kept fixed between benchmark changes, so a rename or removal in
 the package that it imports, or that its tracer times, must fail here first.
 The benchmark's files are parsed, not imported or run.
+
+`test_configuration_surface` pins every CLI option, config field, JSON key
+and exported name, so a change that adds, renames or drops one must update
+its snapshot on purpose.
 """
 
+import argparse
 import ast
+import dataclasses
 import importlib
 import inspect
 import re
@@ -14,6 +20,7 @@ from pathlib import Path
 import pytest
 
 import compresslens
+from compresslens import cli, pipeline
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 BENCH_FILES = sorted(BENCH.glob("*.py"))
@@ -204,3 +211,71 @@ def test_bench_calls_bind():
         "train_population", "LabeledDataset", "ExampleRecord", "PredictionLog",
         "PruneSchedule", "save_model", "corrupt",
     } <= called
+
+
+CONFIGURATION_SURFACE = {
+    "options": {  # each subcommand's option strings, --help left out
+        "generate": ["--out", "--classes", "--dim", "--train-count", "--test-count", "--zipf",
+                     "--noisy", "--atypical", "--seed"],
+        "train": ["--data", "--out", "--models", "--steps", "--batch-size", "--lr",
+                  "--weight-decay", "--hidden", "--sparsity", "--quant", "--prune-start",
+                  "--prune-end", "--prune-every", "--topk", "--seed", "--save-models"],
+        "audit-classes": ["--base", "--comp", "--out", "--alpha", "--bonferroni"],
+        "audit-pie": ["--base", "--comp", "--out", "--data", "--topk"],
+        "audit-robustness": ["--data", "--base-models", "--comp-models", "--out", "--kinds",
+                             "--topk", "--seed"],
+        "report": ["--audit", "--pie", "--out", "--chart"],
+        "run": ["--config", "--out", "--seed", "--alpha", "--sparsity", "--quant", "--topk"],
+    },
+    "fields": {
+        "TrainConfig": ["steps", "batch_size", "learning_rate", "lr_decay_steps",
+                        "lr_decay_factor", "weight_decay", "seed", "population_size",
+                        "hidden_dims", "prune_biases"],
+        "PruneSchedule": ["target_sparsity", "prune_start", "prune_end", "prune_every"],
+        "CompressionSpec": ["method", "sparsity"],
+        "AuditConfig": ["alpha", "bonferroni"],
+        "SynthLongTailSpec": ["num_classes", "dim", "train_count", "test_count",
+                              "zipf_exponent", "noisy_fraction", "atypical_fraction", "seed"],
+        "ExperimentConfig": ["train", "sweep", "audit", "seed", "out_dir", "dataset_path",
+                             "synth", "prune_start", "prune_end", "prune_every", "topk"],
+    },
+    "top_keys": ["seed", "out_dir", "topk"],
+    "prune_keys": {"start": "prune_start", "end": "prune_end", "every": "prune_every"},
+    "all": [
+        "AuditConfig", "ClassAccuracySample", "ClassAuditRow", "CompressionSpec",
+        "CorruptionSpec", "ExampleRecord", "ExperimentConfig", "LabeledDataset", "MLPModel",
+        "PIESet", "PredictionLog", "PruneSchedule", "QuantizationScheme", "RobustnessRow",
+        "SynthLongTailSpec", "TrainConfig", "WelchResult", "apply_magnitude_mask",
+        "attribute_relative_representation", "audit_classes", "class_recall_matrix", "corrupt",
+        "generate", "identify_pies", "load_experiment_config", "mean_shift", "modal_labels",
+        "model_accuracy", "normalized_recall_difference", "prune_window", "quantize_model",
+        "read_dataset", "read_prediction_log", "regularized_incomplete_beta",
+        "relative_accuracy", "robustness_report", "run_pipeline", "sparsity_at_step",
+        "subset_accuracy", "synthesize", "train_population", "welch_t_test", "write_dataset",
+        "write_prediction_log",
+    ],
+}
+
+
+def test_configuration_surface():
+    """53 flags, 37 config fields, the top-level and prune JSON keys and 44 exported names."""
+    (commands,) = (
+        a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    surface = {
+        "options": {
+            name: [s for a in parser._actions if not isinstance(a, argparse._HelpAction)
+                   for s in a.option_strings]
+            for name, parser in commands.choices.items()
+        },
+        "fields": {
+            cls.__name__: [f.name for f in dataclasses.fields(cls)]
+            for cls in (compresslens.TrainConfig, compresslens.PruneSchedule,
+                        compresslens.CompressionSpec, compresslens.AuditConfig,
+                        compresslens.SynthLongTailSpec, compresslens.ExperimentConfig)
+        },
+        "top_keys": list(pipeline._TOP_KEYS),
+        "prune_keys": pipeline._PRUNE_KEYS,
+        "all": list(compresslens.__all__),
+    }
+    assert surface == CONFIGURATION_SURFACE

@@ -12,7 +12,13 @@ from hypothesis.extra import numpy as hnp
 
 from compresslens import trainer
 from compresslens.data_model import QUANT_KINDS, CompressionSpec, ExampleRecord, LabeledDataset
-from compresslens.errors import ConfigError, DivergenceError, SchemaError, ShapeError
+from compresslens.errors import (
+    ConfigError,
+    DivergenceError,
+    MissingClassSupport,
+    SchemaError,
+    ShapeError,
+)
 from compresslens.synth import SynthLongTailSpec, synthesize
 from compresslens.trainer import (
     MLPModel,
@@ -526,6 +532,16 @@ class TestTrainPopulation:
         monkeypatch.setattr(trainer, "_train_single", pytest.fail)
         with pytest.raises(ConfigError, match=f"^{split} split: example 7 has a non-finite"):
             train_population(*splits, small_config())
+
+    def test_training_split_without_a_class_is_refused(self, monkeypatch):
+        ds = tiny_dataset()
+        keep = ds.labels != 1
+        train = LabeledDataset.from_arrays(
+            ds.example_ids[keep], ds.labels[keep], ds.feature_matrix[keep], ds.num_classes
+        )
+        monkeypatch.setattr(trainer, "_train_single", pytest.fail)
+        with pytest.raises(MissingClassSupport, match=r"^classes with zero training support: \[1]"):
+            train_population(train, ds, small_config())
 
     def test_divergence_detected(self):
         ds = tiny_dataset()
