@@ -101,14 +101,27 @@ def int64_array(values, what: str, non_negative: bool = False) -> np.ndarray:
     return values.astype(np.int64, copy=False)
 
 
-def positive_int(value, what: str) -> int:
-    """`value` as an int, or a ConfigError unless it is an integer >= 1; a bool is refused."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ConfigError(f"{what} must be an integer >= 1, got {value!r}")
+def int_at_least(value, what: str, low: int = 1) -> int:
+    """`value` as an int, or a ConfigError unless it is an integer >= `low`; a bool is refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ConfigError(f"{what} must be an integer >= {low}, got {value!r}")
     return int(value)
 
 
-def _checked_layout(layout, dim: int) -> tuple[int, int] | None:
+def check_labels(labels: np.ndarray, num_classes: int, what: str = "label", ids=None) -> None:
+    """ConfigError, naming the first label of an int64 array outside [0, `num_classes`).
+
+    `ids`, broadcast to the labels' shape, names each label's example. One
+    comparison covers both ends: a negative label, viewed unsigned, lies at
+    or above 2**63, beyond every int64 label.
+    """
+    outside = labels.view(np.uint64) >= min(num_classes, 2**63)
+    if np.count_nonzero(outside):
+        where = "" if ids is None else f"example {np.broadcast_to(ids, labels.shape)[outside][0]}: "
+        raise ConfigError(f"{where}{what} {labels[outside][0]} outside [0, {num_classes})")
+
+
+def checked_layout(layout, dim: int) -> tuple[int, int] | None:
     """`layout` as a (height, width) pair of integers >= 1 with product `dim`; None stays None."""
     if layout is None:
         return None
@@ -116,7 +129,7 @@ def _checked_layout(layout, dim: int) -> tuple[int, int] | None:
         h, w = layout
     except (TypeError, ValueError):
         raise ConfigError(f"layout must be a (height, width) pair, got {layout!r}") from None
-    h, w = positive_int(h, "layout height"), positive_int(w, "layout width")
+    h, w = int_at_least(h, "layout height"), int_at_least(w, "layout width")
     if h * w != dim:
         raise ConfigError(f"layout {h}x{w} does not match {dim} features")
     return h, w
@@ -189,7 +202,7 @@ class ExampleRecord:
         int64_array([self.example_id], "example ids", non_negative=True)
         if feats.ndim != 1:
             raise ConfigError("features must be a 1D vector")
-        object.__setattr__(self, "layout", _checked_layout(self.layout, feats.size))
+        object.__setattr__(self, "layout", checked_layout(self.layout, feats.size))
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -249,7 +262,7 @@ class LabeledDataset:
         attrs = np.array(attributes, dtype=bool)
         if attrs.size == 0:  # no rows or no attributes: nothing is carried
             attrs = np.zeros((ids.size, len(names)), dtype=bool)
-        num_classes = positive_int(num_classes, "num_classes")
+        num_classes = int_at_least(num_classes, "num_classes")
         n = ids.shape[:1]
         if (ids.ndim, labels.shape, feats.ndim, feats.shape[:1], attrs.shape) != (
             1, n, 2, n, n + (len(names),)
@@ -260,17 +273,12 @@ class LabeledDataset:
             )
         if np.unique(ids).size != ids.size:
             raise ConfigError("duplicate example_ids in dataset")
-        bad = np.flatnonzero((labels < 0) | (labels >= num_classes))
-        if bad.size:
-            i = bad[0]
-            raise ConfigError(
-                f"example {ids[i]}: label {labels[i]} outside [0, {num_classes})"
-            )
+        check_labels(labels, num_classes, ids=ids)
         if len(set(names)) != len(names):
             raise ConfigError(f"duplicate attribute names {list(names)}")
         for name in names:
             _check_text_cell("an attribute name", name)
-        layout = _checked_layout(layout, feats.shape[1])
+        layout = checked_layout(layout, feats.shape[1])
         carried = sorted((name, j) for j, name in enumerate(names) if attrs[:, j].any())
         attrs = attrs[:, [j for _, j in carried]]
         for arr in (ids, labels, feats, attrs):
@@ -345,7 +353,7 @@ class PredictionLog:
     def __post_init__(self):
         _check_text_cell("population_id", self.population_id)
         if self.explicit_num_classes is not None:
-            count = positive_int(self.explicit_num_classes, "explicit_num_classes")
+            count = int_at_least(self.explicit_num_classes, "explicit_num_classes")
             object.__setattr__(self, "explicit_num_classes", count)
         # views, so that freezing them leaves the caller's arrays writeable
         ids = int64_array(self.example_ids, "example ids", non_negative=True).view()
@@ -375,12 +383,8 @@ class PredictionLog:
         object.__setattr__(self, "example_ids", ids)
         object.__setattr__(self, "truth", truth)
         object.__setattr__(self, "predictions", preds)
-        C = self.num_classes
-        for name, got in (("true", truth[np.newaxis, :, np.newaxis]), ("predicted", preds)):
-            bad = np.argwhere((got < 0) | (got >= C))
-            if bad.size:
-                k, i, r = bad[0]
-                raise ConfigError(f"example {ids[i]}: {name} label {got[k, i, r]} outside [0, {C})")
+        check_labels(truth, self.num_classes, "true label", ids)
+        check_labels(preds, self.num_classes, "predicted label", ids[:, np.newaxis])
 
     @property
     def num_models(self) -> int:
@@ -839,11 +843,11 @@ def read_dataset(csv_path: str | Path) -> LabeledDataset:
     if feat_cols != expected:
         raise SchemaError(f"{csv_path}: feature columns must be f0..f{{d-1}}")
     try:  # the sidecar by `from_arrays`' own rules, before any row is parsed
-        num_classes = positive_int(meta["num_classes"], "'num_classes'")
+        num_classes = int_at_least(meta["num_classes"], "'num_classes'")
         layout = None
         if meta.keys() & {"height", "width"}:
-            layout = _checked_layout(
-                [positive_int(meta[key], repr(key)) for key in ("height", "width")], len(feat_cols)
+            layout = checked_layout(
+                [int_at_least(meta[key], repr(key)) for key in ("height", "width")], len(feat_cols)
             )
     except KeyError as exc:
         raise SchemaError(f"{meta_path}: missing key {exc}") from None

@@ -8,6 +8,7 @@ are fixed.
 from __future__ import annotations
 
 import os
+import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import cached_property
@@ -21,6 +22,7 @@ from .data_model import (
     atomic_write_text,
     check_field_types,
     check_class_support,
+    int_at_least,
     model_accuracy,
     read_dataset,
     read_json_object,
@@ -86,10 +88,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_field_types(self)
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed!r}")
-        if self.topk is not None and self.topk < 1:
-            raise ConfigError(f"topk must be positive, got {self.topk!r}")
+        int_at_least(self.seed, "seed", 0)
+        if self.topk is not None:
+            int_at_least(self.topk, "topk")
         for name in ("out_dir", "dataset_path"):
             value = getattr(self, name)
             if not isinstance(value, (str, os.PathLike, type(None))):
@@ -231,7 +232,10 @@ def run_pipeline(config: ExperimentConfig) -> PipelineResult:
     The baseline trains first; then each compressed level in turn is trained,
     written and audited against it before the next one trains. `out_dir`
     must be absent or an empty directory, so that the bundle holds this
-    run's files only.
+    run's files only. The bundle is written in a hidden directory beside
+    `out_dir` and renamed to `out_dir` once `summary.json` is in it (into
+    an existing one, entry by entry), so a run that fails leaves `out_dir`,
+    and any missing parent of it, as it found them.
     """
     out = Path(config.out_dir)
     if out.exists() and not (out.is_dir() and not any(out.iterdir())):
@@ -247,12 +251,37 @@ def run_pipeline(config: ExperimentConfig) -> PipelineResult:
             )
             check_schedule(config.train, spec, schedules[spec.label], len(train_ds))
 
-    baseline = next(s for s in config.sweep if s.method == "none")
-    comp_specs = [s for s in config.sweep if s.method != "none"]
-    if comp_specs and config.train.population_size >= 2:  # `LevelAudit.class_rows` will run
+    if len(config.sweep) > 1 and config.train.population_size >= 2:  # a Welch audit will run
         with _stage("dataset"):
             check_class_support(test_ds.labels, test_ds.num_classes, "test")
+    # beside `out`, or in its nearest existing ancestor: a failed run makes no directory
+    near = next(d for d in (out.parent, *out.parent.parents) if d.is_dir())
+    with tempfile.TemporaryDirectory(prefix=f".{out.name}.", dir=near) as scratch:
+        bundle = Path(scratch) / "bundle"
+        bundle.mkdir()  # with the mode `mkdir` gives, where mkdtemp's is 0700
+        summary = _write_bundle(config, train_ds, test_ds, schedules, bundle)
+        out.parent.mkdir(parents=True, exist_ok=True)
+        if out.is_dir():
+            # an empty directory keeps its identity (it may be the working
+            # directory, as `--out .` is): the files move in, summary.json last
+            for entry in sorted(bundle.iterdir(), key=lambda e: e.name == "summary.json"):
+                os.replace(entry, out / entry.name)
+        else:
+            os.replace(bundle, out)
     log_paths = {s.label: out / "logs" / f"{s.label}.csv" for s in config.sweep}
+    return PipelineResult(out_dir=out, summary=summary, log_paths=log_paths)
+
+
+def _write_bundle(
+    config: ExperimentConfig,
+    train_ds: LabeledDataset,
+    test_ds: LabeledDataset,
+    schedules: dict,
+    out: Path,
+) -> dict:
+    """Train and audit every level of `config.sweep` into `out`; return the summary."""
+    baseline = next(s for s in config.sweep if s.method == "none")
+    comp_specs = [s for s in config.sweep if s.method != "none"]
 
     def _train_level(i: int, spec: CompressionSpec) -> PredictionLog:
         """Train and write one population; the baseline is i = 0, on the experiment seed."""
@@ -262,7 +291,7 @@ def run_pipeline(config: ExperimentConfig) -> PipelineResult:
                 train_ds, test_ds, replace(config.train, seed=seed), spec,
                 schedule=schedules[spec.label], topk=config.topk,
             )
-            write_prediction_log(log, log_paths[spec.label])
+            write_prediction_log(log, out / "logs" / f"{spec.label}.csv")
         return log
 
     base_log = _train_level(0, baseline)
@@ -309,7 +338,7 @@ def run_pipeline(config: ExperimentConfig) -> PipelineResult:
         "total_pies": sum(e["pie_count"] for e in levels),
     }
     write_json(out / "summary.json", summary)
-    return PipelineResult(out_dir=out, summary=summary, log_paths=log_paths)
+    return summary
 
 
 # ---------------------------------------------------------------------------

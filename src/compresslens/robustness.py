@@ -20,7 +20,9 @@ from .data_model import (
     ExampleRecord,
     LabeledDataset,
     check_field_types,
+    checked_layout,
     int64_array,
+    int_at_least,
     write_table,
 )
 from .errors import ConfigError, EmptySample, LayoutRequired, ShapeError, ZeroBaseline
@@ -58,8 +60,7 @@ class CorruptionSpec:
             raise ConfigError(f"unknown corruption kind {self.kind!r}")
         if not 1 <= self.severity <= 5:
             raise ConfigError(f"severity must be in 1..5, got {self.severity}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        int_at_least(self.seed, "seed", 0)
 
     @cached_property
     def _key_words(self) -> tuple[int, ...]:
@@ -215,8 +216,9 @@ def corrupt_features(
     would (`corrupt` does that for one record). `lo`/`hi` bound the feature
     domain (scalars or per-coordinate arrays); severity magnitudes are
     expressed as fractions of hi - lo, and the result is clamped back into
-    [lo, hi]. Ids must be non-negative integers (`int64_array`) and features
-    finite, for every kind; otherwise it is a ConfigError.
+    [lo, hi]. Ids must be non-negative integers (`int64_array`), features
+    finite and a layout given a pair whose product is d (`checked_layout`),
+    for every kind; otherwise it is a ConfigError.
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or np.ndim(example_ids) != 1 or len(example_ids) != x.shape[0]:
@@ -227,6 +229,7 @@ def corrupt_features(
     ids = int64_array(example_ids, "example ids", non_negative=True)
     if np.count_nonzero(np.isfinite(x)) != x.size:
         raise ConfigError("features must be finite")
+    layout = checked_layout(layout, x.shape[1])
     lo = np.asarray(lo, dtype=np.float64)
     hi = np.asarray(hi, dtype=np.float64)
     span = hi - lo
@@ -272,8 +275,6 @@ def corrupt_features(
         if layout is None:
             raise LayoutRequired("pixelate requires a height x width layout")
         h, w = layout
-        if h * w != x.shape[1]:
-            raise ShapeError(f"layout {h}x{w} does not match feature length {x.shape[1]}")
         block = _PIXELATE_BLOCK[s]
         img = x.reshape(-1, h, w)
         out = np.empty_like(img)

@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data_model import LabeledDataset, check_field_types, write_dataset
+from .data_model import LabeledDataset, check_field_types, int_at_least, write_dataset
 from .errors import ConfigError
 
 _CENTER_SCALE = 1.6
@@ -61,12 +61,8 @@ class SynthLongTailSpec:
 
     def __post_init__(self):
         check_field_types(self)
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
-        if self.num_classes < 2:
-            raise ConfigError("need at least 2 classes")
-        if self.dim < 1:
-            raise ConfigError("dim must be >= 1")
+        for name, low in (("seed", 0), ("num_classes", 2), ("dim", 1)):
+            int_at_least(getattr(self, name), name, low)
         if self.train_count < self.num_classes or self.test_count < self.num_classes:
             raise ConfigError("each split needs at least one example per class")
         if self.zipf_exponent < 0:

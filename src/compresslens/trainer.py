@@ -26,8 +26,9 @@ from .data_model import (
     atomic_write_text,
     check_class_support,
     check_field_types,
+    check_labels,
     int64_array,
-    positive_int,
+    int_at_least,
     read_json_object,
 )
 from .errors import ConfigError, DivergenceError, SchemaError, ShapeError
@@ -60,21 +61,15 @@ class TrainConfig:
         object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
         check_field_types(self)
         for d in self.hidden_dims:
-            positive_int(d, "each of hidden_dims")
-        if self.steps < 0:
-            raise ConfigError("steps must be >= 0")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
+            int_at_least(d, "each of hidden_dims")
+        for name, low in (("steps", 0), ("seed", 0), ("batch_size", 1), ("population_size", 1)):
+            int_at_least(getattr(self, name), name, low)
+        if self.lr_decay_steps is not None:
+            int_at_least(self.lr_decay_steps, "lr_decay_steps")
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be positive")
         if self.weight_decay < 0:
             raise ConfigError("weight_decay must be non-negative")
-        if self.population_size < 1:
-            raise ConfigError("population_size must be >= 1")
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
-        if self.lr_decay_steps is not None and self.lr_decay_steps < 1:
-            raise ConfigError("lr_decay_steps must be >= 1")
         if self.lr_decay_factor <= 0:
             raise ConfigError("lr_decay_factor must be positive")
 
@@ -94,8 +89,7 @@ class PruneSchedule:
             raise ConfigError("target_sparsity must be in [0, 1)")
         if not 0 <= self.prune_start < self.prune_end:
             raise ConfigError("need 0 <= prune_start < prune_end")
-        if self.prune_every < 1:
-            raise ConfigError("prune_every must be >= 1")
+        int_at_least(self.prune_every, "prune_every")
         if self.prune_end - self.prune_start < self.prune_every:
             raise ConfigError("at least one pruning interval must fit in the ramp")
 
@@ -168,8 +162,9 @@ class MLPModel:
 
     @classmethod
     def initialize(cls, layer_dims: tuple[int, ...], rng: np.random.Generator) -> "MLPModel":
-        if len(layer_dims) < 2 or any(d < 1 for d in layer_dims):
+        if len(layer_dims) < 2:
             raise ConfigError(f"bad layer dims {layer_dims}")
+        layer_dims = [int_at_least(d, "each of layer_dims") for d in layer_dims]
         weights = []
         biases = []
         for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
@@ -280,8 +275,7 @@ def sparsity_at_step(schedule: PruneSchedule, step: int) -> float:
     the pruning window elapsed, evaluated only at event steps
     (start, start + every, ...); the last event's value holds in between.
     """
-    if step < 0:
-        raise ConfigError("step must be >= 0")
+    int_at_least(step, "step", 0)
     start = schedule.prune_start
     if step < start:
         return 0.0
@@ -350,10 +344,7 @@ def loss_and_gradients(
     """
     x = np.asarray(x, dtype=np.float64)
     y = int64_array(y, "labels")  # a split's int64 labels as they are; a float, bool or str refused
-    # one pass for both ends: a negative label, viewed unsigned, lies above every class
-    outside = y.view(np.uint64) >= model.num_classes
-    if np.count_nonzero(outside):
-        raise ConfigError(f"label {y[outside][0]} outside [0, {model.num_classes})")
+    check_labels(y, model.num_classes)
     n = x.shape[0]
     rows = np.arange(n)
     # training never clamps: activation ranges apply to inference only
@@ -504,17 +495,16 @@ def evaluate_population(
     models: list[MLPModel],
     test_ds: LabeledDataset,
     compression: CompressionSpec,
-    population_id: str,
     topk: int | None = None,
 ) -> PredictionLog:
-    """Record each model's top-k ranked predictions on the test split."""
+    """Log each model's top-k ranked predictions on the test split under the compression's label."""
     topk = ranking_depth(topk, test_ds.num_classes)
     # filled model by model: a stacked `rank_topk` view would pin its model's (N, C) argsort
     preds = np.empty((len(models), len(test_ds), topk), dtype=np.int64)
     for model, out in zip(models, preds):
         out[:] = rank_topk(model.logits(test_ds.feature_matrix), topk)
     return PredictionLog(  # orders the rows by example id
-        population_id=population_id,
+        population_id=compression.label,
         compression=compression,
         example_ids=test_ds.example_ids,
         truth=test_ds.labels,
@@ -577,7 +567,7 @@ def train_population(
         calibration = train_ds.feature_matrix[:REPRESENTATIVE_COUNT]
         models = [quantize_model(model, scheme, calibration) for model in models]
 
-    log = evaluate_population(models, test_ds, compression, compression.label, topk)
+    log = evaluate_population(models, test_ds, compression, topk)
     return models, log
 
 

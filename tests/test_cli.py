@@ -433,6 +433,57 @@ class TestRun:
         assert rc == 2 and f"{out} exists and is not an empty directory" in capsys.readouterr().err
         assert out.read_text() == "keep\n"
 
+    @pytest.mark.parametrize("made", ["nothing", "parent", "out"])
+    def test_failed_run_leaves_out_as_it_found_it(self, tmp_path, monkeypatch, made):
+        """A run that fails on its second level changes nothing: `out` stays absent or empty.
+
+        `made` is what exists beforehand: neither `out` nor its parent, the
+        parent only, or `out` as an empty directory.
+        """
+        audit, levels = pipeline.audit_level, []
+
+        def fail_second(base_log, comp_log, *args):
+            levels.append(comp_log.population_id)
+            if len(levels) == 2:
+                raise RuntimeError("the second level fails")
+            return audit(base_log, comp_log, *args)
+
+        monkeypatch.setattr(pipeline, "audit_level", fail_second)
+        out = tmp_path / "runs" / "o"
+        if made != "nothing":
+            (out if made == "out" else out.parent).mkdir(parents=True)
+        before = sorted(tmp_path.rglob("*"))
+        config = ExperimentConfig(
+            train=TrainConfig(steps=30, batch_size=32, population_size=2, hidden_dims=(8,)),
+            sweep=(
+                CompressionSpec("none"),
+                CompressionSpec("magnitude_prune", 0.5),
+                CompressionSpec("magnitude_prune", 0.9),
+            ),
+            synth=SynthLongTailSpec(num_classes=4, dim=6, train_count=200, test_count=80),
+            out_dir=str(out),
+        )
+        with pytest.raises(RuntimeError, match="the second level fails"):
+            run_pipeline(config)
+        assert levels == ["prune_0.5", "prune_0.9"]
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_run_into_the_working_directory(self, tmp_path, monkeypatch):
+        """`--out .` in an empty directory fills that directory; it stays the working one."""
+        cfg, cwd = self._tiny_config(tmp_path), tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        assert main(["run", "--config", str(cfg), "--out", ".", "--sparsity", "0.5"]) == 0
+        assert Path.cwd().samefile(cwd)
+        assert sorted(p.name for p in cwd.iterdir()) == ["audits", "logs", "pies", "summary.json"]
+
+    def test_bundle_gets_the_mode_mkdir_gives(self, tmp_path):
+        out, ref = tmp_path / "o", tmp_path / "ref"
+        ref.mkdir()
+        assert main(["run", "--config", str(self._tiny_config(tmp_path)), "--out", str(out)]) == 0
+        assert out.stat().st_mode == ref.stat().st_mode
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "o", "ref"]
+
     def test_each_level_log_is_released_before_the_next_trains(self, tmp_path, monkeypatch):
         """Only the baseline's log and one level's are alive at a time (freed by refcount)."""
         train = pipeline.train_population
@@ -567,6 +618,18 @@ def _set_first(key, value):
 
 
 class TestBadInputExits2:
+    @pytest.mark.parametrize("argv, message", [
+        (["generate", "--classes", "1"], "num_classes must be an integer >= 2, got 1"),
+        (["train", "--data", "{tmp}/data", "--batch-size", "0"],
+         "batch_size must be an integer >= 1, got 0"),
+        (["run", "--topk", "0"], "topk must be an integer >= 1, got 0"),
+    ])
+    def test_integer_below_its_bound(self, tmp_path, argv, message):
+        rc, err = run_cli([*(a.format(tmp=tmp_path) for a in argv), "--out", f"{tmp_path}/out"])
+        assert rc == 2 and "Traceback" not in err
+        assert message in err
+        assert not any(tmp_path.iterdir())
+
     def test_negative_corruption_seed(self, logs, data_dir, tmp_path):
         rc, err = run_cli([
             "audit-robustness", "--data", str(data_dir),

@@ -42,7 +42,7 @@ from compresslens.pie_audit import (
     write_attribute_report,
     write_pie_report,
 )
-from compresslens.pipeline import write_report
+from compresslens.pipeline import ExperimentConfig, write_report
 from compresslens.robustness import (
     CorruptionSpec,
     RobustnessRow,
@@ -50,6 +50,8 @@ from compresslens.robustness import (
     write_robustness_report,
 )
 from compresslens.stats_audit import ClassAuditRow, read_audit_csv, write_audit_csv
+from compresslens.synth import SynthLongTailSpec
+from compresslens.trainer import MLPModel, PruneSchedule, TrainConfig, sparsity_at_step
 
 
 def make_log(preds, truth, ids=None, topk=None, population_id="pop", spec=None):
@@ -339,6 +341,50 @@ class TestClassCountRule:
     def test_taken_as_int(self, entry, count):
         made = CLASS_COUNT_ENTRY_POINTS[entry](count)
         assert made.num_classes == count and type(made.num_classes) is int
+
+
+def _initialize(d):
+    return MLPModel.initialize((16, d, 10), np.random.default_rng(0))
+
+
+def _ramp_at(step):
+    return sparsity_at_step(PruneSchedule(0.5, 0, 10, 1), step)
+
+
+# each one-sided integer bound: (its name in the message, the bound, a value
+# below it, what checks it)
+INTEGER_BOUNDS = {
+    "TrainConfig.steps": ("steps", 0, -1, lambda v: TrainConfig(steps=v)),
+    "TrainConfig.seed": ("seed", 0, -1, lambda v: TrainConfig(seed=v)),
+    "TrainConfig.batch_size": ("batch_size", 1, 0, lambda v: TrainConfig(batch_size=v)),
+    "TrainConfig.population_size": ("population_size", 1, 0,
+                                    lambda v: TrainConfig(population_size=v)),
+    "TrainConfig.lr_decay_steps": ("lr_decay_steps", 1, 0,
+                                   lambda v: TrainConfig(lr_decay_steps=v)),
+    "TrainConfig.hidden_dims": ("each of hidden_dims", 1, 0,
+                                lambda v: TrainConfig(hidden_dims=(8, v))),
+    "PruneSchedule.prune_every": ("prune_every", 1, 0, lambda v: PruneSchedule(0.5, 0, 10, v)),
+    "SynthLongTailSpec.seed": ("seed", 0, -1, lambda v: SynthLongTailSpec(seed=v)),
+    "SynthLongTailSpec.num_classes": ("num_classes", 2, 1,
+                                      lambda v: SynthLongTailSpec(num_classes=v)),
+    "SynthLongTailSpec.dim": ("dim", 1, 0, lambda v: SynthLongTailSpec(dim=v)),
+    "ExperimentConfig.seed": ("seed", 0, -1, lambda v: ExperimentConfig(seed=v)),
+    "ExperimentConfig.topk": ("topk", 1, 0, lambda v: ExperimentConfig(topk=v)),
+    "CorruptionSpec.seed": ("seed", 0, -1, lambda v: CorruptionSpec("brightness", 1, v)),
+    "MLPModel.initialize": ("each of layer_dims", 1, 0, _initialize),
+    "MLPModel.initialize, a float": ("each of layer_dims", 1, 2.5, _initialize),
+    "sparsity_at_step": ("step", 0, -1, _ramp_at),
+}
+
+
+@pytest.mark.parametrize("entry", INTEGER_BOUNDS)
+def test_integer_below_its_bound_is_refused(entry):
+    """Each one-sided integer bound is `int_at_least`: its message names field, bound and value."""
+    what, low, value, check = INTEGER_BOUNDS[entry]
+    message = f"{what} must be an integer >= {low}, got {value!r}"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        check(value)
+    check(low)  # the bound itself is taken
 
 
 # where each entry point takes the ids or labels `seq`, two of them, the second bad

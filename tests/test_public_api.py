@@ -279,3 +279,28 @@ def test_configuration_surface():
         "all": list(compresslens.__all__),
     }
     assert surface == CONFIGURATION_SURFACE
+
+
+def test_no_unused_imports():
+    """Every name a package module imports is read in that module.
+
+    No linter runs on the package, so an import whose last use a change
+    deletes would stay behind unnoticed.
+    """
+    unused = {}
+    for path in sorted(Path(compresslens.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":  # it imports to re-export
+            continue
+        tree = _parse(path)
+        imported = {
+            (a.asname or a.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for a in node.names
+        }
+        read = {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        if imported - read:
+            unused[path.name] = sorted(imported - read)
+    assert unused == {}

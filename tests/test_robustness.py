@@ -199,11 +199,23 @@ class TestBatchedCorruption:
             with pytest.raises(ShapeError):
                 corrupt_features(features, spec, ids, layout=(2, 2))
 
+    @pytest.mark.parametrize("kind", CORRUPTION_KINDS)
+    @pytest.mark.parametrize("layout", [(-4, -4), (2.0, 8), (True, 16), (4, 4, 1), (0, 16)])
+    def test_bad_layout_refused_before_drawing(self, kind, layout, monkeypatch):
+        """Every kind checks a given layout by `checked_layout`, before any stream is seeded."""
+
+        def no_draws(*args):
+            raise AssertionError("a bad layout is refused before anything is drawn")
+
+        monkeypatch.setattr(robustness, "_example_rngs", no_draws)
+        with pytest.raises(ConfigError, match="layout"):
+            corrupt_features(np.zeros((2, 16)), CorruptionSpec(kind, 1), [0, 1], layout=layout)
+
     def test_pixelate_matrix_requires_layout(self):
         spec = CorruptionSpec("pixelate", 2)
         with pytest.raises(LayoutRequired):
             corrupt_features(np.zeros((2, 4)), spec, [0, 1])
-        with pytest.raises(ShapeError):
+        with pytest.raises(ConfigError, match="layout 3x3 does not match 4 features"):
             corrupt_features(np.zeros((2, 4)), spec, [0, 1], layout=(3, 3))
 
     def test_empty_matrix(self):

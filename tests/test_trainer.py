@@ -501,7 +501,7 @@ class TestTrainPopulation:
         dense, _ = train_population(train, test, config)
         calibration = train.feature_matrix[:trainer.REPRESENTATIVE_COUNT]
         want = [quantize_model(m, QuantizationScheme(kind), calibration) for m in dense]
-        want_log = evaluate_population(want, test, compression, compression.label)
+        want_log = evaluate_population(want, test, compression)
         assert len(got) == len(want) == config.population_size
         for g, w in zip(got, want):
             assert bits(g.weights + g.biases) == bits(w.weights + w.biases)
@@ -517,7 +517,7 @@ class TestTrainPopulation:
         shuffled = LabeledDataset.from_arrays(
             ds.example_ids[order], ds.labels[order], ds.feature_matrix[order], ds.num_classes
         )
-        got = evaluate_population(models, shuffled, log.compression, log.population_id)
+        got = evaluate_population(models, shuffled, log.compression)
         for field in ("example_ids", "truth", "predictions"):
             np.testing.assert_array_equal(getattr(got, field), getattr(log, field))
 
