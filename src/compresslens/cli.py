@@ -16,6 +16,7 @@ from .data_model import (
     QUANT_KINDS,
     AuditConfig,
     CompressionSpec,
+    existing_dir,
     read_dataset,
     read_prediction_log,
     write_json,
@@ -153,9 +154,12 @@ def _cmd_train(args) -> int:
     if args.sparsity is not None and args.quant is not None:
         raise ConfigError("choose either --sparsity or --quant, not both")
     config = TrainConfig(**_given(args, TrainConfig))
-    # `_load_models` reads every snapshot of a directory as one population
-    if args.save_models and any(Path(args.save_models).glob("model_*.json")):
-        raise DataError(f"{args.save_models} already holds model_*.json snapshots")
+    existing_dir(Path(args.out).parent)
+    if args.save_models:
+        existing_dir(args.save_models)
+        # `_load_models` reads every snapshot of a directory as one population
+        if any(Path(args.save_models).glob("model_*.json")):
+            raise DataError(f"{args.save_models} already holds model_*.json snapshots")
     train_ds = read_dataset(Path(args.data) / "train.csv")
     test_ds = read_dataset(Path(args.data) / "test.csv")
 

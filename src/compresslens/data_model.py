@@ -26,6 +26,8 @@ import numpy as np
 
 from .errors import (
     ConfigError,
+    DataError,
+    ExampleSetMismatch,
     MissingClassSupport,
     ParseError,
     RankDepthExceeded,
@@ -407,9 +409,6 @@ class PredictionLog:
             hi = max(hi, int(self.truth.max()))
         return hi + 1
 
-    def same_example_set(self, other: "PredictionLog") -> bool:
-        return np.array_equal(self.example_ids, other.example_ids)
-
     def check_depth(self, k: int) -> None:
         """RankDepthExceeded unless `k` is a rank depth of the log, 1 to `topk`."""
         if not 1 <= k <= self.topk:
@@ -419,6 +418,15 @@ class PredictionLog:
         """(K, N) bool, [m, i]: model m ranks example i's true label within `k` (1 to `topk`)."""
         self.check_depth(k)
         return (self.predictions[:, :, :k] == self.truth[np.newaxis, :, np.newaxis]).any(axis=2)
+
+
+def check_same_split(log: PredictionLog, example_ids, labels, what: str) -> None:
+    """ExampleSetMismatch unless the (N,) arrays are `log`'s ids and true labels, in any order."""
+    order = np.argsort(example_ids, kind="stable")
+    if not np.array_equal(example_ids[order], log.example_ids):
+        raise ExampleSetMismatch(f"{what} cover different example sets")
+    if not np.array_equal(labels[order], log.truth):
+        raise ExampleSetMismatch(f"{what} disagree on true labels")
 
 
 def check_class_support(labels: np.ndarray, num_classes: int, split: str) -> None:
@@ -478,6 +486,19 @@ LOG_HEADER = [
     "predicted_label",
     "true_label",
 ]
+
+
+def existing_dir(path: str | Path) -> Path:
+    """The nearest of `path` and its ancestors that exists; a DataError unless it is a directory.
+
+    Called on each directory an output goes in before anything is read or
+    trained, so that a file in the way of an output fails at once.
+    """
+    path = Path(path)
+    near = next(p for p in (path, *path.parents) if p.exists())
+    if not near.is_dir():
+        raise DataError(f"{near} is not a directory")
+    return near
 
 
 def atomic_write_text(path: str | Path, text: str | Iterable[str]) -> None:

@@ -73,7 +73,7 @@ class EmptySample(DataError):
 
 
 class ExampleSetMismatch(DataError):
-    """Two prediction logs do not cover the same example ids."""
+    """Two splits (logs, or a log and a dataset) differ in their examples or true labels."""
 
 
 # -- pie_audit --

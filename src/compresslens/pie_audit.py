@@ -2,8 +2,8 @@
 
 An example is a PIE when the modal label (most frequent rank-1 prediction
 across a model population) differs between a compressed population and the
-baseline population. Detection never reads true labels, so it can run on
-unlabeled traffic at test time.
+baseline population. Detection votes on predicted labels only, but the two
+logs must share their examples and true labels (`check_same_split`).
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import numpy as np
 from .data_model import (
     LabeledDataset,
     PredictionLog,
+    check_same_split,
     int64_array,
     read_table,
     write_table,
@@ -74,9 +75,9 @@ def identify_pies(base_log: PredictionLog, comp_log: PredictionLog) -> PIESet:
 
     Voting uses rank-1 predictions only; ties go to the lowest label. Output
     is ordered by example_id and independent of the input row/model order.
+    The logs must share their examples and true labels (`check_same_split`).
     """
-    if not base_log.same_example_set(comp_log):
-        raise ExampleSetMismatch("logs cover different example sets")
+    check_same_split(base_log, comp_log.example_ids, comp_log.truth, "logs")
     return PIESet(
         example_ids=base_log.example_ids,
         modal_base=modal_labels(base_log),

@@ -22,6 +22,8 @@ from .data_model import (
     atomic_write_text,
     check_field_types,
     check_class_support,
+    check_same_split,
+    existing_dir,
     int_at_least,
     model_accuracy,
     read_dataset,
@@ -205,13 +207,14 @@ def audit_level(
 
     `subset` maps "pies", "non_pies" and "all" to the baseline's top-`k`
     accuracy there, `attributes` is `attribute_shares`: both None without
-    PIEs, `attributes` also without `test_ds`. `k` and the ids of `test_ds`
-    are checked either way.
+    PIEs, `attributes` also without `test_ds`. `k`, and that `test_ds` is
+    the logs' split (ids, then true labels), are checked either way.
     """
     base_log.check_depth(k)
     pies = identify_pies(base_log, comp_log)
     if test_ds is not None:
         pies.is_pie(test_ds.example_ids)
+        check_same_split(base_log, test_ds.example_ids, test_ds.labels, "logs and test split")
     if not pies.pie_ids:
         return LevelAudit(base_log, comp_log, audit, pies, None, None)
     subset = dict(zip(("pies", "non_pies", "all"), subset_accuracy(base_log, pies, k)))
@@ -232,7 +235,7 @@ def run_pipeline(config: ExperimentConfig) -> PipelineResult:
     The baseline trains first; then each compressed level in turn is trained,
     written and audited against it before the next one trains. `out_dir`
     must be absent or an empty directory, so that the bundle holds this
-    run's files only. The bundle is written in a hidden directory beside
+    run's files only, and its nearest existing ancestor a directory. The bundle is written in a hidden directory beside
     `out_dir` and renamed to `out_dir` once `summary.json` is in it (into
     an existing one, entry by entry), so a run that fails leaves `out_dir`,
     and any missing parent of it, as it found them.
@@ -240,6 +243,9 @@ def run_pipeline(config: ExperimentConfig) -> PipelineResult:
     out = Path(config.out_dir)
     if out.exists() and not (out.is_dir() and not any(out.iterdir())):
         raise DataError(f"{out} exists and is not an empty directory")
+    # the bundle is made beside `out`, or in its nearest existing ancestor:
+    # a failed run makes no directory
+    near = existing_dir(out.parent)
     with _stage("dataset"):
         train_ds, test_ds = _resolve_dataset(config)
 
@@ -254,8 +260,6 @@ def run_pipeline(config: ExperimentConfig) -> PipelineResult:
     if len(config.sweep) > 1 and config.train.population_size >= 2:  # a Welch audit will run
         with _stage("dataset"):
             check_class_support(test_ds.labels, test_ds.num_classes, "test")
-    # beside `out`, or in its nearest existing ancestor: a failed run makes no directory
-    near = next(d for d in (out.parent, *out.parent.parents) if d.is_dir())
     with tempfile.TemporaryDirectory(prefix=f".{out.name}.", dir=near) as scratch:
         bundle = Path(scratch) / "bundle"
         bundle.mkdir()  # with the mode `mkdir` gives, where mkdtemp's is 0700

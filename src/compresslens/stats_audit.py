@@ -21,6 +21,7 @@ import numpy as np
 from .data_model import (
     AuditConfig,
     PredictionLog,
+    check_same_split,
     class_recall_matrix,
     model_accuracy,
     read_table,
@@ -40,38 +41,27 @@ _CF_TOL = 3e-16
 _CF_MAX_ITER = 500
 
 
+def _nonzero(value: float) -> float:
+    """`value`, or _FPMIN in place of one closer to 0: a Lentz term is never divided by 0."""
+    return _FPMIN if abs(value) < _FPMIN else value
+
+
 def _beta_continued_fraction(a: float, b: float, x: float) -> float:
     """Continued fraction for the incomplete beta, modified Lentz method."""
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
     c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _FPMIN:
-        d = _FPMIN
-    d = 1.0 / d
+    d = 1.0 / _nonzero(1.0 - qab * x / qap)
     h = d
     for m in range(1, _CF_MAX_ITER + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),  # the even, then the odd term
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 / _nonzero(1.0 + aa * d)
+            c = _nonzero(1.0 + aa / c)
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < _CF_TOL:
             return h
     raise NumericError(
@@ -257,10 +247,7 @@ def audit_classes(
     ascending (most harmed classes first). Significance uses p <= alpha,
     optionally Bonferroni-corrected across classes.
     """
-    if not base_log.same_example_set(comp_log):
-        raise ExampleSetMismatch("logs cover different example sets")
-    if not np.array_equal(base_log.truth, comp_log.truth):
-        raise ExampleSetMismatch("logs disagree on true labels")
+    check_same_split(base_log, comp_log.example_ids, comp_log.truth, "logs")
     if base_log.num_classes != comp_log.num_classes:
         raise ExampleSetMismatch(
             f"class counts differ: {base_log.num_classes} vs {comp_log.num_classes}"

@@ -13,6 +13,8 @@ unchanged public pieces (`MLPModel.initialize`, `sparsity_at_step`,
 The synthetic split is the package's former per-example sampler, which
 builds one feature array and one flag tuple per example. The robustness
 audit's hit rates are its former scoring: one `rank_topk` sort per model.
+The incomplete beta's continued fraction is the package's former one, with
+each half-step of the modified Lentz method written out.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from compresslens.data_model import (
     _meta_path,
     read_json_object,
 )
-from compresslens.errors import DivergenceError, ParseError, SchemaError
+from compresslens.errors import DivergenceError, NumericError, ParseError, SchemaError
 from compresslens.synth import (
     _ATYPICAL_SCALE,
     _NOISY_GAMMA,
@@ -82,6 +84,44 @@ def welch_oracle(a, b) -> tuple[float, float, float]:
     x = df / (df + t * t)
     p = mp.betainc(df / 2, mp.mpf("0.5"), 0, x, regularized=True)
     return float(t), float(df), float(p)
+
+
+def reference_beta_continued_fraction(a: float, b: float, x: float) -> float:
+    """The former continued fraction for the incomplete beta, modified Lentz, unrolled."""
+    fpmin, tol = 1e-300, 3e-16
+    qab = a + b
+    qap = a + 1.0
+    qam = a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    if abs(d) < fpmin:
+        d = fpmin
+    d = 1.0 / d
+    h = d
+    for m in range(1, 501):
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        if abs(d) < fpmin:
+            d = fpmin
+        c = 1.0 + aa / c
+        if abs(c) < fpmin:
+            c = fpmin
+        d = 1.0 / d
+        h *= d * c
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        if abs(d) < fpmin:
+            d = fpmin
+        c = 1.0 + aa / c
+        if abs(c) < fpmin:
+            c = fpmin
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < tol:
+            return h
+    raise NumericError(f"did not converge (a={a}, b={b}, x={x})")
 
 
 def student_t_tail_by_quadrature(t: float, df: float) -> float:

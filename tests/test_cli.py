@@ -955,6 +955,79 @@ class TestBadInputExits2:
         assert not out.exists()
         assert main(["audit-pie", *pair, "--topk", "3", "--out", str(out)]) == 0
 
+    @pytest.mark.parametrize("comp", ["comp.csv", "base.csv"])  # with PIEs, and without
+    @pytest.mark.parametrize("other", ["comp_log", "data"])
+    def test_audit_pie_on_other_true_labels(
+        self, logs, data_dir, tmp_path, capsys, comp, other
+    ):
+        """A compressed log, or a --data split, of the logs' ids but other true labels."""
+        comp_log = read_prediction_log(logs / comp)
+        test = read_dataset(data_dir / "test.csv")
+        argv = ["audit-pie", "--base", str(logs / "base.csv"), "--comp", str(tmp_path / comp)]
+        if other == "comp_log":  # one example's true label differs
+            truth = comp_log.truth.copy()
+            truth[7] = (truth[7] + 1) % test.num_classes
+            comp_log = dataclasses.replace(comp_log, truth=truth)
+            message = "logs disagree on true labels"
+        else:  # every label differs
+            write_dataset(LabeledDataset.from_arrays(
+                test.example_ids, (test.labels + 1) % test.num_classes, test.feature_matrix,
+                test.num_classes, test.attribute_names, test.attributes, test.layout,
+            ), tmp_path / "data" / "test.csv")
+            argv += ["--data", str(tmp_path / "data")]
+            message = "logs and test split disagree on true labels"
+        write_prediction_log(comp_log, tmp_path / comp)
+        out = tmp_path / "pie"
+        rc = main([*argv, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2 and message in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_audit_pie_data_in_any_row_order(self, logs, data_dir, tmp_path):
+        """--data may list the logs' examples in any order, ids and labels together."""
+        test = read_dataset(data_dir / "test.csv")
+        rows = np.random.default_rng(0).permutation(len(test))
+        write_dataset(LabeledDataset.from_arrays(
+            test.example_ids[rows], test.labels[rows], test.feature_matrix[rows],
+            test.num_classes, test.attribute_names, test.attributes[rows], test.layout,
+        ), tmp_path / "data" / "test.csv")
+        outputs = []
+        for data in (data_dir, tmp_path / "data"):
+            out = tmp_path / f"pie_{len(outputs)}"
+            assert main([
+                "audit-pie", "--base", str(logs / "base.csv"), "--comp", str(logs / "comp.csv"),
+                "--data", str(data), "--out", str(out),
+            ]) == 0
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert "attributes.csv" in outputs[0] and outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("flag, under", [
+        ("run --out", "F/bundle"),
+        ("train --out", "F/log.csv"),
+        ("train --save-models", "F/snaps"),
+        ("train --save-models", "F"),
+    ])
+    def test_output_under_a_file_fails_before_training(
+        self, data_dir, tmp_path, monkeypatch, capsys, flag, under
+    ):
+        """An output whose nearest existing ancestor is a file exits 2 before anything trains."""
+        def no_training(*args):
+            raise AssertionError("an output under a file is refused before training")
+
+        monkeypatch.setattr(trainer, "_train_single", no_training)
+        (tmp_path / "F").write_text("keep\n")
+        command, option = flag.split()
+        argv = {
+            "run": ["run", "--sparsity", "0.5"],
+            "train": ["train", "--data", str(data_dir), "--out", str(tmp_path / "log.csv"),
+                      *TRAIN_FAST],
+        }[command]
+        rc = main([*argv, option, str(tmp_path / under)])  # a repeated --out: the last wins
+        err = capsys.readouterr().err
+        assert rc == 2 and f"{tmp_path / 'F'} is not a directory" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["F"]
+        assert (tmp_path / "F").read_text() == "keep\n"
+
     def test_fixed_int8_on_too_few_examples_fails_before_training(
         self, tmp_path, monkeypatch, capsys
     ):

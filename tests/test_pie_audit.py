@@ -132,6 +132,13 @@ class TestIdentifyPies:
         with pytest.raises(ExampleSetMismatch):
             identify_pies(a, b)
 
+    def test_true_label_mismatch(self):
+        """Logs of the same ids that disagree on one true label are not of one split."""
+        a = rank1_log([[0, 1, 2]], [0, 1, 2])
+        b = rank1_log([[0, 1, 2]], [0, 1, 0])
+        with pytest.raises(ExampleSetMismatch, match="logs disagree on true labels"):
+            identify_pies(a, b)
+
     @settings(max_examples=80, deadline=None)
     @given(st.data())
     def test_matches_brute_force(self, data):

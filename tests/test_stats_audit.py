@@ -19,10 +19,12 @@ from compresslens.errors import (
     ExampleSetMismatch,
     LengthMismatch,
     NonFiniteInput,
+    NumericError,
     SampleTooSmall,
 )
 from compresslens.stats_audit import (
     ClassAccuracySample,
+    _beta_continued_fraction,
     audit_classes,
     mean_shift,
     normalized_recall_difference,
@@ -32,7 +34,11 @@ from compresslens.stats_audit import (
     write_audit_csv,
 )
 
-from oracles import student_t_tail_by_quadrature, welch_oracle
+from oracles import (
+    reference_beta_continued_fraction,
+    student_t_tail_by_quadrature,
+    welch_oracle,
+)
 
 finite_floats = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 # multiples of 2**-20 in [-1, 1]: sums of two are exact in float64
@@ -55,6 +61,22 @@ class TestIncompleteBeta:
         for t, df in [(0.5, 3.0), (2.1, 7.5), (12.0, 4.0), (0.01, 29.0)]:
             expected = student_t_tail_by_quadrature(t, df)
             assert student_t_two_sided_p(t, df) == pytest.approx(expected, abs=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(0.0, 500.0, exclude_min=True),
+        st.floats(0.0, 500.0, exclude_min=True),
+        st.floats(0.0, 1.0),
+    )
+    def test_continued_fraction_matches_the_unrolled_one(self, a, b, x):
+        """Bit for bit, and NumericError where the unrolled one raises it."""
+        outcomes = []
+        for fraction in (_beta_continued_fraction, reference_beta_continued_fraction):
+            try:
+                outcomes.append(fraction(a, b, x).hex())
+            except NumericError:
+                outcomes.append("NumericError")
+        assert outcomes[0] == outcomes[1]
 
     def test_against_scipy(self):
         # a second, independent implementation next to the quadrature oracle;
