@@ -16,6 +16,7 @@ from .data_model import (
     QUANT_KINDS,
     AuditConfig,
     CompressionSpec,
+    check_output_file,
     existing_dir,
     read_dataset,
     read_prediction_log,
@@ -145,6 +146,7 @@ def _load_models(path: str) -> tuple[list, CompressionSpec]:
 
 def _cmd_generate(args) -> int:
     spec = SynthLongTailSpec(**_given(args, SynthLongTailSpec))
+    existing_dir(args.out)
     train_path, test_path = generate(spec, args.out)
     print(f"wrote {train_path} and {test_path}")
     return EXIT_OK
@@ -154,7 +156,7 @@ def _cmd_train(args) -> int:
     if args.sparsity is not None and args.quant is not None:
         raise ConfigError("choose either --sparsity or --quant, not both")
     config = TrainConfig(**_given(args, TrainConfig))
-    existing_dir(Path(args.out).parent)
+    check_output_file(args.out)
     if args.save_models:
         existing_dir(args.save_models)
         # `_load_models` reads every snapshot of a directory as one population
@@ -184,9 +186,10 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_audit_classes(args) -> int:
+    config = AuditConfig(**_given(args, AuditConfig))
+    check_output_file(args.out)
     base = read_prediction_log(args.base)
     comp = read_prediction_log(args.comp)
-    config = AuditConfig(**_given(args, AuditConfig))
     rows = audit_classes(base, comp, config)
     write_audit_csv(rows, args.out)
     n = sum(r.significant for r in rows)
@@ -195,6 +198,7 @@ def _cmd_audit_classes(args) -> int:
 
 
 def _cmd_audit_pie(args) -> int:
+    existing_dir(args.out)
     base = read_prediction_log(args.base)
     comp = read_prediction_log(args.comp)
     test_ds = None if args.data is None else read_dataset(Path(args.data) / "test.csv")
@@ -214,6 +218,7 @@ def _cmd_audit_pie(args) -> int:
 
 
 def _cmd_audit_robustness(args) -> int:
+    check_output_file(args.out)
     test_ds = read_dataset(Path(args.data) / "test.csv")
     base_models, _ = _load_models(args.base_models)
     comp_models, comp_spec = _load_models(args.comp_models)
@@ -227,6 +232,7 @@ def _cmd_audit_robustness(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    existing_dir(args.out)
     doc = write_report(args.audit, args.out, pie_csv=args.pie, chart=args.chart)
     print(
         f"wrote {args.out}: {doc['classes']} classes, "

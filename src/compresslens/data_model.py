@@ -34,26 +34,18 @@ from .errors import (
     SchemaError,
 )
 
-COMPRESSION_METHODS = (
-    "none",
-    "magnitude_prune",
-    "quant_float16",
-    "quant_dynamic_int8",
-    "quant_fixed_int8",
-)
-
-QUANT_METHODS = ("quant_float16", "quant_dynamic_int8", "quant_fixed_int8")
-
-# short names used in file stems and report labels
+# every compression method -> its short name, used in file stems and report
+# labels (a pruned level's carries its sparsity: prune_0.9)
 _METHOD_LABELS = {
     "none": "baseline",
+    "magnitude_prune": "prune",
     "quant_float16": "float16",
     "quant_dynamic_int8": "dynamic_int8",
     "quant_fixed_int8": "fixed_int8",
 }
 
-# quantization kind (a method's short name, as `--quant` takes it) -> method
-QUANT_KINDS = {_METHOD_LABELS[m]: m for m in QUANT_METHODS}
+# quantization kind (a quant_ method's short name, as `--quant` takes it) -> method
+QUANT_KINDS = {label: m for m, label in _METHOD_LABELS.items() if m.startswith("quant_")}
 
 
 # the field annotations `check_field_types` checks, and the types they admit
@@ -157,7 +149,7 @@ class CompressionSpec:
 
     def __post_init__(self):
         check_field_types(self)
-        if self.method not in COMPRESSION_METHODS:
+        if self.method not in _METHOD_LABELS:
             raise ConfigError(f"unknown compression method {self.method!r}")
         if self.method == "magnitude_prune":
             if not (0.0 < self.sparsity < 1.0):
@@ -170,12 +162,11 @@ class CompressionSpec:
 
     @property
     def label(self) -> str:
-        if self.method == "magnitude_prune":
-            return f"prune_{self.sparsity:g}"
-        return _METHOD_LABELS[self.method]
+        label = _METHOD_LABELS[self.method]
+        return f"{label}_{self.sparsity:g}" if self.sparsity else label
 
     def is_quantization(self) -> bool:
-        return self.method in QUANT_METHODS
+        return self.method in QUANT_KINDS.values()
 
 
 @dataclass(frozen=True, eq=False)
@@ -499,6 +490,15 @@ def existing_dir(path: str | Path) -> Path:
     if not near.is_dir():
         raise DataError(f"{near} is not a directory")
     return near
+
+
+def check_output_file(path: str | Path) -> None:
+    """DataError unless a file can be written at `path`: no directory is there, and
+    the nearest existing ancestor is one (`existing_dir`)."""
+    path = Path(path)
+    if path.is_dir():
+        raise DataError(f"{path} is a directory")
+    existing_dir(path.parent)
 
 
 def atomic_write_text(path: str | Path, text: str | Iterable[str]) -> None:

@@ -40,6 +40,8 @@ REPRESENTATIVE_COUNT = 100
 # model (16-320-10) rounds each row as one whole-split product does; a
 # smaller block runs another kernel, which changes last bits
 LOGITS_BLOCK_ROWS = 512
+# the learning rate is multiplied by this every `TrainConfig.lr_decay_steps` steps
+LR_DECAY_FACTOR = 0.3
 
 
 @dataclass(frozen=True)
@@ -48,7 +50,6 @@ class TrainConfig:
     batch_size: int = 64
     learning_rate: float = 0.1
     lr_decay_steps: int | None = 1500
-    lr_decay_factor: float = 0.3
     weight_decay: float = 1.5e-3
     seed: int = 0
     population_size: int = 10
@@ -70,8 +71,6 @@ class TrainConfig:
             raise ConfigError("learning_rate must be positive")
         if self.weight_decay < 0:
             raise ConfigError("weight_decay must be non-negative")
-        if self.lr_decay_factor <= 0:
-            raise ConfigError("lr_decay_factor must be positive")
 
 
 @dataclass(frozen=True)
@@ -471,7 +470,7 @@ def _train_single(
 
             lr = config.learning_rate
             if config.lr_decay_steps:
-                lr *= config.lr_decay_factor ** (step // config.lr_decay_steps)
+                lr *= LR_DECAY_FACTOR ** (step // config.lr_decay_steps)
 
             loss, grads_w, grads_b = loss_and_gradients(
                 model, x_all[idx], y_all[idx], config.weight_decay

@@ -46,6 +46,7 @@ from compresslens.synth import (
     zipf_allocate,
 )
 from compresslens.trainer import (
+    LR_DECAY_FACTOR,
     REPRESENTATIVE_COUNT,
     MLPModel,
     QuantizationScheme,
@@ -526,7 +527,7 @@ def reference_train_single(train_ds, config, compression, schedule, model_seed) 
 
         lr = config.learning_rate
         if config.lr_decay_steps:
-            lr *= config.lr_decay_factor ** (step // config.lr_decay_steps)
+            lr *= LR_DECAY_FACTOR ** (step // config.lr_decay_steps)
 
         loss, grads_w, grads_b = reference_loss_and_gradients(
             model, x_all[idx], y_all[idx], config.weight_decay

@@ -37,7 +37,7 @@ from compresslens.pipeline import (
     load_experiment_config,
     run_pipeline,
 )
-from compresslens.stats_audit import AUDIT_HEADER, read_audit_csv
+from compresslens.stats_audit import AUDIT_HEADER, audit_classes, read_audit_csv, write_audit_csv
 from compresslens.synth import SynthLongTailSpec, generate
 from compresslens.trainer import (
     MLPModel,
@@ -150,6 +150,27 @@ class TestAudits:
         assert rc == 0
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 5  # header + 4 classes
+
+    # the smallest of the four p-values on these logs is 0.387: alpha 0.5 flags
+    # its class, alpha 0.5 / 4 classes (Bonferroni) flags none
+    @pytest.mark.parametrize("flags, config, flagged", [
+        ([], AuditConfig(), 0),
+        (["--alpha", "0.5"], AuditConfig(alpha=0.5), 1),
+        (["--alpha", "0.5", "--bonferroni"], AuditConfig(alpha=0.5, bonferroni=True), 0),
+    ])
+    def test_audit_classes_alpha_and_bonferroni(self, logs, tmp_path, flags, config, flagged):
+        """The flags reach the audit: the CSV is that of the library call with their config."""
+        out = tmp_path / "audit.csv"
+        rc = main([
+            "audit-classes", "--base", str(logs / "base.csv"),
+            "--comp", str(logs / "comp.csv"), "--out", str(out), *flags,
+        ])
+        assert rc == 0
+        base, comp = (read_prediction_log(logs / name) for name in ("base.csv", "comp.csv"))
+        rows = audit_classes(base, comp, config)
+        write_audit_csv(rows, tmp_path / "want.csv")
+        assert out.read_bytes() == (tmp_path / "want.csv").read_bytes()
+        assert sum(r.significant for r in rows) == flagged
 
     def test_audit_pie(self, logs, data_dir, tmp_path):
         out = tmp_path / "pie"
@@ -573,6 +594,7 @@ BAD_KEY_CASES = [
     ({"dataset": {"synth": {"center_scale": 1.6}}}, "center_scale"),
     ({"train": {"prune_final_layer": True}}, "prune_final_layer"),
     ({"audit": {"topk_eval": 5}}, "topk_eval"),
+    ({"train": {"lr_decay_factor": 0.3}}, "lr_decay_factor"),
 ]
 WRONG_TYPE_CASES = [
     ({"prune": {"every": "x"}}, "prune.every"),
@@ -728,6 +750,34 @@ class TestBadInputExits2:
         rc, err = run_cli(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 2 and "Traceback" not in err
         assert key in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--alpha", "1.5", "--out", "{tmp}/o"], "alpha must be in (0, 1), got 1.5"),
+        (["audit-classes", "--base", "{logs}/base.csv", "--comp", "{logs}/comp.csv",
+          "--alpha", "0", "--bonferroni", "--out", "{tmp}/a.csv"],
+         "alpha must be in (0, 1), got 0.0"),
+    ])
+    def test_alpha_outside_0_1(self, logs, tmp_path, monkeypatch, capsys, argv, message):
+        def no_step(*args):
+            raise AssertionError("alpha is checked before any input is read or model trained")
+
+        for module, step in ((trainer, "_train_single"), (cli, "read_prediction_log")):
+            monkeypatch.setattr(module, step, no_step)
+        rc = main([a.format(tmp=tmp_path, logs=logs) for a in argv])
+        assert rc == 2 and message in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("sweep, count", [
+        ([{"method": "magnitude_prune", "sparsity": 0.5}], 0),
+        ([{"method": "none"}, {"method": "quant_float16"}, {"method": "none"}], 2),
+    ])
+    def test_sweep_needs_one_baseline(self, tmp_path, capsys, sweep, count):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sweep": sweep}))
+        rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2 and f"sweep must include exactly one 'none' baseline, got {count}" in err
+        assert not (tmp_path / "o").exists()
 
     def test_train_seed_is_refused(self, tmp_path):
         """`run` seeds population i from the top-level seed, so a train.seed would go unread."""
@@ -898,6 +948,19 @@ class TestBadInputExits2:
         assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--base-models", "--comp-models"])
+    def test_audit_robustness_without_snapshots(self, logs, data_dir, tmp_path, capsys, flag):
+        dirs = {"--base-models": logs / "base_models", "--comp-models": logs / "comp_models"}
+        dirs[flag] = tmp_path / "empty"
+        dirs[flag].mkdir()
+        out = tmp_path / "rob.csv"
+        rc = main(["audit-robustness", "--data", str(data_dir),
+                   *(str(part) for pair in dirs.items() for part in pair),
+                   "--kinds", "brightness", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2 and f"no model_*.json snapshots in {tmp_path / 'empty'}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--base-models", "--comp-models"])
     def test_mixed_snapshot_directory(self, logs, data_dir, tmp_path, capsys, flag):
         dirs = {"--base-models": logs / "base_models", "--comp-models": logs / "comp_models"}
         mixed = tmp_path / "mixed"
@@ -1006,27 +1069,56 @@ class TestBadInputExits2:
         ("train --out", "F/log.csv"),
         ("train --save-models", "F/snaps"),
         ("train --save-models", "F"),
+        ("train --out", "D"),
+        ("audit-classes --out", "D"),
+        ("audit-robustness --out", "D"),
+        ("generate --out", "F"),
+        ("audit-pie --out", "F/pie"),
+        ("report --out", "F"),
     ])
     def test_output_under_a_file_fails_before_training(
-        self, data_dir, tmp_path, monkeypatch, capsys, flag, under
+        self, logs, data_dir, tmp_path, monkeypatch, capsys, flag, under
     ):
-        """An output whose nearest existing ancestor is a file exits 2 before anything trains."""
-        def no_training(*args):
-            raise AssertionError("an output under a file is refused before training")
+        """An output under a file, or a file output that is a directory, exits 2 before
+        any input is read or anything trains."""
+        def no_step(*args):
+            raise AssertionError("an output path is checked before any input is read")
 
-        monkeypatch.setattr(trainer, "_train_single", no_training)
-        (tmp_path / "F").write_text("keep\n")
+        for module, step in ((trainer, "_train_single"), (cli, "read_dataset"),
+                             (cli, "read_prediction_log"), (cli, "write_report"),
+                             (cli, "generate")):
+            monkeypatch.setattr(module, step, no_step)
+        blocker = tmp_path / under.split("/")[0]  # F is a file, D an empty directory
+        if under == "D":
+            blocker.mkdir()
+            message = f"{blocker} is a directory"
+        else:
+            blocker.write_text("keep\n")
+            message = f"{blocker} is not a directory"
         command, option = flag.split()
         argv = {
             "run": ["run", "--sparsity", "0.5"],
             "train": ["train", "--data", str(data_dir), "--out", str(tmp_path / "log.csv"),
                       *TRAIN_FAST],
+            "audit-classes": ["audit-classes", "--base", str(logs / "base.csv"),
+                              "--comp", str(logs / "comp.csv")],
+            "audit-robustness": ["audit-robustness", "--data", str(data_dir),
+                                 "--base-models", str(logs / "base_models"),
+                                 "--comp-models", str(logs / "comp_models"),
+                                 "--kinds", "brightness"],
+            "generate": ["generate"],
+            "audit-pie": ["audit-pie", "--base", str(logs / "base.csv"),
+                          "--comp", str(logs / "comp.csv"), "--data", str(data_dir)],
+            "report": ["report", "--audit", str(logs / "base.csv")],
         }[command]
         rc = main([*argv, option, str(tmp_path / under)])  # a repeated --out: the last wins
         err = capsys.readouterr().err
-        assert rc == 2 and f"{tmp_path / 'F'} is not a directory" in err
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["F"]
-        assert (tmp_path / "F").read_text() == "keep\n"
+        assert rc == 2 and message in err and "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == [blocker.name]
+        if under == "D":
+            assert not any(blocker.iterdir())
+        else:
+            assert blocker.read_text() == "keep\n"
 
     def test_fixed_int8_on_too_few_examples_fails_before_training(
         self, tmp_path, monkeypatch, capsys

@@ -8,12 +8,13 @@ import tracemalloc
 import numpy as np
 import oracles
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from compresslens.data_model import (
     LOG_HEADER,
     TABLE_BLOCK_CELLS,
+    AuditConfig,
     CompressionSpec,
     ExampleRecord,
     LabeledDataset,
@@ -387,6 +388,26 @@ def test_integer_below_its_bound_is_refused(entry):
     check(low)  # the bound itself is taken
 
 
+# each bound a config checks on a number itself: (what checks it, a value
+# outside, its message, a value inside)
+NUMBER_BOUNDS = {
+    "AuditConfig.alpha": (lambda v: AuditConfig(alpha=v), 1.5,
+                          "alpha must be in (0, 1), got 1.5", 0.999),
+    "TrainConfig.learning_rate": (lambda v: TrainConfig(learning_rate=v), 0,
+                                  "learning_rate must be positive", 1e-9),
+    "TrainConfig.weight_decay": (lambda v: TrainConfig(weight_decay=v), -1,
+                                 "weight_decay must be non-negative", 0),
+}
+
+
+@pytest.mark.parametrize("entry", NUMBER_BOUNDS)
+def test_number_outside_its_range_is_refused(entry):
+    check, value, message, inside = NUMBER_BOUNDS[entry]
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        check(value)
+    check(inside)
+
+
 # where each entry point takes the ids or labels `seq`, two of them, the second bad
 INTEGER_ENTRY_POINTS = {
     "from_arrays ids": lambda seq: LabeledDataset.from_arrays(seq, [0, 0], np.zeros((2, 1)), 1),
@@ -606,7 +627,7 @@ def _newly_rejected(text: str) -> bool:
     outside the 64-bit range; or a carriage return that does not end a line."""
     if re.search("\r(?!\n)", text):
         return True
-    for line in text.split("\n")[1:]:
+    for line in re.split("\r?\n", text)[1:]:  # a cell that ends a CRLF line is classified too
         for cell in line.split(",")[3:]:
             try:
                 value = int(cell.strip('"'))
@@ -663,6 +684,16 @@ def _mutate(data, lines: list[str]) -> list[str]:
     return lines
 
 
+class _Draws:
+    """Stands in for `st.data()` in an `@example`: each draw returns the next value given."""
+
+    def __init__(self, *values):
+        self.values = iter(values)
+
+    def draw(self, strategy):
+        return next(self.values)
+
+
 class TestColumnarLogReader:
     @settings(max_examples=150, deadline=None)
     @given(log=small_logs())
@@ -688,6 +719,12 @@ class TestColumnarLogReader:
     # the former reader took a leading quote for CSV quoting, which the writer
     # never writes: quotes are left out of the population ids here
     @given(log=small_logs(max_models=3, max_examples=4, pid_excludes='"'), data=st.data())
+    # a quoted integer that ends a CRLF line: two mutations, "nonint" on line
+    # 1 ('"3"', drawn before its field, the last), then "crlf"
+    @example(
+        log=PredictionLog("p", CompressionSpec("none"), [0], [0], [[[0]]]),
+        data=_Draws(2, "nonint", 1, '"3"', 7, "crlf", 1),
+    )
     def test_mutations_match_former_reader(self, tmp_path_factory, log, data):
         path = tmp_path_factory.mktemp("fz") / "log.csv"
         write_prediction_log(log, path)
@@ -982,6 +1019,31 @@ class TestTableReaders:
         (tmp_path / "t.csv").write_text(text)
         with pytest.raises(SchemaError, match="unexpected .* header"):
             read(tmp_path / "t.csv")
+
+    @pytest.mark.parametrize("read", [read_prediction_log, read_dataset, read_audit_csv,
+                                      read_pie_report])
+    @pytest.mark.parametrize("fault, error, message", [
+        # a byte that starts no UTF-8 sequence, at the start of the first row
+        (lambda lines: [lines[0], b"\xff" + lines[1], *lines[2:]], ParseError,
+         r"^line 2: not UTF-8 text \(invalid start byte\)$"),
+        # a carriage return inside the header's first cell, which csv refuses
+        (lambda lines: [lines[0].replace(b"_", b"\r", 1), *lines[1:]], SchemaError,
+         r"t\.csv: unreadable header \(new-line character seen in unquoted field"),
+    ], ids=["not UTF-8", "unreadable header"])
+    def test_undecodable_file_is_refused(self, tmp_path, read, fault, error, message):
+        path = tmp_path / "t.csv"
+        if read is read_prediction_log:
+            write_prediction_log(make_log([[0, 1]], [0, 1]), path)
+        elif read is read_dataset:
+            _dataset_csv(path, ["0,0,1,0.5,1.5"])
+        elif read is read_audit_csv:
+            write_audit_csv([ClassAuditRow(0, 0.5, 0.5, 0.0, 0.0, 2.0, 1.0, False)], path)
+        else:
+            write_pie_report(PIESet(np.array([0]), np.zeros(1, int), np.ones(1, int)),
+                             np.zeros(1, int), path)
+        path.write_bytes(b"\n".join(fault(path.read_bytes().split(b"\n"))))
+        with pytest.raises(error, match=message):
+            read(path)
 
     def test_trailing_carriage_return_names_the_line(self, tmp_path):
         """np.loadtxt takes a carriage return that ends the file for a line end."""

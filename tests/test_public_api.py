@@ -229,8 +229,8 @@ CONFIGURATION_SURFACE = {
     },
     "fields": {
         "TrainConfig": ["steps", "batch_size", "learning_rate", "lr_decay_steps",
-                        "lr_decay_factor", "weight_decay", "seed", "population_size",
-                        "hidden_dims", "prune_biases"],
+                        "weight_decay", "seed", "population_size", "hidden_dims",
+                        "prune_biases"],
         "PruneSchedule": ["target_sparsity", "prune_start", "prune_end", "prune_every"],
         "CompressionSpec": ["method", "sparsity"],
         "AuditConfig": ["alpha", "bonferroni"],
@@ -258,7 +258,7 @@ CONFIGURATION_SURFACE = {
 
 
 def test_configuration_surface():
-    """53 flags, 37 config fields, the top-level and prune JSON keys and 44 exported names."""
+    """53 flags, 36 config fields, the top-level and prune JSON keys and 44 exported names."""
     (commands,) = (
         a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)
     )

@@ -1,6 +1,7 @@
 """Tests for the Welch audit pipeline against the mpmath oracle."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -323,6 +324,21 @@ class TestAuditClasses:
         )
         with pytest.raises(ExampleSetMismatch):
             audit_classes(a, b)
+
+    @pytest.mark.parametrize("base, comp, error, message", [
+        # the same ids and true labels, but a class count of 3 on one side
+        (_log_from_rank1([[0, 1], [1, 0]], [0, 1]),
+         PredictionLog("q", CompressionSpec("none"), [0, 1], [0, 1], [[[0], [1]], [[1], [0]]],
+                       explicit_num_classes=3),
+         ExampleSetMismatch, "class counts differ: 2 vs 3"),
+        (_log_from_rank1([[0, 1], [1, 0]], [0, 1]), _log_from_rank1([[0, 1]], [0, 1]),
+         SampleTooSmall, "audit needs K >= 2 models per population"),
+        (_log_from_rank1([[0, 1]], [0, 1]), _log_from_rank1([[0, 1], [1, 0]], [0, 1]),
+         SampleTooSmall, "audit needs K >= 2 models per population"),
+    ], ids=["class counts", "one compressed model", "one baseline model"])
+    def test_refused(self, base, comp, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            audit_classes(base, comp)
 
     def test_row_order_invariance(self, tmp_path):
         rng = np.random.default_rng(9)

@@ -63,7 +63,6 @@ def small_config(**kw):
         batch_size=16,
         learning_rate=0.1,
         lr_decay_steps=None,
-        lr_decay_factor=1.0,
         weight_decay=1e-4,
         seed=0,
         population_size=2,
@@ -482,6 +481,21 @@ class TestTrainPopulation:
                 PruneSchedule(0.5, 10, 80, 10),
             )
 
+    @pytest.mark.parametrize("test, compression, schedule, message", [
+        (tiny_dataset(d=5), CompressionSpec("none"), None,
+         "train/test splits disagree on dimensions or classes"),
+        (tiny_dataset(C=4), CompressionSpec("none"), None,
+         "train/test splits disagree on dimensions or classes"),
+        (tiny_dataset(), CompressionSpec("quant_float16"), PruneSchedule(0.5, 10, 80, 10),
+         "a PruneSchedule is only valid with magnitude_prune"),
+        (tiny_dataset(), CompressionSpec("none"), PruneSchedule(0.5, 10, 80, 10),
+         "a PruneSchedule is only valid with magnitude_prune"),
+    ], ids=["dimensions", "classes", "quantized with a schedule", "baseline with a schedule"])
+    def test_refused_before_training(self, monkeypatch, test, compression, schedule, message):
+        monkeypatch.setattr(trainer, "_train_single", pytest.fail)
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            train_population(tiny_dataset(), test, small_config(), compression, schedule)
+
     def test_quantized_population(self):
         ds = tiny_dataset()
         config = small_config(population_size=1)
@@ -568,7 +582,7 @@ class TestLeanStep:
         [
             pytest.param(
                 small_config(steps=120, hidden_dims=(16, 8), prune_biases=True,
-                             lr_decay_steps=50, lr_decay_factor=0.3),
+                             lr_decay_steps=50),
                 CompressionSpec("magnitude_prune", 0.8),
                 PruneSchedule(0.8, 10, 85, 10),
                 id="prune_biases-two-hidden",
@@ -728,6 +742,15 @@ class TestSnapshots:
         assert back.activation_ranges == ranges
         x = tiny_dataset().feature_matrix
         assert bits([back.logits(x)]) == bits([model.logits(x)])
+
+    def test_layer_dims_off_the_arrays(self, tmp_path):
+        path = tmp_path / "snap.json"
+        save_model(self.trained(CompressionSpec("none"), None), CompressionSpec("none"), path)
+        doc = json.loads(path.read_text())
+        assert doc["layer_dims"] == [4, 16, 3]
+        path.write_text(json.dumps({**doc, "layer_dims": [4, 17, 3]}))
+        with pytest.raises(ShapeError, match="snap.json: layer_dims do not match the stored arrays"):
+            load_model(path)
 
     @pytest.mark.parametrize("doc", [
         {},
