@@ -51,7 +51,6 @@ from .synth import SynthLongTailSpec, generate, synthesize
 from .trainer import (
     MLPModel,
     PruneSchedule,
-    QuantizationScheme,
     TrainConfig,
     apply_magnitude_mask,
     prune_window,
@@ -75,7 +74,6 @@ __all__ = [
     "PIESet",
     "PredictionLog",
     "PruneSchedule",
-    "QuantizationScheme",
     "RobustnessRow",
     "SynthLongTailSpec",
     "TrainConfig",

@@ -259,9 +259,9 @@ def _cmd_run(args) -> int:
         overrides["sweep"] = tuple(sweep)
     if overrides:
         config = dataclasses.replace(config, **overrides)
-    result = run_pipeline(config)
-    print(f"wrote {result.out_dir}/summary.json")
-    for entry in result.summary["levels"]:
+    summary = run_pipeline(config)
+    print(f"wrote {Path(config.out_dir)}/summary.json")
+    for entry in summary["levels"]:
         print(
             f"  {entry['label']}: top1={entry['top1']:.2f} "
             f"signif={entry['significant_classes']} pies={entry['pie_count']}"

@@ -213,7 +213,6 @@ def audit_level(
     base_log.check_depth(k)
     pies = identify_pies(base_log, comp_log)
     if test_ds is not None:
-        pies.is_pie(test_ds.example_ids)
         check_same_split(base_log, test_ds.example_ids, test_ds.labels, "logs and test split")
     if not pies.pie_ids:
         return LevelAudit(base_log, comp_log, audit, pies, None, None)
@@ -222,23 +221,18 @@ def audit_level(
     return LevelAudit(base_log, comp_log, audit, pies, subset, attributes)
 
 
-@dataclass(frozen=True)
-class PipelineResult:
-    out_dir: Path
-    summary: dict
-    log_paths: dict[str, Path]
+def run_pipeline(config: ExperimentConfig) -> dict:
+    """Run the full protocol, write the bundle to `config.out_dir` and return its summary.
 
-
-def run_pipeline(config: ExperimentConfig) -> PipelineResult:
-    """Run the full protocol and write the bundle.
-
-    The baseline trains first; then each compressed level in turn is trained,
-    written and audited against it before the next one trains. `out_dir`
-    must be absent or an empty directory, so that the bundle holds this
-    run's files only, and its nearest existing ancestor a directory. The bundle is written in a hidden directory beside
-    `out_dir` and renamed to `out_dir` once `summary.json` is in it (into
-    an existing one, entry by entry), so a run that fails leaves `out_dir`,
-    and any missing parent of it, as it found them.
+    The returned dict is what `summary.json` holds; each level's log is
+    `logs/<label>.csv` in the bundle. The baseline trains first; then each
+    compressed level in turn is trained, written and audited against it
+    before the next one trains. `out_dir` must be absent or an empty
+    directory, so that the bundle holds this run's files only, and its
+    nearest existing ancestor a directory. The bundle is written in a hidden
+    directory beside `out_dir` and renamed to `out_dir` once `summary.json`
+    is in it (into an existing one, entry by entry), so a run that fails
+    leaves `out_dir`, and any missing parent of it, as it found them.
     """
     out = Path(config.out_dir)
     if out.exists() and not (out.is_dir() and not any(out.iterdir())):
@@ -272,8 +266,7 @@ def run_pipeline(config: ExperimentConfig) -> PipelineResult:
                 os.replace(entry, out / entry.name)
         else:
             os.replace(bundle, out)
-    log_paths = {s.label: out / "logs" / f"{s.label}.csv" for s in config.sweep}
-    return PipelineResult(out_dir=out, summary=summary, log_paths=log_paths)
+    return summary
 
 
 def _write_bundle(

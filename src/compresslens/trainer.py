@@ -115,15 +115,6 @@ def prune_schedule(
     return PruneSchedule(compression.sparsity, *prune_window(steps, start, end, every))
 
 
-@dataclass(frozen=True)
-class QuantizationScheme:
-    kind: str  # a key of QUANT_KINDS: float16 | dynamic_int8 | fixed_int8
-
-    def __post_init__(self):
-        if self.kind not in QUANT_KINDS:
-            raise ConfigError(f"unknown quantization kind {self.kind!r}")
-
-
 class MLPModel:
     """ReLU MLP: the weights, biases and clamp ranges that inference reads.
 
@@ -396,18 +387,19 @@ def _quantize_tensor_int8(w: np.ndarray) -> np.ndarray:
 
 
 def quantize_model(
-    model: MLPModel,
-    scheme: QuantizationScheme,
-    calibration: np.ndarray | None = None,
+    model: MLPModel, kind: str, calibration: np.ndarray | None = None
 ) -> MLPModel:
     """Post-training quantization; returns a new model, the input is untouched.
 
-    float16 rounds every weight and bias to the nearest IEEE-754 binary16
-    value. dynamic_int8 applies per-tensor symmetric int8 to the weight
-    matrices. fixed_int8 additionally records each layer's pre-activation
-    range over the calibration slice; inference then saturates to it.
+    `kind` is a key of QUANT_KINDS; any other is a ConfigError. float16
+    rounds every weight and bias to the nearest IEEE-754 binary16 value.
+    dynamic_int8 applies per-tensor symmetric int8 to the weight matrices.
+    fixed_int8 additionally records each layer's pre-activation range over
+    the calibration slice; inference then saturates to it.
     """
-    if scheme.kind == "float16":
+    if kind not in QUANT_KINDS:
+        raise ConfigError(f"unknown quantization kind {kind!r}")
+    if kind == "float16":
         return MLPModel(
             [w.astype(np.float16).astype(np.float64) for w in model.weights],
             [b.astype(np.float16).astype(np.float64) for b in model.biases],
@@ -416,7 +408,7 @@ def quantize_model(
 
     weights = [_quantize_tensor_int8(w) for w in model.weights]
     biases = [b.copy() for b in model.biases]
-    if scheme.kind == "dynamic_int8":
+    if kind == "dynamic_int8":
         return MLPModel(weights, biases, model.activation_ranges)
 
     # fixed_int8: calibrate activation ranges with the quantized weights
@@ -562,9 +554,8 @@ def train_population(
         for k in range(config.population_size)
     ]
     if compression.is_quantization():  # only fixed_int8 reads the calibration slice
-        scheme = QuantizationScheme(kind=compression.label)
         calibration = train_ds.feature_matrix[:REPRESENTATIVE_COUNT]
-        models = [quantize_model(model, scheme, calibration) for model in models]
+        models = [quantize_model(m, compression.label, calibration) for m in models]
 
     log = evaluate_population(models, test_ds, compression, topk)
     return models, log
@@ -608,7 +599,7 @@ def load_model(path: str | Path) -> tuple[MLPModel, CompressionSpec]:
     except (TypeError, ValueError, ShapeError, ConfigError) as exc:
         raise SchemaError(f"{path}: malformed snapshot: {exc}") from None
     if layer_dims != model.layer_dims:
-        raise ShapeError(f"{path}: layer_dims do not match the stored arrays")
+        raise SchemaError(f"{path}: layer_dims do not match the stored arrays")
     if spec.method == "quant_fixed_int8" and model.activation_ranges is None:
         raise SchemaError(f"{path}: a quant_fixed_int8 snapshot needs activation_ranges")
     return model, spec

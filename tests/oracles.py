@@ -49,7 +49,6 @@ from compresslens.trainer import (
     LR_DECAY_FACTOR,
     REPRESENTATIVE_COUNT,
     MLPModel,
-    QuantizationScheme,
     apply_magnitude_mask,
     quantize_model,
     rank_topk,
@@ -547,9 +546,9 @@ def reference_train_single(train_ds, config, compression, schedule, model_seed) 
             refresh(target)
 
     if compression.is_quantization():
-        scheme = QuantizationScheme(kind=compression.label)
-        calibration = x_all[:REPRESENTATIVE_COUNT] if scheme.kind == "fixed_int8" else None
-        model = quantize_model(model, scheme, calibration)
+        kind = compression.label
+        calibration = x_all[:REPRESENTATIVE_COUNT] if kind == "fixed_int8" else None
+        model = quantize_model(model, kind, calibration)
     return model
 
 

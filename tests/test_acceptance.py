@@ -18,7 +18,6 @@ from compresslens.synth import synthesize
 from compresslens.trainer import (
     MLPModel,
     PruneSchedule,
-    QuantizationScheme,
     TrainConfig,
     loss_and_gradients,
     quantize_model,
@@ -163,14 +162,14 @@ def test_criterion_5_sparsity_and_quantization_invariants():
     rng = np.random.default_rng(99)
     w = rng.normal(0, 1, (200, 50))
     model = MLPModel([w], [np.zeros(50)])
-    q = quantize_model(model, QuantizationScheme("dynamic_int8"))
+    q = quantize_model(model, "dynamic_int8")
     scale = np.abs(w).max() / 127.0
     assert np.max(np.abs(q.weights[0] - w)) <= scale / 2 + 1e-12
 
     vals = rng.normal(0, 10, 10_000)
     m = MLPModel([vals.reshape(-1, 1)], [np.zeros(1)])
-    once = quantize_model(m, QuantizationScheme("float16"))
-    twice = quantize_model(once, QuantizationScheme("float16"))
+    once = quantize_model(m, "float16")
+    twice = quantize_model(once, "float16")
     np.testing.assert_array_equal(once.weights[0], twice.weights[0])
     _report(
         "5 (sparsity and quantization invariants)",
@@ -202,17 +201,16 @@ def desk_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("desk")
     config = ExperimentConfig(out_dir=str(out / "bundle"))
     start = time.perf_counter()
-    result = run_pipeline(config)
+    summary = run_pipeline(config)
     elapsed = time.perf_counter() - start
-    return config, result, elapsed
+    return config, summary, elapsed
 
 
 @pytest.mark.slow
 def test_criterion_7_end_to_end_desk_scale(desk_run):
-    config, result, elapsed = desk_run
+    config, summary, elapsed = desk_run
     assert elapsed < 180.0, f"pipeline took {elapsed:.0f}s"
 
-    summary = result.summary
     by_sparsity = {e["sparsity"]: e for e in summary["levels"]}
     level9 = by_sparsity[0.9]
 
@@ -221,8 +219,9 @@ def test_criterion_7_end_to_end_desk_scale(desk_run):
     assert delta <= 3.0, f"top-1 delta {delta:.2f}pp"
 
     # (b) a below-median-frequency class is significantly harmed
-    base_log = cl.read_prediction_log(result.log_paths["baseline"])
-    comp_log = cl.read_prediction_log(result.log_paths["prune_0.9"])
+    logs = Path(config.out_dir) / "logs"
+    base_log = cl.read_prediction_log(logs / "baseline.csv")
+    comp_log = cl.read_prediction_log(logs / "prune_0.9.csv")
     rows = cl.audit_classes(base_log, comp_log, config.audit)
     support = np.bincount(base_log.truth, minlength=base_log.num_classes)
     median = np.median(support)

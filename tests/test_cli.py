@@ -999,7 +999,7 @@ class TestBadInputExits2:
             "--data", str(tmp_path / "data"), "--out", str(out),
         ])
         assert rc == 2
-        assert f"{len(ds)} example ids do not match the {n} of the PIE set" in capsys.readouterr().err
+        assert "logs and test split cover different example sets" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("comp", ["comp.csv", "base.csv"])  # with PIEs, and without
@@ -1410,7 +1410,8 @@ class TestBundleReadBack:
             return in_memory[comp_log.population_id]
 
         monkeypatch.setattr(pipeline, "audit_level", keep)
-        bundle = run_pipeline(config).out_dir
+        run_pipeline(config)
+        bundle = Path(config.out_dir)
         assert sorted(in_memory) == ["dynamic_int8", "prune_0.5"]
         test_ds = read_dataset(data / "test.csv")
         for label, level in in_memory.items():
@@ -1454,7 +1455,9 @@ class TestBundleReadBack:
             return level
 
         monkeypatch.setattr(pipeline, "audit_level", keep)
-        bundle = run_pipeline(config).out_dir
+        summary = run_pipeline(config)
+        bundle = Path(config.out_dir)
+        assert summary == json.loads((bundle / "summary.json").read_text())
         assert sorted(levels) == ["prune_0.5", "prune_0.9"]
 
         def six_decimals(values):  # what a "%.6f" cell reads back as
@@ -1512,7 +1515,7 @@ class TestLevelAudit:
             sweep=(CompressionSpec("none"), CompressionSpec("magnitude_prune", 0.95)),
             synth=SynthLongTailSpec(num_classes=2, dim=2, train_count=20, test_count=2, seed=9),
         )
-        (level,) = run_pipeline(config).summary["levels"]
+        (level,) = run_pipeline(config)["levels"]
         assert level["pie_count"] == 2
         assert level["baseline_top1_on_non_pies"] is None
         assert level["baseline_top1_on_all"] == level["baseline_top1_on_pies"]

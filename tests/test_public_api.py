@@ -244,7 +244,7 @@ CONFIGURATION_SURFACE = {
     "all": [
         "AuditConfig", "ClassAccuracySample", "ClassAuditRow", "CompressionSpec",
         "CorruptionSpec", "ExampleRecord", "ExperimentConfig", "LabeledDataset", "MLPModel",
-        "PIESet", "PredictionLog", "PruneSchedule", "QuantizationScheme", "RobustnessRow",
+        "PIESet", "PredictionLog", "PruneSchedule", "RobustnessRow",
         "SynthLongTailSpec", "TrainConfig", "WelchResult", "apply_magnitude_mask",
         "attribute_relative_representation", "audit_classes", "class_recall_matrix", "corrupt",
         "generate", "identify_pies", "load_experiment_config", "mean_shift", "modal_labels",
@@ -258,7 +258,7 @@ CONFIGURATION_SURFACE = {
 
 
 def test_configuration_surface():
-    """53 flags, 36 config fields, the top-level and prune JSON keys and 44 exported names."""
+    """53 flags, 36 config fields, the top-level and prune JSON keys and 43 exported names."""
     (commands,) = (
         a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)
     )

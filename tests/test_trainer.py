@@ -23,7 +23,6 @@ from compresslens.synth import SynthLongTailSpec, synthesize
 from compresslens.trainer import (
     MLPModel,
     PruneSchedule,
-    QuantizationScheme,
     TrainConfig,
     apply_magnitude_mask,
     evaluate_population,
@@ -180,12 +179,12 @@ class TestQuantization:
     def test_zero_weight_fixed_point(self):
         for kind in ("float16", "dynamic_int8"):
             model = MLPModel([np.array([[0.0, 0.4]])], [np.zeros(2)])
-            q = quantize_model(model, QuantizationScheme(kind))
+            q = quantize_model(model, kind)
             assert q.weights[0][0, 0] == 0.0
 
     def test_dynamic_int8_hand_case(self):
         model = MLPModel([np.array([[-1.0], [0.5], [1.0]])], [np.zeros(1)])
-        q = quantize_model(model, QuantizationScheme("dynamic_int8"))
+        q = quantize_model(model, "dynamic_int8")
         scale = 1.0 / 127.0
         np.testing.assert_allclose(
             q.weights[0].ravel(), [-1.0, 64 * scale, 1.0], atol=1e-15
@@ -194,7 +193,7 @@ class TestQuantization:
 
     def test_float16_hand_case(self):
         model = MLPModel([np.array([[0.1]])], [np.zeros(1)])
-        q = quantize_model(model, QuantizationScheme("float16"))
+        q = quantize_model(model, "float16")
         assert q.weights[0][0, 0] == 0.0999755859375
 
     def test_float16_matches_bitwise_oracle(self):
@@ -203,15 +202,15 @@ class TestQuantization:
             [rng.normal(0, 1, 200), rng.normal(0, 1e-5, 50), rng.normal(0, 100, 50)]
         )
         model = MLPModel([vals.reshape(-1, 1)], [np.zeros(1)])
-        q = quantize_model(model, QuantizationScheme("float16"))
+        q = quantize_model(model, "float16")
         expected = [float16_round(v) for v in vals]
         np.testing.assert_array_equal(q.weights[0].ravel(), expected)
 
     def test_float16_idempotent(self):
         rng = np.random.default_rng(2)
         model = MLPModel([rng.normal(size=(50, 20))], [np.zeros(20)])
-        once = quantize_model(model, QuantizationScheme("float16"))
-        twice = quantize_model(once, QuantizationScheme("float16"))
+        once = quantize_model(model, "float16")
+        twice = quantize_model(once, "float16")
         np.testing.assert_array_equal(once.weights[0], twice.weights[0])
         np.testing.assert_array_equal(once.biases[0], twice.biases[0])
 
@@ -219,24 +218,31 @@ class TestQuantization:
         rng = np.random.default_rng(3)
         w = rng.normal(size=(40, 25))
         model = MLPModel([w], [np.zeros(25)])
-        q = quantize_model(model, QuantizationScheme("dynamic_int8"))
+        q = quantize_model(model, "dynamic_int8")
         scale = np.abs(w).max() / 127.0
         assert np.max(np.abs(q.weights[0] - w)) <= scale / 2 + 1e-12
 
     def test_degenerate_tensor_passes_through(self):
         model = MLPModel([np.zeros((3, 2))], [np.zeros(2)])
-        q = quantize_model(model, QuantizationScheme("dynamic_int8"))
+        q = quantize_model(model, "dynamic_int8")
         np.testing.assert_array_equal(q.weights[0], 0.0)
 
     def test_fixed_int8_requires_calibration(self):
         model = MLPModel([np.ones((2, 2))], [np.zeros(2)])
         with pytest.raises(ConfigError):
-            quantize_model(model, QuantizationScheme("fixed_int8"))
+            quantize_model(model, "fixed_int8")
+
+    # a method name is not a kind: it must not fall through to the fixed_int8 branch
+    @pytest.mark.parametrize("kind", ["int4", "quant_float16"])
+    def test_unknown_kind_is_refused(self, kind):
+        model = MLPModel([np.ones((2, 2))], [np.zeros(2)])
+        with pytest.raises(ConfigError, match=f"unknown quantization kind '{kind}'"):
+            quantize_model(model, kind, np.ones((1, 2)))
 
     def test_fixed_int8_clamps_preactivations(self):
         model = MLPModel([np.eye(2)], [np.zeros(2)])
         calib = np.array([[0.0, 0.0], [1.0, 1.0]])
-        q = quantize_model(model, QuantizationScheme("fixed_int8"), calib)
+        q = quantize_model(model, "fixed_int8", calib)
         assert q.activation_ranges is not None
         lo, hi = q.activation_ranges[0]
         assert (lo, hi) == (0.0, 1.0)
@@ -247,7 +253,7 @@ class TestQuantization:
     def test_quantization_does_not_mutate_input(self):
         w = np.array([[0.3, -0.6]])
         model = MLPModel([w.copy()], [np.zeros(2)])
-        quantize_model(model, QuantizationScheme("dynamic_int8"))
+        quantize_model(model, "dynamic_int8")
         np.testing.assert_array_equal(model.weights[0], w)
 
     @pytest.mark.parametrize("kind", ["float16", "dynamic_int8", "fixed_int8"])
@@ -256,7 +262,7 @@ class TestQuantization:
         ranges = [(-2.0, 2.0), (-3.0, 3.0)]
         model = MLPModel([rng.normal(size=(3, 4)), np.zeros((4, 2))], [np.ones(4), np.ones(2)],
                          ranges)
-        q = quantize_model(model, QuantizationScheme(kind), rng.normal(size=(5, 3)))
+        q = quantize_model(model, kind, rng.normal(size=(5, 3)))
         for new in q.weights + q.biases:
             assert not any(np.shares_memory(new, old) for old in model.weights + model.biases)
         assert model.activation_ranges == ranges
@@ -274,7 +280,7 @@ class TestSharedForwardPass:
 
     def test_fixed_int8_ranges_are_layer_extremes(self):
         model, x = self.two_hidden_layers()
-        q = quantize_model(model, QuantizationScheme("fixed_int8"), x)
+        q = quantize_model(model, "fixed_int8", x)
         want = []
         h = x
         for i, (w, b) in enumerate(zip(q.weights, q.biases)):
@@ -287,7 +293,7 @@ class TestSharedForwardPass:
     def test_logits_match_an_out_of_place_forward_pass(self, calibrated):
         model, x = self.two_hidden_layers(seed=6)
         if calibrated:  # a narrow slice, so that inference clamps on x
-            model = quantize_model(model, QuantizationScheme("fixed_int8"), x[:3])
+            model = quantize_model(model, "fixed_int8", x[:3])
 
         def forward(h):
             for i, (w, b) in enumerate(zip(model.weights, model.biases)):
@@ -323,7 +329,7 @@ class TestSharedForwardPass:
         b = trainer.LOGITS_BLOCK_ROWS
         x = rng.normal(size=(2 * b + 100, 16))
         if calibrated:  # a narrow slice, so that inference clamps on x
-            model = quantize_model(model, QuantizationScheme("fixed_int8"), x[:3])
+            model = quantize_model(model, "fixed_int8", x[:3])
         blocks = [model.logits(x[i:i + b]) for i in range(0, len(x), b)]
         assert bits([model.logits(x)]) == bits([np.concatenate(blocks)])
         assert model.logits(x[:0]).shape == (0, 10)
@@ -331,7 +337,7 @@ class TestSharedForwardPass:
     def test_training_never_clamps(self):
         model, x = self.two_hidden_layers(seed=5)
         y = np.arange(len(x)) % 3
-        calibrated = quantize_model(model, QuantizationScheme("fixed_int8"), x[:2])
+        calibrated = quantize_model(model, "fixed_int8", x[:2])
         plain = MLPModel(calibrated.weights, calibrated.biases)
         # the narrow calibration slice makes inference clamp on x
         assert not np.array_equal(calibrated.logits(x), plain.logits(x))
@@ -514,7 +520,7 @@ class TestTrainPopulation:
         got, got_log = train_population(train, test, config, compression)
         dense, _ = train_population(train, test, config)
         calibration = train.feature_matrix[:trainer.REPRESENTATIVE_COUNT]
-        want = [quantize_model(m, QuantizationScheme(kind), calibration) for m in dense]
+        want = [quantize_model(m, kind, calibration) for m in dense]
         want_log = evaluate_population(want, test, compression)
         assert len(got) == len(want) == config.population_size
         for g, w in zip(got, want):
@@ -749,7 +755,7 @@ class TestSnapshots:
         doc = json.loads(path.read_text())
         assert doc["layer_dims"] == [4, 16, 3]
         path.write_text(json.dumps({**doc, "layer_dims": [4, 17, 3]}))
-        with pytest.raises(ShapeError, match="snap.json: layer_dims do not match the stored arrays"):
+        with pytest.raises(SchemaError, match="snap.json: layer_dims do not match the stored arrays"):
             load_model(path)
 
     @pytest.mark.parametrize("doc", [
