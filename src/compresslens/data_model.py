@@ -2,13 +2,17 @@
 
 A `PredictionLog` holds the ranked predictions of every model in a population
 on every example of a split; all audits are derived from logs. Types are
-immutable after construction and every operation here is a pure function, so
-everything is safe to share across threads.
+immutable after construction, with read-only arrays. The functions here are
+pure, apart from the file writers and the two readers: `read_prediction_log`
+and `read_dataset` keep what they parse, keyed by the bytes parsed, and a
+later read of the same bytes returns the same object (see `_reuse`). That
+table is locked, so everything here is safe to share across threads.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -16,6 +20,8 @@ import numbers
 import os
 import re
 import tempfile
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import chain, compress
@@ -704,12 +710,44 @@ def read_table(path: str | Path, columns, what: str) -> dict[str, np.ndarray]:
     return _read_table(data, start, columns)
 
 
+# What the readers parsed, keyed by the reader, the SHA-256 of the bytes parsed
+# and, for a dataset, the sidecar's class count and layout: a read of bytes
+# already parsed returns the object their parse made. Such an object is
+# immutable, so every caller may share it. The arrays kept total at most
+# `_PARSED_CAP_BYTES`, least recently used out first; a result larger than
+# that is returned but not kept, and a read that raises keeps nothing. Keys
+# are contents, never paths or mtimes: a file rewritten in place is parsed
+# again, and two copies of one file share an entry.
+_PARSED_CAP_BYTES = 32 * 2**20
+_parsed: OrderedDict = OrderedDict()  # key -> (result, bytes of its arrays)
+_parsed_lock = threading.Lock()
+
+
+def _reuse(key: tuple, parse):
+    """What `parse()` returned for `key` before, if it is still kept; else `parse()`, kept."""
+    with _parsed_lock:
+        if key in _parsed:
+            _parsed.move_to_end(key)
+            return _parsed[key][0]
+    result = parse()  # outside the lock: reads of other files go on meanwhile
+    size = sum(v.nbytes for v in vars(result).values() if isinstance(v, np.ndarray))
+    if size <= _PARSED_CAP_BYTES:
+        with _parsed_lock:
+            _parsed[key] = (result, size)
+            _parsed.move_to_end(key)
+            total = sum(kept for _, kept in _parsed.values())
+            while total > _PARSED_CAP_BYTES:
+                total -= _parsed.popitem(last=False)[1][1]
+    return result
+
+
 def read_prediction_log(path: str | Path) -> PredictionLog:
     """Parse a long-format CSV log; the inverse of `write_prediction_log`.
 
     Rows may appear in any order. Raises SchemaError for a bad header and
     ParseError (with a 1-based line number) for a bad row. The five integer
-    columns are parsed by one np.loadtxt call and checked column-wise.
+    columns are parsed by one np.loadtxt call and checked column-wise. Bytes
+    read before come back as the log they gave then (`_reuse`).
     """
     path = Path(path)
     data, header, start = _read_csv(path)
@@ -722,6 +760,11 @@ def read_prediction_log(path: str | Path) -> PredictionLog:
         if extra:
             detail.append(f"unexpected columns {extra}")
         raise SchemaError(f"{path}: {'; '.join(detail) or 'columns out of order'}")
+    return _reuse(("log", hashlib.sha256(data).digest()), lambda: _parse_log(data, start))
+
+
+def _parse_log(data: bytes, start: int) -> PredictionLog:
+    """The log whose rows follow the header that ends at `start`."""
     first_row = _NONBLANK.search(data, start)
     if first_row is None:
         raise ParseError("log contains no data rows", None)
@@ -842,7 +885,9 @@ def read_dataset(csv_path: str | Path) -> LabeledDataset:
     The id, label, attribute and feature columns are parsed by one
     np.loadtxt call; attribute cells are 0 or 1. ParseError, with the line,
     for a bad row; SchemaError, naming the sidecar, for a class count or
-    layout that `LabeledDataset.from_arrays` refuses.
+    layout that `LabeledDataset.from_arrays` refuses. Bytes read before with
+    the same class count and layout come back as the dataset they gave then
+    (`_reuse`).
     """
     csv_path = Path(csv_path)
     meta_path = _meta_path(csv_path)
@@ -875,21 +920,24 @@ def read_dataset(csv_path: str | Path) -> LabeledDataset:
     except ConfigError as exc:
         raise SchemaError(f"{meta_path}: {exc}") from None
 
-    table = _read_table(data, start, [
-        ("example_id", "int"),
-        ("true_label", "int"),
-        ("attribute", "flag", len(attr_names)),
-        ("features", "float", len(feat_cols)),
-    ])
-    return LabeledDataset.from_arrays(
-        table["example_id"],
-        table["true_label"],
-        table["features"],
-        num_classes,
-        attribute_names=attr_names,
-        attributes=table["attribute"],
-        layout=layout,
-    )
+    def parse() -> LabeledDataset:
+        table = _read_table(data, start, [
+            ("example_id", "int"),
+            ("true_label", "int"),
+            ("attribute", "flag", len(attr_names)),
+            ("features", "float", len(feat_cols)),
+        ])
+        return LabeledDataset.from_arrays(
+            table["example_id"],
+            table["true_label"],
+            table["features"],
+            num_classes,
+            attribute_names=attr_names,
+            attributes=table["attribute"],
+            layout=layout,
+        )
+
+    return _reuse(("dataset", hashlib.sha256(data).digest(), num_classes, layout), parse)
 
 
 def read_json_object(path: str | Path) -> dict:

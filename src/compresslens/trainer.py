@@ -583,20 +583,34 @@ def save_model(model: MLPModel, compression: CompressionSpec, path: str | Path) 
     atomic_write_text(path, json.dumps(doc) + "\n")
 
 
+def _json_numbers(value, what: str) -> np.ndarray:
+    """Nested JSON lists of numbers as a float64 array; a bool, str or null in them is refused."""
+    cells = np.array(value, dtype=object)  # each value as JSON gave it
+    if not set(map(type, cells.flat)) <= {int, float}:
+        bad = next(v for v in cells.flat if type(v) not in (int, float))
+        raise ConfigError(f"{what} must be lists of numbers, all of one length, got {bad!r}")
+    return cells.astype(np.float64)
+
+
 def load_model(path: str | Path) -> tuple[MLPModel, CompressionSpec]:
-    """Read a `save_model` snapshot; a missing key or a malformed array is a SchemaError."""
+    """Read a `save_model` snapshot; a missing key or a malformed value is a SchemaError.
+
+    Weights and biases must be JSON numbers and layer dims integers: a bool, a
+    string or null is refused, never cast. Only a missing or null
+    `activation_ranges` means a model without ranges.
+    """
     doc = read_json_object(path)
     try:
         model = MLPModel(
-            weights=[np.array(w, dtype=np.float64) for w in doc["weights"]],
-            biases=[np.array(b, dtype=np.float64) for b in doc["biases"]],
-            activation_ranges=doc.get("activation_ranges") or None,
+            weights=[_json_numbers(w, "weights") for w in doc["weights"]],
+            biases=[_json_numbers(b, "biases") for b in doc["biases"]],
+            activation_ranges=doc.get("activation_ranges"),
         )
         spec = CompressionSpec(**doc["compression"])
-        layer_dims = tuple(doc["layer_dims"])
+        layer_dims = tuple(int_at_least(d, "each of layer_dims") for d in doc["layer_dims"])
     except KeyError as exc:
         raise SchemaError(f"{path}: missing key {exc}") from None
-    except (TypeError, ValueError, ShapeError, ConfigError) as exc:
+    except (TypeError, ValueError, OverflowError, ShapeError, ConfigError) as exc:
         raise SchemaError(f"{path}: malformed snapshot: {exc}") from None
     if layer_dims != model.layer_dims:
         raise SchemaError(f"{path}: layer_dims do not match the stored arrays")

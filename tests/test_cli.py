@@ -864,10 +864,19 @@ class TestBadInputExits2:
         _set_first("weights", float("nan")),
         _set_first("biases", float("-inf")),
         _set_first("weights", None),
+        _set_first("weights", True),
+        _set_first("biases", False),
+        _set_first("weights", "1.5"),
+        _set_first("weights", 10**400),
+        lambda doc: {**doc, "layer_dims": [float(d) for d in doc["layer_dims"]]},
+        *(lambda doc, r=ranges: {**doc, "activation_ranges": r} for ranges in (False, 0, "", [], {})),
     ], ids=["empty", "no biases", "ragged weights", "weights not a list", "no layers",
             "unknown method", "sparsity out of range", "one range for two layers",
             "three-element ranges", "string ranges", "lo above hi", "infinite range",
-            "ranges not a list", "no ranges", "nan weight", "infinite bias", "null weight"])
+            "ranges not a list", "no ranges", "nan weight", "infinite bias", "null weight",
+            "true weight", "false bias", "string weight", "weight beyond float64",
+            "float layer dims", "false ranges", "zero ranges", "empty-string ranges",
+            "empty-list ranges", "empty-object ranges"])
     def test_bad_model_snapshot(self, logs, data_dir, tmp_path, edit):
         snaps = tmp_path / "base_models"
         shutil.copytree(logs / "base_models", snaps)

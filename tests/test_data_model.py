@@ -2,8 +2,13 @@
 
 import dataclasses
 import math
+import os
 import re
+import shutil
+import sys
+import threading
 import tracemalloc
+from collections import OrderedDict
 
 import numpy as np
 import oracles
@@ -11,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from compresslens import data_model
 from compresslens.data_model import (
     LOG_HEADER,
     TABLE_BLOCK_CELLS,
@@ -1224,3 +1230,177 @@ class TestTextCells:
         assert (np.signbit(back.feature_matrix) == np.signbit(ds.feature_matrix))[
             ~np.isnan(ds.feature_matrix)
         ].all()
+
+
+# ---------------------------------------------------------------------------
+# the readers keep what they parsed, by content
+# ---------------------------------------------------------------------------
+
+class TestParsedReuse:
+    @pytest.fixture(autouse=True)
+    def parses(self, monkeypatch):
+        """A table of parsed files that starts empty; the list counts each parse."""
+        monkeypatch.setattr(data_model, "_parsed", OrderedDict())
+        counted, parse_rows = [], data_model._parse_rows
+
+        def counting(*args, **kwargs):
+            counted.append(1)
+            return parse_rows(*args, **kwargs)
+
+        monkeypatch.setattr(data_model, "_parse_rows", counting)
+        return counted
+
+    @staticmethod
+    def no_parse(monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("bytes already parsed were parsed again")
+
+        monkeypatch.setattr(data_model, "_parse_rows", fail)
+
+    @staticmethod
+    def write_log(path, population_id="pop"):
+        write_prediction_log(make_log([[0, 1], [1, 0]], [0, 1], population_id=population_id), path)
+
+    @staticmethod
+    def write_split(path, meta='{"num_classes": 3}'):
+        _dataset_csv(path, ["0,0,1,0.5,1.5", "1,2,0,-1,2"])
+        path.with_suffix(".meta.json").write_text(meta)
+
+    def test_same_log_bytes_give_the_same_object(self, tmp_path, monkeypatch):
+        self.write_log(tmp_path / "a.csv")
+        first = read_prediction_log(tmp_path / "a.csv")
+        shutil.copyfile(tmp_path / "a.csv", tmp_path / "copy.csv")
+        self.no_parse(monkeypatch)
+        assert read_prediction_log(tmp_path / "a.csv") is first
+        assert read_prediction_log(tmp_path / "copy.csv") is first
+
+    def test_same_split_bytes_give_the_same_object(self, tmp_path, monkeypatch):
+        self.write_split(tmp_path / "a.csv")
+        first = read_dataset(tmp_path / "a.csv")
+        (tmp_path / "b").mkdir()
+        self.write_split(tmp_path / "b" / "a.csv")
+        self.no_parse(monkeypatch)
+        assert read_dataset(tmp_path / "a.csv") is first
+        assert read_dataset(tmp_path / "b" / "a.csv") is first
+
+    def test_one_changed_byte_is_parsed_again(self, tmp_path, parses):
+        path = tmp_path / "a.csv"
+        self.write_log(path)
+        first = read_prediction_log(path)
+        data = path.read_bytes()
+        at = data.rindex(b",0,1\n")  # the last row's prediction, 0 -> 1
+        path.write_bytes(data[:at] + b",1,1\n" + data[at + 5:])
+        again = read_prediction_log(path)
+        assert len(parses) == 2 and again is not first
+        assert again.predictions[-1, -1, 0] == 1 and first.predictions[-1, -1, 0] == 0
+
+    def test_same_size_rewrite_at_the_same_mtime_is_parsed_again(self, tmp_path, parses):
+        path = tmp_path / "a.csv"
+        self.write_log(path, "pop")
+        first = read_prediction_log(path)
+        stat = path.stat()
+        self.write_log(path, "top")
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert (path.stat().st_size, path.stat().st_mtime_ns) == (stat.st_size, stat.st_mtime_ns)
+        assert read_prediction_log(path).population_id == "top"
+        assert first.population_id == "pop" and len(parses) == 2
+
+    def test_a_failed_read_keeps_nothing(self, tmp_path, parses):
+        path = tmp_path / "a.csv"
+        self.write_log(path)
+        good = path.read_bytes()
+        path.write_bytes(good.replace(b",1,", b",0,", 1))  # the first row's rank 1 -> 0
+        for _ in range(2):
+            with pytest.raises(ParseError, match="line 2: ranks are 1-based, got 0"):
+                read_prediction_log(path)
+        assert len(parses) == 2 and not data_model._parsed
+        path.write_bytes(good)
+        assert read_prediction_log(path).num_models == 2
+
+    def test_a_bad_file_names_its_own_path_each_time(self, tmp_path):
+        self.write_log(tmp_path / "good.csv")
+        bad = (tmp_path / "good.csv").read_bytes().replace(b"population_id", b"population", 1)
+        for name in ("a.csv", "b.csv"):
+            (tmp_path / name).write_bytes(bad)
+        for name in ("a.csv", "b.csv", "a.csv", "b.csv"):
+            with pytest.raises(SchemaError, match=re.escape(f"{tmp_path / name}:")):
+                read_prediction_log(tmp_path / name)
+        assert not data_model._parsed
+
+    def test_a_kept_split_under_a_bad_sidecar_fails(self, tmp_path):
+        self.write_split(tmp_path / "a.csv")
+        read_dataset(tmp_path / "a.csv")
+        (tmp_path / "b").mkdir()
+        for _ in range(2):
+            self.write_split(tmp_path / "b" / "a.csv", '{"num_classes": 2}')
+            with pytest.raises(ConfigError, match="example 1: label 2 outside"):
+                read_dataset(tmp_path / "b" / "a.csv")
+            self.write_split(tmp_path / "b" / "a.csv", '{"num_classes": 0}')
+            with pytest.raises(SchemaError, match=re.escape(f"{tmp_path / 'b' / 'a.meta.json'}:")):
+                read_dataset(tmp_path / "b" / "a.csv")
+
+    def test_a_split_under_another_sidecar_is_another_dataset(self, tmp_path, parses):
+        self.write_split(tmp_path / "a.csv")
+        plain = read_dataset(tmp_path / "a.csv")
+        outcomes = {}
+        for meta in ('{"num_classes": 4}', '{"num_classes": 3, "height": 1, "width": 2}'):
+            self.write_split(tmp_path / "a.csv", meta)
+            outcomes[meta] = read_dataset(tmp_path / "a.csv")
+        four, laid_out = outcomes.values()
+        assert (plain.num_classes, plain.layout) == (3, None)
+        assert (four.num_classes, four.layout) == (4, None)
+        assert (laid_out.num_classes, laid_out.layout) == (3, (1, 2))
+        assert len(parses) == 3 and len({id(plain), id(four), id(laid_out)}) == 3
+
+    def test_least_recently_used_goes_first_past_the_cap(self, tmp_path, monkeypatch, parses):
+        for name in "abc":
+            self.write_log(tmp_path / f"{name}.csv", name)
+        size = lambda log: log.example_ids.nbytes + log.truth.nbytes + log.predictions.nbytes
+        monkeypatch.setattr(data_model, "_PARSED_CAP_BYTES", 2 * size(read_prediction_log(tmp_path / "a.csv")))
+        read_prediction_log(tmp_path / "b.csv")
+        read_prediction_log(tmp_path / "a.csv")  # a hit: now b is the least recently used
+        read_prediction_log(tmp_path / "c.csv")
+        assert len(parses) == 3
+        kept = [log.population_id for log, _ in data_model._parsed.values()]
+        assert kept == ["a", "c"]
+        assert sum(size for _, size in data_model._parsed.values()) <= data_model._PARSED_CAP_BYTES
+        read_prediction_log(tmp_path / "b.csv")
+        assert len(parses) == 4
+
+    def test_a_result_above_the_cap_is_not_kept(self, tmp_path, monkeypatch, parses):
+        self.write_log(tmp_path / "a.csv")
+        monkeypatch.setattr(data_model, "_PARSED_CAP_BYTES", 8)
+        first = read_prediction_log(tmp_path / "a.csv")
+        assert read_prediction_log(tmp_path / "a.csv") is not first
+        assert len(parses) == 2 and not data_model._parsed
+
+    def test_threads_reading_at_once(self, tmp_path):
+        paths = []
+        for name in "abc":
+            self.write_log(tmp_path / f"{name}.csv", name)
+            paths.append(tmp_path / f"{name}.csv")
+        results, errors = [], []
+
+        def read_all():
+            try:
+                for _ in range(20):
+                    results.extend((p.stem, read_prediction_log(p)) for p in paths)
+            except Exception as exc:  # recorded, and the test fails on it below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read_all) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == [] and len(results) == 8 * 20 * 3
+        for stem, log in results:
+            assert log.population_id == stem
+            np.testing.assert_array_equal(log.predictions, [[[0], [1]], [[1], [0]]])
+        assert len(data_model._parsed) == 3
