@@ -23,7 +23,7 @@ from .data_model import (
     write_json,
     write_prediction_log,
 )
-from .errors import CompressLensError, ConfigError, DataError, NumericError
+from .errors import CompressLensError, ConfigError, DataError, NumericError, ParseError
 from .pie_audit import write_attribute_report, write_pie_report
 from .pipeline import (
     ExperimentConfig,
@@ -289,7 +289,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"compresslens: numeric failure in {args.command}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (CompressLensError, OSError) as exc:
-        print(f"compresslens: {args.command} failed: {exc}", file=sys.stderr)
+        where = f"{exc.path}: " if isinstance(exc, ParseError) and exc.path is not None else ""
+        print(f"compresslens: {args.command} failed: {where}{exc}", file=sys.stderr)
         return EXIT_DATA
 
 

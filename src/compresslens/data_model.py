@@ -23,7 +23,7 @@ import tempfile
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cached_property, wraps
 from itertools import chain, compress
 from pathlib import Path
 from typing import Iterable, NoReturn
@@ -527,8 +527,8 @@ def atomic_write_text(path: str | Path, text: str | Iterable[str]) -> None:
         raise
 
 
-# cells per block a CSV writer hands `write_table`: the Python objects of one
-# block only (~16k cells, a few hundred KB of text) are alive at a time
+# cells per block of a CSV write: the Python objects of one block only
+# (~16k cells, a few hundred KB of text) are alive at a time
 TABLE_BLOCK_CELLS = 2**14
 
 
@@ -539,7 +539,8 @@ def write_table(path: str | Path, header: list[str], row_format: str, blocks: It
     block is a flat sequence of cells, a whole number of rows of them. Blocks
     are formatted and written one at a time, so a write holds one block's
     text. Every CSV the toolkit writes goes through here, in the row grammar
-    its readers take.
+    its readers take, but the prediction log: `write_prediction_log` joins
+    its blocks from cells it formatted once and writes them the same way.
     """
     width = row_format.replace("%%", "").count("%")  # cells per row
     rows = (((row_format + "\n") * (len(cells) // width)) % tuple(cells) for cells in blocks)
@@ -554,22 +555,46 @@ def write_json(path: str | Path, doc) -> None:
 def write_prediction_log(log: PredictionLog, path: str | Path) -> None:
     """Serialize a log as long-format CSV, rows ordered by (model, example, rank).
 
-    The population's three cells are part of the row format. A block holds
-    the (model, example, rank, prediction, truth) cells of one model's rows
-    on up to `TABLE_BLOCK_CELLS` cells' worth of examples.
+    Each distinct cell value is formatted once: the example ids, the labels
+    the log holds, the ranks and each model's head (population, method,
+    sparsity, model id). A block gathers, by index into those tables, the
+    cells of one model's rows on up to `TABLE_BLOCK_CELLS` cells' worth of
+    examples, and joins them into its text.
     """
-    spec = log.compression
-    prefix = f"{log.population_id},{spec.method},{spec.sparsity!r}".replace("%", "%%")
-    ids, ranks = np.broadcast_arrays(log.example_ids[:, np.newaxis], np.arange(1, log.topk + 1))
-    truth = np.broadcast_to(log.truth[:, np.newaxis], ids.shape)
+    spec, N = log.compression, log.num_examples
     step = max(1, TABLE_BLOCK_CELLS // (5 * log.topk))  # examples per block
-    rows = [slice(i, i + step) for i in range(0, log.num_examples, step)]
-    blocks = (
-        np.stack([np.full_like(ids[s], k), ids[s], ranks[s], preds[s], truth[s]], axis=-1)
-        .ravel().tolist()
-        for k, preds in enumerate(log.predictions) for s in rows
-    )
-    write_table(path, LOG_HEADER, prefix + ",%d,%d,%d,%d,%d", blocks)
+
+    def blocks():
+        # the labels the log holds, ascending; never a table over the class count
+        labels = _distinct(np.concatenate([log.truth, *map(_distinct, log.predictions)]))
+        text = [str(label) for label in labels.tolist()]
+        predicted = np.array([t + "," for t in text], dtype=object)
+        truth = np.array([t + "\n" for t in text], dtype=object)[labels.searchsorted(log.truth)]
+        ids = np.array([f"{i}," for i in log.example_ids.tolist()], dtype=object)
+        cells = np.empty((min(step, N), log.topk, 5), dtype=object)  # refilled for each block
+        cells[:, :, 2] = [f"{rank}," for rank in range(1, log.topk + 1)]
+        for k, preds in enumerate(log.predictions):
+            cells[:, :, 0] = f"{log.population_id},{spec.method},{spec.sparsity!r},{k},"
+            for i in range(0, N, step):
+                block = cells[:min(step, N - i)]
+                block[:, :, 1] = ids[i:i + step, np.newaxis]
+                block[:, :, 3] = predicted[labels.searchsorted(preds[i:i + step])]
+                block[:, :, 4] = truth[i:i + step, np.newaxis]
+                yield "".join(block.ravel().tolist())
+
+    atomic_write_text(path, chain([",".join(LOG_HEADER) + "\n"], blocks()))
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values of `values`, ascending, flattened.
+
+    `np.unique` without the ~1 MiB of `numpy.ma` its first call in a
+    process imports, which alone would double a log write's peak.
+    """
+    values = np.sort(values, axis=None)
+    keep = np.ones(values.size, dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
 
 
 # The data rows of every CSV the toolkit reads are parsed by one `np.loadtxt`
@@ -702,6 +727,25 @@ def _read_table(data: bytes, start: int, columns) -> dict[str, np.ndarray]:
     return {name: table[name] == "1" if name in flags else table[name] for name, *_ in columns}
 
 
+def _naming_the_file(read):
+    """`read`, setting on a ParseError it raises the path it read, its first parameter.
+
+    Set on each raise: a failed read keeps nothing, so every copy of a bad
+    file is named (`ParseError.path`).
+    """
+
+    @wraps(read)
+    def named(path, *args, **kwargs):
+        try:
+            return read(path, *args, **kwargs)
+        except ParseError as exc:
+            exc.path = Path(path)
+            raise
+
+    return named
+
+
+@_naming_the_file
 def read_table(path: str | Path, columns, what: str) -> dict[str, np.ndarray]:
     """`_read_table` of a CSV whose header is the names of `columns`, else a SchemaError."""
     data, header, start = _read_csv(Path(path))
@@ -741,6 +785,7 @@ def _reuse(key: tuple, parse):
     return result
 
 
+@_naming_the_file
 def read_prediction_log(path: str | Path) -> PredictionLog:
     """Parse a long-format CSV log; the inverse of `write_prediction_log`.
 
@@ -879,6 +924,7 @@ def write_dataset(dataset: LabeledDataset, csv_path: str | Path) -> None:
     atomic_write_text(_meta_path(csv_path), json.dumps(meta, sort_keys=True) + "\n")
 
 
+@_naming_the_file
 def read_dataset(csv_path: str | Path) -> LabeledDataset:
     """Read a dataset CSV and its sidecar metadata.
 

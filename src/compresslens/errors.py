@@ -33,10 +33,16 @@ class RankDepthExceeded(DataError):
 
 
 class ParseError(DataError):
-    """A file row violates the format; carries a line number when known."""
+    """A file row violates the format; carries a line number when known.
+
+    `path` is the path of the file, set by the reader that raised it. The
+    message leaves it out and reads the same whichever file held the fault;
+    the command line prints the path before it.
+    """
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line
+        self.path = None
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
 

@@ -245,6 +245,22 @@ class TestAudits:
         ])
         assert rc == 0
 
+    @pytest.mark.parametrize("bad", ["base", "comp"])
+    def test_parse_error_names_the_bad_log(self, logs, tmp_path, capsys, bad):
+        """Of the two logs a command reads, the one with the faulty row is named."""
+        paths = {name: logs / f"{name}.csv" for name in ("base", "comp")}
+        lines = paths[bad].read_text().split("\n")
+        row = lines[1].split(",")
+        row[5] = "0"  # the first row's rank
+        lines[1] = ",".join(row)
+        paths[bad] = tmp_path / f"{bad}.csv"
+        paths[bad].write_text("\n".join(lines))
+        rc = main(["audit-classes", "--base", str(paths["base"]), "--comp", str(paths["comp"]),
+                   "--out", str(tmp_path / "audit.csv")])
+        assert rc == 2
+        assert (f"audit-classes failed: {paths[bad]}: line 2: ranks are 1-based, got 0"
+                in capsys.readouterr().err)
+
     def test_missing_log_is_data_error(self, tmp_path):
         rc = main([
             "audit-classes", "--base", str(tmp_path / "nope.csv"),

@@ -593,7 +593,9 @@ class TestDatasetRoundtrip:
 # ---------------------------------------------------------------------------
 
 @st.composite
-def small_logs(draw, max_models=4, max_examples=6, pid_excludes=""):
+def small_logs(draw, max_models=4, max_examples=6, pid_excludes="", label_gaps=False):
+    """A log of C labels; with `label_gaps`, labels that may skip values, below a
+    class count that may lie far above every one of them."""
     C = draw(st.integers(1, 6))
     topk = draw(st.integers(1, C))
     K = draw(st.integers(1, max_models))
@@ -601,6 +603,12 @@ def small_logs(draw, max_models=4, max_examples=6, pid_excludes=""):
     ids = draw(st.lists(st.integers(0, 2**63 - 1), min_size=N, max_size=N, unique=True))
     preds = [[draw(st.permutations(range(C)))[:topk] for _ in range(N)] for _ in range(K)]
     truth = draw(st.lists(st.integers(0, C - 1), min_size=N, max_size=N))
+    num_classes = None
+    if label_gaps:  # label j becomes the j-th smallest of C drawn values
+        labels = np.sort(draw(st.lists(st.integers(0, 2**40 - 1), min_size=C, max_size=C,
+                                       unique=True)))
+        preds, truth = labels[preds], labels[truth]
+        num_classes = draw(st.none() | st.integers(int(labels[-1]) + 1, 2**40))
     spec = draw(
         st.sampled_from([CompressionSpec("none"), CompressionSpec("quant_dynamic_int8")])
         | st.floats(0, 1, exclude_min=True, exclude_max=True).map(
@@ -612,7 +620,7 @@ def small_logs(draw, max_models=4, max_examples=6, pid_excludes=""):
         st.characters(blacklist_characters=",\n\r" + pid_excludes, blacklist_categories=("Cs",)),
         max_size=8,
     ))
-    return PredictionLog(pid, spec, ids, truth, np.array(preds).reshape(K, N, topk))
+    return PredictionLog(pid, spec, ids, truth, np.array(preds).reshape(K, N, topk), num_classes)
 
 
 def _outcome(read, path):
@@ -714,7 +722,7 @@ class TestColumnarLogReader:
         np.testing.assert_array_equal(back.predictions, log.predictions)
 
     @settings(max_examples=150, deadline=None)
-    @given(log=small_logs())
+    @given(log=small_logs() | small_logs(label_gaps=True))
     def test_writer_matches_former_writer(self, tmp_path_factory, log):
         root = tmp_path_factory.mktemp("w")
         write_prediction_log(log, root / "new.csv")
@@ -1169,6 +1177,25 @@ class TestStreamingWrites:
         assert (tmp_path / "log.csv").stat().st_size > 5 * 2**20
         assert peak < 1.5 * 2**20  # blocks of TABLE_BLOCK_CELLS cells, not of one model's rows
 
+    def test_log_write_is_not_sized_by_the_class_count(self, tmp_path):
+        """A class count far above a few labels that skip values builds no per-class table."""
+        rng = np.random.default_rng(4)
+        K, N, topk = 10, 6000, 3
+        labels = np.array([0, 7, 2**20, 2**39 + 5, 2**40 - 1])
+        preds = labels[np.argsort(rng.random((K, N, labels.size)), axis=2)[:, :, :topk]]
+        log = PredictionLog("baseline", CompressionSpec("none"), np.arange(N),
+                            labels[rng.integers(0, labels.size, N)], preds,
+                            explicit_num_classes=2**40)
+        tracemalloc.start()
+        try:
+            write_prediction_log(log, tmp_path / "log.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20
+        oracles.write_prediction_log(log, tmp_path / "old.csv")
+        assert (tmp_path / "log.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
     @pytest.mark.parametrize("old", [b"a\n1\n", None])
     def test_failing_block_leaves_the_target_alone(self, tmp_path, old):
         path = tmp_path / "t.csv"
@@ -1325,6 +1352,27 @@ class TestParsedReuse:
         for name in ("a.csv", "b.csv", "a.csv", "b.csv"):
             with pytest.raises(SchemaError, match=re.escape(f"{tmp_path / name}:")):
                 read_prediction_log(tmp_path / name)
+        assert not data_model._parsed
+
+    @pytest.mark.parametrize("read, write", [
+        (read_prediction_log, write_log),
+        (read_dataset, write_split),
+        (read_audit_csv, lambda path: write_audit_csv(
+            [ClassAuditRow(0, 0.5, 0.5, 0.0, 0.0, 2.0, 1.0, False)], path)),
+    ], ids=["log", "dataset", "table"])
+    @pytest.mark.parametrize("fault", [b"\xff", b"x"], ids=["not UTF-8", "bad cell"])
+    def test_a_parse_error_names_its_own_path_each_time(self, tmp_path, read, write, fault):
+        """Two copies of one bad file: each read names the copy it read; the
+        message and the line stay the parse's."""
+        for name in ("a.csv", "b.csv"):
+            write(tmp_path / name)
+            data = (tmp_path / name).read_bytes()
+            end = data.index(b"\n", data.index(b"\n") + 1)  # the end of line 2
+            (tmp_path / name).write_bytes(data[:end] + fault + data[end:])
+        for name in ("a.csv", "b.csv", "a.csv", "b.csv"):
+            with pytest.raises(ParseError, match="^line 2: ") as err:
+                read(tmp_path / name)
+            assert (err.value.path, err.value.line) == (tmp_path / name, 2)
         assert not data_model._parsed
 
     def test_a_kept_split_under_a_bad_sidecar_fails(self, tmp_path):
