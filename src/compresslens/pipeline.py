@@ -11,7 +11,6 @@ import os
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, is_dataclass, replace
-from functools import cached_property
 from pathlib import Path
 
 from .data_model import (
@@ -42,7 +41,7 @@ from .pie_audit import (
     write_attribute_report,
     write_pie_report,
 )
-from .stats_audit import AUDIT_HEADER, ClassAuditRow, audit_classes, read_audit_csv, write_audit_csv
+from .stats_audit import AUDIT_HEADER, audit_classes, read_audit_csv, write_audit_csv
 from .synth import SynthLongTailSpec, synthesize
 from .trainer import (
     TrainConfig,
@@ -179,29 +178,15 @@ def _resolve_dataset(config: ExperimentConfig) -> tuple[LabeledDataset, LabeledD
 
 @dataclass(frozen=True, eq=False)
 class LevelAudit:
-    """One level's audit (see `audit_level`); the Welch class rows are computed on first use."""
+    """One level's PIE audit (see `audit_level`)."""
 
-    base_log: PredictionLog
-    comp_log: PredictionLog
-    audit: AuditConfig
     pies: PIESet
     subset: dict[str, float | None] | None
     attributes: dict[str, tuple[float, float, float]] | None
 
-    @cached_property
-    def class_rows(self) -> list[ClassAuditRow] | None:
-        """`audit_classes`, or None when either population has K < 2 models."""
-        if min(self.base_log.num_models, self.comp_log.num_models) < 2:
-            return None
-        return audit_classes(self.base_log, self.comp_log, self.audit)
-
 
 def audit_level(
-    base_log: PredictionLog,
-    comp_log: PredictionLog,
-    test_ds: LabeledDataset | None,
-    audit: AuditConfig = AuditConfig(),
-    k: int = 1,
+    base_log: PredictionLog, comp_log: PredictionLog, test_ds: LabeledDataset | None, k: int = 1
 ) -> LevelAudit:
     """The PIEs of `comp_log` against `base_log`, and the analyses built on them.
 
@@ -215,10 +200,10 @@ def audit_level(
     if test_ds is not None:
         check_same_split(base_log, test_ds.example_ids, test_ds.labels, "logs and test split")
     if not pies.pie_ids:
-        return LevelAudit(base_log, comp_log, audit, pies, None, None)
+        return LevelAudit(pies, None, None)
     subset = dict(zip(("pies", "non_pies", "all"), subset_accuracy(base_log, pies, k)))
     attributes = None if test_ds is None else attribute_shares(pies, test_ds)
-    return LevelAudit(base_log, comp_log, audit, pies, subset, attributes)
+    return LevelAudit(pies, subset, attributes)
 
 
 def run_pipeline(config: ExperimentConfig) -> dict:
@@ -306,10 +291,12 @@ def _write_bundle(
         entry: dict = {"label": label, "method": spec.method, "sparsity": spec.sparsity}
         entry.update(_population_entry(log))
         with _stage(f"audit {label}"):
-            level = audit_level(base_log, log, test_ds, config.audit)
-            if level.class_rows is not None:
-                write_audit_csv(level.class_rows, out / "audits" / f"class_audit_{label}.csv")
-            entry["significant_classes"] = sum(r.significant for r in level.class_rows or ())
+            level = audit_level(base_log, log, test_ds)
+            rows = []
+            if config.train.population_size >= 2:  # as `run_pipeline` checks before training
+                rows = audit_classes(base_log, log, config.audit)
+                write_audit_csv(rows, out / "audits" / f"class_audit_{label}.csv")
+            entry["significant_classes"] = sum(r.significant for r in rows)
             write_pie_report(level.pies, base_log.truth, out / "pies" / f"pie_{label}.csv")
             entry["pie_count"] = len(level.pies)
             if level.subset is not None:

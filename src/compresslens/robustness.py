@@ -137,7 +137,7 @@ def _mix_pool(key: list[np.ndarray]) -> list[np.ndarray]:
 
 
 def _pcg64_seed(pool: list) -> list:
-    """`SeedSequence.generate_state(4, np.uint64)` of a pool: four Python ints or uint64 columns.
+    """`SeedSequence.generate_state(4, np.uint64)` of a pool of uint64 columns, one per word.
 
     Every product is masked to 32 bits, as numpy's uint32 arithmetic wraps.
     """
@@ -174,28 +174,25 @@ def _example_rngs(spec: CorruptionSpec, example_ids) -> Iterator[np.random.Gener
     `np.random.default_rng([spec.seed, kind index, spec.severity, example_id])`.
 
     `default_rng` mixes the key's uint32 words into `SeedSequence`'s pool and
-    seeds `PCG64` with `generate_state(4, np.uint64)` of it. Here that state
-    is computed for every id at once and handed to `PCG64` as it is. One
-    key's pool is numpy's own; for more, the pools are mixed together as
-    uint32 columns, one group per key length (an id of 2**32 or more adds a
-    word).
+    seeds `PCG64` with `generate_state(4, np.uint64)` of it. One id's
+    generator is `default_rng`'s own, which costs less than setting up
+    columns. For more, that state is computed for every id at once, the
+    pools mixed together as uint32 columns, one group per key length (an id
+    of 2**32 or more adds a word), and handed to `PCG64` as it is.
     """
     ids = int64_array(example_ids, "example ids", non_negative=True)
-    prefix = spec._key_words
     if len(ids) == 1:
-        # for one key, numpy's own mixing costs less than setting up columns
-        key = np.array([*prefix, *_seed_words(ids[0])], dtype=np.uint32)
-        seeds = [np.array(_pcg64_seed(np.random.SeedSequence(key).pool.tolist()), np.uint64)]
-    else:
-        # the one or two words `_seed_words` makes of an id below 2**63
-        words = np.stack([ids & _MASK32, ids >> 32]).astype(np.uint32)
-        lengths = 1 + (words[1] != 0)
-        pool = np.empty((_POOL_SIZE, len(ids)), dtype=np.uint64)
-        for length in np.unique(lengths).tolist():
-            rows = lengths == length
-            key = [np.array([w], dtype=np.uint32) for w in prefix] + list(words[:length, rows])
-            pool[:, rows] = _mix_pool(key)
-        seeds = np.stack(_pcg64_seed(pool), axis=1)
+        yield np.random.default_rng([spec.seed, _KIND_INDEX[spec.kind], spec.severity, int(ids[0])])
+        return
+    # the one or two words `_seed_words` makes of an id below 2**63
+    words = np.stack([ids & _MASK32, ids >> 32]).astype(np.uint32)
+    lengths = 1 + (words[1] != 0)
+    pool = np.empty((_POOL_SIZE, len(ids)), dtype=np.uint64)
+    for length in np.unique(lengths).tolist():
+        rows = lengths == length
+        key = [np.array([w], dtype=np.uint32) for w in spec._key_words] + list(words[:length, rows])
+        pool[:, rows] = _mix_pool(key)
+    seeds = np.stack(_pcg64_seed(pool), axis=1)
     seed_type = _pcg64_seed_type()
     for seed in seeds:
         yield np.random.Generator(np.random.PCG64(seed_type(seed)))

@@ -21,6 +21,7 @@ import numpy as np
 from .data_model import (
     AuditConfig,
     PredictionLog,
+    check_class_support,
     check_same_split,
     class_recall_matrix,
     model_accuracy,
@@ -29,7 +30,6 @@ from .data_model import (
 )
 from .errors import (
     EmptySample,
-    ExampleSetMismatch,
     LengthMismatch,
     NonFiniteInput,
     NumericError,
@@ -248,10 +248,9 @@ def audit_classes(
     optionally Bonferroni-corrected across classes.
     """
     check_same_split(base_log, comp_log.example_ids, comp_log.truth, "logs")
-    if base_log.num_classes != comp_log.num_classes:
-        raise ExampleSetMismatch(
-            f"class counts differ: {base_log.num_classes} vs {comp_log.num_classes}"
-        )
+    # with every label below the larger count in the truth, neither log's
+    # count (at least its largest label + 1) can fall short of it
+    check_class_support(base_log.truth, max(base_log.num_classes, comp_log.num_classes), "test")
     if base_log.num_models < 2 or comp_log.num_models < 2:
         raise SampleTooSmall("audit needs K >= 2 models per population")
 

@@ -24,6 +24,7 @@ from compresslens.data_model import (
     AuditConfig,
     CompressionSpec,
     LabeledDataset,
+    PredictionLog,
     read_dataset,
     read_prediction_log,
     write_dataset,
@@ -244,6 +245,26 @@ class TestAudits:
             "--data", str(data_dir), "--out", str(tmp_path / "pie"),
         ])
         assert rc == 0
+
+    def test_split_without_a_class_is_named(self, tmp_path, capsys):
+        """A 10-class split lacking class 9, which only the baseline predicts, names class 9."""
+        truth = np.arange(18) % 9
+        base_preds = np.stack([truth, truth])
+        base_preds[1, 0] = 9
+        paths = {}
+        for name, preds in (("base", base_preds), ("comp", np.stack([truth, truth]))):
+            log = PredictionLog(name, CompressionSpec("none"), np.arange(18), truth,
+                                preds[:, :, np.newaxis], explicit_num_classes=10)
+            paths[name] = tmp_path / f"{name}.csv"
+            write_prediction_log(log, paths[name])
+        # read back, each log's class count is its largest label + 1: 10 and 9
+        assert [read_prediction_log(p).num_classes for p in paths.values()] == [10, 9]
+        out = tmp_path / "audit.csv"
+        rc = main(["audit-classes", "--base", str(paths["base"]), "--comp", str(paths["comp"]),
+                   "--out", str(out)])
+        assert rc == 2
+        assert "classes with zero test support: [9]" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("bad", ["base", "comp"])
     def test_parse_error_names_the_bad_log(self, logs, tmp_path, capsys, bad):
@@ -1428,16 +1449,21 @@ class TestBundleReadBack:
             seed=11, prune_start=20, prune_end=140, prune_every=10,
             dataset_path=str(data), out_dir=str(tmp_path / "bundle"),
         )
-        in_memory = {}
+        in_memory, class_rows = {}, {}
 
         def keep(base_log, comp_log, *args, **kwargs):
             in_memory[comp_log.population_id] = audit_level(base_log, comp_log, *args, **kwargs)
             return in_memory[comp_log.population_id]
 
+        def keep_rows(base_log, comp_log, *args):
+            class_rows[comp_log.population_id] = audit_classes(base_log, comp_log, *args)
+            return class_rows[comp_log.population_id]
+
         monkeypatch.setattr(pipeline, "audit_level", keep)
+        monkeypatch.setattr(pipeline, "audit_classes", keep_rows)
         run_pipeline(config)
         bundle = Path(config.out_dir)
-        assert sorted(in_memory) == ["dynamic_int8", "prune_0.5"]
+        assert sorted(in_memory) == sorted(class_rows) == ["dynamic_int8", "prune_0.5"]
         test_ds = read_dataset(data / "test.csv")
         for label, level in in_memory.items():
             base, comp = bundle / "logs" / "baseline.csv", bundle / "logs" / f"{label}.csv"
@@ -1453,13 +1479,12 @@ class TestBundleReadBack:
             ):
                 assert (out / got).read_bytes() == (bundle / want).read_bytes(), want
 
-            again = audit_level(
-                read_prediction_log(base), read_prediction_log(comp), test_ds, AuditConfig()
-            )
+            base_log, comp_log = read_prediction_log(base), read_prediction_log(comp)
+            again = audit_level(base_log, comp_log, test_ds)
             for name in ("example_ids", "modal_base", "modal_comp"):
                 assert np.array_equal(getattr(again.pies, name), getattr(level.pies, name))
             assert (again.subset, again.attributes) == (level.subset, level.attributes)
-            assert again.class_rows == level.class_rows
+            assert audit_classes(base_log, comp_log, AuditConfig()) == class_rows[label]
 
     def test_bundle_holds_what_run_computed(self, tmp_path, monkeypatch):
         """Each file of a bundle, read back, equals the in-memory result it was written from."""
@@ -1472,24 +1497,29 @@ class TestBundleReadBack:
             synth=SynthLongTailSpec(num_classes=5, dim=8, train_count=400, test_count=200, seed=2),
             out_dir=str(tmp_path / "bundle"),
         )
-        levels = {}
+        levels, class_rows = {}, {}
 
-        def keep(*args, **kwargs):
-            level = audit_level(*args, **kwargs)
-            levels[level.comp_log.population_id] = level
+        def keep(base_log, comp_log, *args, **kwargs):
+            level = audit_level(base_log, comp_log, *args, **kwargs)
+            levels[comp_log.population_id] = (base_log, comp_log, level)
             return level
 
+        def keep_rows(base_log, comp_log, *args):
+            class_rows[comp_log.population_id] = audit_classes(base_log, comp_log, *args)
+            return class_rows[comp_log.population_id]
+
         monkeypatch.setattr(pipeline, "audit_level", keep)
+        monkeypatch.setattr(pipeline, "audit_classes", keep_rows)
         summary = run_pipeline(config)
         bundle = Path(config.out_dir)
         assert summary == json.loads((bundle / "summary.json").read_text())
-        assert sorted(levels) == ["prune_0.5", "prune_0.9"]
+        assert sorted(levels) == sorted(class_rows) == ["prune_0.5", "prune_0.9"]
 
         def six_decimals(values):  # what a "%.6f" cell reads back as
             return [float(f"{v:.6f}") for v in values]
 
-        for label, level in levels.items():
-            for log in (level.base_log, level.comp_log):
+        for label, (base_log, comp_log, level) in levels.items():
+            for log in (base_log, comp_log):
                 back = read_prediction_log(bundle / "logs" / f"{log.population_id}.csv")
                 assert (back.population_id, back.compression, back.num_classes) == (
                     log.population_id, log.compression, log.num_classes)
@@ -1497,14 +1527,14 @@ class TestBundleReadBack:
                     np.testing.assert_array_equal(getattr(back, name), getattr(log, name))
 
             audit = read_audit_csv(bundle / "audits" / f"class_audit_{label}.csv")
-            columns = zip(*map(dataclasses.astuple, level.class_rows))
+            columns = zip(*map(dataclasses.astuple, class_rows[label]))
             for name, column in zip(AUDIT_HEADER, columns, strict=True):
                 np.testing.assert_array_equal(audit[name], six_decimals(column), err_msg=name)
 
             pies = read_pie_report(bundle / "pies" / f"pie_{label}.csv")
             ids = level.pies.example_ids
             np.testing.assert_array_equal(pies["example_id"], ids)
-            np.testing.assert_array_equal(pies["true_label"], level.base_log.truth)
+            np.testing.assert_array_equal(pies["true_label"], base_log.truth)
             np.testing.assert_array_equal(pies["modal_base"], level.pies.modal_base)
             np.testing.assert_array_equal(pies["modal_comp"], level.pies.modal_comp)
             np.testing.assert_array_equal(pies["is_pie"], level.pies.is_pie(ids))
@@ -1524,12 +1554,21 @@ class TestLevelAudit:
         assert len(level.pies) == 0
         assert (level.subset, level.attributes) == (None, None)
 
-    def test_one_model_has_no_class_rows(self, logs):
-        base = read_prediction_log(logs / "base.csv")
-        comp = read_prediction_log(logs / "comp.csv")
-        one = dataclasses.replace(comp, predictions=comp.predictions[:1])
-        assert audit_level(base, one, None).class_rows is None
-        assert len(audit_level(base, comp, None).class_rows) == base.num_classes
+    def test_one_model_run_has_no_class_audit(self, tmp_path):
+        """With K = 1 no Welch test runs: no audits/ file, 0 significant classes per level."""
+        config = ExperimentConfig(
+            out_dir=str(tmp_path / "o"), seed=4,
+            train=TrainConfig(steps=40, batch_size=16, population_size=1, hidden_dims=(8,),
+                              lr_decay_steps=None),
+            sweep=(CompressionSpec("none"), CompressionSpec("magnitude_prune", 0.5),
+                   CompressionSpec("quant_float16")),
+            synth=SynthLongTailSpec(num_classes=3, dim=4, train_count=120, test_count=60, seed=4),
+        )
+        summary = run_pipeline(config)
+        assert [level["significant_classes"] for level in summary["levels"]] == [0, 0]
+        assert summary["total_significant_classes"] == 0
+        assert sorted(p.name for p in Path(config.out_dir).iterdir()) == [
+            "logs", "pies", "summary.json"]
 
     def test_every_example_a_pie(self, tmp_path):
         """A run whose baseline scores no example outside the PIEs writes null there."""

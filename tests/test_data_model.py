@@ -189,6 +189,7 @@ class TestDatasetColumns:
             np.testing.assert_array_equal(ds.feature_matrix, feats)
             assert ds.attribute_names == ("b",)
             np.testing.assert_array_equal(ds.attribute_mask("b"), [False, True, True])
+            np.testing.assert_array_equal(ds.attribute_mask("unused"), [False, False, False])
             assert ds.layout == (2, 2)
         assert [ex.attributes for ex in arrays.examples] == [
             ex.attributes for ex in records.examples
@@ -284,6 +285,17 @@ class TestLogValidation:
         preds = np.array([[[0, 0]]])
         with pytest.raises(ConfigError):
             make_log(preds, [0])
+
+    @pytest.mark.parametrize("ids, truth, shape, message", [
+        ([0, 1], [0, 1], (1, 2), "predictions must have shape (K, N, topk)"),
+        ([0, 1, 2], [0, 1, 0], (1, 2, 1), "example_ids/truth must align with predictions"),
+        ([0, 1], [0], (1, 2, 1), "example_ids/truth must align with predictions"),
+        ([0, 1], [0, 1], (0, 2, 1), "log needs K >= 1 models and topk >= 1"),
+        ([0, 1], [0, 1], (1, 2, 0), "log needs K >= 1 models and topk >= 1"),
+    ], ids=["two axes", "more ids", "fewer labels", "no model", "no rank"])
+    def test_bad_shape_rejected(self, ids, truth, shape, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            PredictionLog("p", CompressionSpec("none"), ids, truth, np.zeros(shape, dtype=int))
 
     def test_rows_sorted_by_example_id(self):
         log = make_log([[1, 0]], [1, 0], ids=[5, 2])
@@ -519,6 +531,21 @@ class TestLogRoundtrip:
         with pytest.raises(ParseError, match="line 3"):
             read_prediction_log(path)
 
+    @pytest.mark.parametrize("rows, message", [
+        # example 1 has true label 0 under model 0 and 1 under model 1
+        (["p,none,0.0,0,1,1,0,0", "p,none,0.0,1,1,1,0,1"],
+         "line 3: conflicting true_label for example 1"),
+        (["p,none,0.0,0,1,1,0,0", "p,none,0.0,0,1,3,1,0"],
+         "ranks must be contiguous from 1, got [1, 3]"),
+    ], ids=["two true labels", "rank gap"])
+    def test_cross_row_fault(self, tmp_path, rows, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join([",".join(LOG_HEADER), *rows]) + "\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            read_prediction_log(path)
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            oracles.read_prediction_log(path)
+
     def test_rows_in_any_order(self, tmp_path):
         log = make_log([[0, 1], [1, 0]], [0, 1])
         path = tmp_path / "log.csv"
@@ -564,6 +591,14 @@ class TestDatasetRoundtrip:
         write_dataset(ds, tmp_path / "img.csv")
         back = read_dataset(tmp_path / "img.csv")
         assert back.examples[0].layout == (2, 3)
+
+    @pytest.mark.parametrize("features", ["f1", "f0,f2", "f1,f0", "g0"])
+    def test_feature_columns_numbered_from_0(self, tmp_path, features):
+        (tmp_path / "x.csv").write_text(f"example_id,true_label,attr_a,{features}\n")
+        (tmp_path / "x.meta.json").write_text('{"num_classes": 1}')
+        message = f"{tmp_path / 'x.csv'}: feature columns must be f0..f{{d-1}}"
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+            read_dataset(tmp_path / "x.csv")
 
     def test_missing_sidecar(self, tmp_path):
         (tmp_path / "x.csv").write_text("example_id,true_label,f0\n0,0,1.0\n")

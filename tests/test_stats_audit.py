@@ -19,6 +19,7 @@ from compresslens.errors import (
     EmptySample,
     ExampleSetMismatch,
     LengthMismatch,
+    MissingClassSupport,
     NonFiniteInput,
     NumericError,
     SampleTooSmall,
@@ -330,7 +331,7 @@ class TestAuditClasses:
         (_log_from_rank1([[0, 1], [1, 0]], [0, 1]),
          PredictionLog("q", CompressionSpec("none"), [0, 1], [0, 1], [[[0], [1]], [[1], [0]]],
                        explicit_num_classes=3),
-         ExampleSetMismatch, "class counts differ: 2 vs 3"),
+         MissingClassSupport, "test split has 2 examples, too few for 3 classes"),
         (_log_from_rank1([[0, 1], [1, 0]], [0, 1]), _log_from_rank1([[0, 1]], [0, 1]),
          SampleTooSmall, "audit needs K >= 2 models per population"),
         (_log_from_rank1([[0, 1]], [0, 1]), _log_from_rank1([[0, 1], [1, 0]], [0, 1]),
