@@ -262,9 +262,10 @@ def _cmd_run(args) -> int:
     summary = run_pipeline(config)
     print(f"wrote {Path(config.out_dir)}/summary.json")
     for entry in summary["levels"]:
+        signif = "-" if entry["significant_classes"] is None else entry["significant_classes"]
         print(
             f"  {entry['label']}: top1={entry['top1']:.2f} "
-            f"signif={entry['significant_classes']} pies={entry['pie_count']}"
+            f"signif={signif} pies={entry['pie_count']}"
         )
     return EXIT_OK
 

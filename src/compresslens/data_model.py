@@ -270,7 +270,7 @@ class LabeledDataset:
                 "want (N,) ids and labels, (N, d) features and (N, A) attributes, got "
                 f"{ids.shape}, {labels.shape}, {feats.shape}, {attrs.shape}"
             )
-        if np.unique(ids).size != ids.size:
+        if _distinct(ids).size != ids.size:
             raise ConfigError("duplicate example_ids in dataset")
         check_labels(labels, num_classes, ids=ids)
         if len(set(names)) != len(names):
@@ -588,8 +588,11 @@ def write_prediction_log(log: PredictionLog, path: str | Path) -> None:
 def _distinct(values: np.ndarray) -> np.ndarray:
     """The distinct values of `values`, ascending, flattened.
 
-    `np.unique` without the ~1 MiB of `numpy.ma` its first call in a
-    process imports, which alone would double a log write's peak.
+    The package's one rule for distinct values: only `_parse_log`, which
+    needs their first index and inverse too, takes them another way. numpy's
+    `unique` would import the ~1 MiB `numpy.ma`, which no command uses, on
+    its first call in a process (alone more than a log write's peak), and is
+    over ten times slower on thousands of ids.
     """
     values = np.sort(values, axis=None)
     keep = np.ones(values.size, dtype=bool)
@@ -892,8 +895,8 @@ def _raise_cross_row_fault(table: np.ndarray, data: bytes, start: int) -> NoRetu
         seen.add((model, example, rank))
         if label_of.setdefault(example, truth) != truth:
             raise ParseError(f"conflicting true_label for example {example}", lines[i])
-    model_ids = np.unique(table["model_id"]).tolist()
-    ranks = np.unique(table["rank"]).tolist()
+    model_ids = _distinct(table["model_id"]).tolist()
+    ranks = _distinct(table["rank"]).tolist()
     K, N, topk = len(model_ids), len(label_of), len(ranks)
     if model_ids != list(range(K)):
         raise ParseError(f"model ids must be 0..K-1, got {model_ids}", None)

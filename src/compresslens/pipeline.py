@@ -292,11 +292,11 @@ def _write_bundle(
         entry.update(_population_entry(log))
         with _stage(f"audit {label}"):
             level = audit_level(base_log, log, test_ds)
-            rows = []
+            entry["significant_classes"] = None  # K = 1: no Welch test runs
             if config.train.population_size >= 2:  # as `run_pipeline` checks before training
                 rows = audit_classes(base_log, log, config.audit)
                 write_audit_csv(rows, out / "audits" / f"class_audit_{label}.csv")
-            entry["significant_classes"] = sum(r.significant for r in rows)
+                entry["significant_classes"] = sum(r.significant for r in rows)
             write_pie_report(level.pies, base_log.truth, out / "pies" / f"pie_{label}.csv")
             entry["pie_count"] = len(level.pies)
             if level.subset is not None:
@@ -318,7 +318,10 @@ def _write_bundle(
         "num_models": config.train.population_size,
         "baseline": _population_entry(base_log),
         "levels": levels,
-        "total_significant_classes": sum(e["significant_classes"] for e in levels),
+        "total_significant_classes": (
+            sum(e["significant_classes"] for e in levels)
+            if config.train.population_size >= 2 else None
+        ),
         "total_pies": sum(e["pie_count"] for e in levels),
     }
     write_json(out / "summary.json", summary)

@@ -188,8 +188,10 @@ def _example_rngs(spec: CorruptionSpec, example_ids) -> Iterator[np.random.Gener
     words = np.stack([ids & _MASK32, ids >> 32]).astype(np.uint32)
     lengths = 1 + (words[1] != 0)
     pool = np.empty((_POOL_SIZE, len(ids)), dtype=np.uint64)
-    for length in np.unique(lengths).tolist():
+    for length in (1, 2):
         rows = lengths == length
+        if not rows.any():
+            continue
         key = [np.array([w], dtype=np.uint32) for w in spec._key_words] + list(words[:length, rows])
         pool[:, rows] = _mix_pool(key)
     seeds = np.stack(_pcg64_seed(pool), axis=1)

@@ -249,7 +249,9 @@ def audit_classes(
     """
     check_same_split(base_log, comp_log.example_ids, comp_log.truth, "logs")
     # with every label below the larger count in the truth, neither log's
-    # count (at least its largest label + 1) can fall short of it
+    # count (at least its largest label + 1) can fall short of it; the per-log
+    # checks in `class_recall_matrix` take each log's own count, so they would
+    # name only the classes missing below the base log's
     check_class_support(base_log.truth, max(base_log.num_classes, comp_log.num_classes), "test")
     if base_log.num_models < 2 or comp_log.num_models < 2:
         raise SampleTooSmall("audit needs K >= 2 models per population")

@@ -247,24 +247,32 @@ class TestAudits:
         assert rc == 0
 
     def test_split_without_a_class_is_named(self, tmp_path, capsys):
-        """A 10-class split lacking class 9, which only the baseline predicts, names class 9."""
-        truth = np.arange(18) % 9
-        base_preds = np.stack([truth, truth])
-        base_preds[1, 0] = 9
-        paths = {}
-        for name, preds in (("base", base_preds), ("comp", np.stack([truth, truth]))):
-            log = PredictionLog(name, CompressionSpec("none"), np.arange(18), truth,
-                                preds[:, :, np.newaxis], explicit_num_classes=10)
-            paths[name] = tmp_path / f"{name}.csv"
-            write_prediction_log(log, paths[name])
-        # read back, each log's class count is its largest label + 1: 10 and 9
-        assert [read_prediction_log(p).num_classes for p in paths.values()] == [10, 9]
-        out = tmp_path / "audit.csv"
-        rc = main(["audit-classes", "--base", str(paths["base"]), "--comp", str(paths["comp"]),
-                   "--out", str(out)])
-        assert rc == 2
-        assert "classes with zero test support: [9]" in capsys.readouterr().err
-        assert not out.exists()
+        """A 10-class split lacking classes, 9 predicted by one log only, names each of them."""
+        for missing, predicts_9, counts in [
+            ([9], "base", [10, 9]),
+            # checked alone, the base log (9 classes) would name only [3]: the
+            # pair's check at the larger count is what names class 9 as well
+            ([3, 9], "comp", [9, 10]),
+        ]:
+            present = [c for c in range(10) if c not in missing]
+            truth = np.array(present)[np.arange(18) % len(present)]
+            paths = {}
+            for name in ("base", "comp"):
+                preds = np.stack([truth, truth])
+                if name == predicts_9:
+                    preds[1, 0] = 9
+                log = PredictionLog(name, CompressionSpec("none"), np.arange(18), truth,
+                                    preds[:, :, np.newaxis], explicit_num_classes=10)
+                paths[name] = tmp_path / f"{name}.csv"
+                write_prediction_log(log, paths[name])
+            # read back, each log's class count is its largest label + 1
+            assert [read_prediction_log(p).num_classes for p in paths.values()] == counts
+            out = tmp_path / "audit.csv"
+            rc = main(["audit-classes", "--base", str(paths["base"]),
+                       "--comp", str(paths["comp"]), "--out", str(out)])
+            assert rc == 2
+            assert f"classes with zero test support: {missing}" in capsys.readouterr().err
+            assert not out.exists()
 
     @pytest.mark.parametrize("bad", ["base", "comp"])
     def test_parse_error_names_the_bad_log(self, logs, tmp_path, capsys, bad):
@@ -452,15 +460,24 @@ class TestRun:
         assert sorted(p.name for p in out.iterdir()) == ["logs", "summary.json"]
 
     @staticmethod
-    def _tiny_config(tmp_path) -> Path:
+    def _tiny_config(tmp_path, population_size=2) -> Path:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "dataset": {"synth": {
                 "num_classes": 3, "dim": 4, "train_count": 150, "test_count": 60, "seed": 2,
             }},
-            "train": {"steps": 60, "batch_size": 32, "population_size": 2, "hidden_dims": [8]},
+            "train": {"steps": 60, "batch_size": 32, "population_size": population_size,
+                      "hidden_dims": [8]},
         }))
         return cfg
+
+    def test_one_model_run_prints_no_significance(self, tmp_path, capsys):
+        """A K = 1 level runs no Welch test, so its line says `signif=-`, not 0."""
+        cfg = self._tiny_config(tmp_path, population_size=1)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "--sparsity", "0.5"]) == 0
+        (line,) = [ln for ln in capsys.readouterr().out.split("\n") if "prune_0.5" in ln]
+        assert " signif=- pies=" in line
 
     def test_rerun_into_a_bundle_is_refused(self, tmp_path, monkeypatch, capsys):
         out, cfg = tmp_path / "o", self._tiny_config(tmp_path)
@@ -621,6 +638,40 @@ def run_cli(argv: list[str]) -> tuple[int, str]:
         capture_output=True, text=True, env=env, timeout=120,
     )
     return proc.returncode, proc.stderr
+
+
+NO_MASKED_ARRAYS = """
+import json, sys
+from compresslens.cli import main
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+    assert "numpy.ma" not in sys.modules, f"{argv[:3]} imported numpy.ma"
+"""
+
+
+def test_commands_leave_numpy_ma_unloaded(tmp_path):
+    """No command of a generate-train-audit round imports `numpy.ma` (~1 MiB it never uses)."""
+    data, d = str(tmp_path / "data"), str(tmp_path)
+    train = ["train", "--data", data, "--models", "2", "--steps", "20", "--batch-size", "8",
+             "--hidden", "4"]
+    commands = [
+        ["generate", "--out", data, "--classes", "3", "--dim", "4", "--train-count", "60",
+         "--test-count", "30"],
+        [*train, "--out", f"{d}/base.csv", "--save-models", f"{d}/base_models"],
+        [*train, "--out", f"{d}/comp.csv", "--save-models", f"{d}/comp_models",
+         "--sparsity", "0.5", "--seed", "1"],
+        ["audit-pie", "--base", f"{d}/base.csv", "--comp", f"{d}/comp.csv", "--data", data,
+         "--out", f"{d}/pie"],
+        ["audit-robustness", "--data", data, "--base-models", f"{d}/base_models",
+         "--comp-models", f"{d}/comp_models", "--out", f"{d}/rob.csv",
+         "--kinds", "gaussian_noise", "shot_noise", "impulse_noise", "brightness", "contrast"],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(compresslens.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_MASKED_ARRAYS, json.dumps(commands)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 BAD_KEY_CASES = [
@@ -1555,7 +1606,7 @@ class TestLevelAudit:
         assert (level.subset, level.attributes) == (None, None)
 
     def test_one_model_run_has_no_class_audit(self, tmp_path):
-        """With K = 1 no Welch test runs: no audits/ file, 0 significant classes per level."""
+        """With K = 1 no Welch test runs: no audits/ file, null significant classes."""
         config = ExperimentConfig(
             out_dir=str(tmp_path / "o"), seed=4,
             train=TrainConfig(steps=40, batch_size=16, population_size=1, hidden_dims=(8,),
@@ -1565,8 +1616,8 @@ class TestLevelAudit:
             synth=SynthLongTailSpec(num_classes=3, dim=4, train_count=120, test_count=60, seed=4),
         )
         summary = run_pipeline(config)
-        assert [level["significant_classes"] for level in summary["levels"]] == [0, 0]
-        assert summary["total_significant_classes"] == 0
+        assert [level["significant_classes"] for level in summary["levels"]] == [None, None]
+        assert summary["total_significant_classes"] is None
         assert sorted(p.name for p in Path(config.out_dir).iterdir()) == [
             "logs", "pies", "summary.json"]
 
